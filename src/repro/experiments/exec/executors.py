@@ -18,10 +18,12 @@ Failure semantics (see docs/FAULTS.md):
   :class:`~repro.errors.TaskFailedError` carrying the partial results.
 - A worker *dying* mid-task (segfault, ``os._exit``, OOM-kill) breaks the
   process pool; the pool is rebuilt and every task it took down is
-  re-enqueued, so a crash domain is one worker, never the run.
+  re-enqueued, so a crash domain is one worker, never the run.  A broken
+  shared pool cannot say whose worker died, so its tasks re-run isolated
+  (one fresh single-worker pool each) and only a crash there is charged.
 - Each task has a retry budget (``retries``) and an optional per-task
   deadline (``task_timeout``, seconds of no pool progress) after which
-  stuck workers are terminated and the in-flight attempts charged.
+  stuck workers are terminated and the attempts charged like crashes.
   Waiting between retry waves uses bounded exponential backoff with
   seed-derived jitter — deterministic, never wall-clock-dependent
   (``backoff_base=0`` by default: no sleeping in tests or benchmarks).
@@ -42,7 +44,7 @@ import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set
 
 from ...errors import TaskFailedError
 from ...rng import derive_seed
@@ -209,12 +211,20 @@ class ParallelExecutor(Executor):
         retry-eligible tasks into the next wave.  A broken pool (dead
         worker) or a stalled wave (``task_timeout``) rebuilds the pool;
         ordinary task exceptions do not.
+
+        A dead worker breaks *every* future of its pool, so a broken pool
+        only says which task crashed when that task ran alone.  Tasks
+        broken in a shared pool are not charged an attempt; they re-run
+        *isolated* — each in a fresh one-worker pool, at most ``jobs`` at
+        a time — where a crash (or a timeout) is theirs to pay for.
         """
         attempts: Dict[int, int] = {k: 0 for k in misses}
         failures: Dict[int, BaseException] = {}
         queue: List[int] = list(misses)
+        isolated: Set[int] = set()
         wave = 0
-        pool = ProcessPoolExecutor(max_workers=min(self.jobs, len(misses)))
+        shared: Optional[ProcessPoolExecutor] = None
+        pools: Dict[int, ProcessPoolExecutor] = {}
         try:
             while queue:
                 if wave > 0:
@@ -222,13 +232,25 @@ class ParallelExecutor(Executor):
                     if delay > 0.0:
                         self._sleep(delay)
                 wave += 1
-                batch, queue = queue, []
+                batch = [k for k in queue if k in isolated][: self.jobs]
+                solo = bool(batch)
+                if solo:
+                    pools = {k: ProcessPoolExecutor(max_workers=1) for k in batch}
+                else:
+                    batch = list(queue)
+                    if shared is None:
+                        shared = ProcessPoolExecutor(
+                            max_workers=min(self.jobs, len(batch))
+                        )
+                    pools = {k: shared for k in batch}
+                alone = solo or len(batch) == 1
+                queue = [k for k in queue if k not in pools]
                 futures: Dict[Future, int] = {}
                 for k in batch:
                     attempts[k] += 1
-                    futures[self._submit(pool, tasks[k], k)] = k
+                    futures[self._submit(pools[k], tasks[k], k)] = k
                 pending = set(futures)
-                rebuild = False
+                broken = False
                 while pending:
                     done, pending = wait(
                         pending, timeout=self.task_timeout,
@@ -237,10 +259,11 @@ class ParallelExecutor(Executor):
                     if not done:
                         # No progress for a whole deadline: the in-flight
                         # attempts are stuck.  Kill the workers; the
-                        # resulting BrokenProcessPool futures are charged
+                        # resulting BrokenProcessPool futures are handled
                         # below like any other crash.
-                        rebuild = True
-                        self._terminate_workers(pool)
+                        broken = True
+                        for fut in sorted(pending, key=lambda f: futures[f]):
+                            self._terminate_workers(pools[futures[fut]])
                         done, pending = wait(
                             pending, return_when=FIRST_COMPLETED
                         )
@@ -251,22 +274,32 @@ class ParallelExecutor(Executor):
                             results[k] = self._record(tasks[k], fut.result())
                             continue
                         if isinstance(exc, BrokenProcessPool):
-                            rebuild = True
+                            broken = True
+                            if not alone:
+                                attempts[k] -= 1
+                                isolated.add(k)
+                                queue.append(k)
+                                continue
                         if attempts[k] <= self.retries:
                             queue.append(k)
                         else:
                             failures[k] = exc
-                if rebuild:
+                if solo:
+                    for pool in pools.values():
+                        pool.shutdown(wait=False, cancel_futures=True)
+                elif broken and shared is not None:
                     # A dead worker poisons the whole pool object (every
-                    # outstanding future breaks); isolate the crash domain
-                    # by starting a fresh pool for the retry wave.
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    pool = ProcessPoolExecutor(
-                        max_workers=min(self.jobs, max(1, len(queue)))
-                    )
+                    # outstanding future breaks); start a fresh one for
+                    # the next shared wave.
+                    shared.shutdown(wait=False, cancel_futures=True)
+                    shared = None
                 queue.sort()
         finally:
-            pool.shutdown(wait=False, cancel_futures=True)
+            # Shutting a pool down twice is harmless.
+            for pool in pools.values():
+                pool.shutdown(wait=False, cancel_futures=True)
+            if shared is not None:
+                shared.shutdown(wait=False, cancel_futures=True)
         return failures
 
 

@@ -27,7 +27,7 @@ byte-identical.  Fired faults are logged in :attr:`fired` as
 ``(seq, mode)`` for assertions.
 
 ``sync`` defaults to ``False`` here — chaos tests measure logic, not disk
-latency, and an fsync per record makes the hypothesis suite crawl.
+latency, and an fsync per input makes the hypothesis suite crawl.
 """
 
 from __future__ import annotations

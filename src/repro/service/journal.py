@@ -23,8 +23,11 @@ import hashlib
 import json
 import logging
 import os
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, List, NamedTuple, Optional, Sequence, TextIO, Tuple, Union
+from typing import (
+    Any, Dict, Iterator, List, NamedTuple, Optional, Sequence, TextIO, Tuple, Union,
+)
 
 from ..errors import JournalError, JournalWriteError
 from ..experiments.exec.task import canonical_json
@@ -81,11 +84,18 @@ class Journal:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         mode = "w" if truncate else "a"
         self._fh: Optional[TextIO] = open(self.path, mode, encoding="utf-8")
-        #: ``fsync`` after every append.  On for the service daemon (a
-        #: journaled transition must survive a power cut), off for load
-        #: generators and benchmarks that only need process-crash safety.
+        #: ``fsync`` the journal (power-cut safety).  On for the service
+        #: daemon, off for load generators and benchmarks that only need
+        #: process-crash safety.  Every record is written and flushed on
+        #: its own; the fsync is one barrier per *input* — an input is
+        #: durable when its call returns, and its records share one fsync
+        #: (see :meth:`batch`).  A bare :meth:`append` outside a batch is
+        #: its own input and fsyncs at once.
         self.sync = bool(sync)
         self.seq = 0
+        self._batch_depth = 0
+        #: Records flushed but not yet fsynced (with :attr:`sync` only).
+        self._unsynced = False
 
     def append(self, event: str, t: float, data: Dict[str, Any]) -> int:
         """Write one record and flush it; returns the record's ``seq``.
@@ -127,7 +137,33 @@ class Journal:
         self._fh.write(line)
         self._fh.flush()
         if self.sync:
+            self._unsynced = True
+            if not self._batch_depth:
+                self.barrier()
+
+    @contextmanager
+    def batch(self) -> Iterator["Journal"]:
+        """Share one fsync barrier among every record written in the block.
+
+        Records are still written and flushed one by one (a process death
+        loses nothing already written); the fsync runs once, when the
+        outermost batch exits normally, and only if a record was written.
+        Batches nest.  A block left by an exception takes no barrier: the
+        input it carried never returned, so it was never acknowledged.
+        """
+        self._batch_depth += 1
+        try:
+            yield self
+        finally:
+            self._batch_depth -= 1
+        if not self._batch_depth:
+            self.barrier()
+
+    def barrier(self) -> None:
+        """Make every record written so far durable (a no-op if it is)."""
+        if self._unsynced and self._fh is not None:
             os.fsync(self._fh.fileno())
+        self._unsynced = False
 
     def _restore(self, offset: int) -> None:
         """Drop a partially written record so the file ends at *offset*."""
@@ -157,11 +193,17 @@ class Journal:
 
         Used by recovery: the replayed journal is written to a sibling
         temp file and swapped in with :func:`os.replace`, so the on-disk
-        journal is never observable half-rewritten.
+        journal is never observable half-rewritten.  With :attr:`sync`
+        the rename is durable too: the temp file is fsynced before it is
+        published and the parent directory after, so a power cut leaves
+        either the old journal or the complete new one.
         """
+        self.barrier()
         self.close()
         os.replace(self.path, path)
         self.path = Path(path)
+        if self.sync:
+            _fsync_dir(self.path.parent)
         self._fh = open(self.path, "a", encoding="utf-8")
 
     def __enter__(self) -> "Journal":
@@ -233,6 +275,8 @@ class Journal:
         self._fh.close()
         os.replace(tmp, self.path)
         self._fh = open(self.path, "a", encoding="utf-8")
+        # Every kept record just went through the fsync above.
+        self._unsynced = False
         return dropped
 
     # ------------------------------------------------------------------ #
@@ -331,3 +375,12 @@ class Journal:
     def input_records(records: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
         """Filter a record list down to the replayable input events."""
         return [r for r in records if r["event"] in INPUT_EVENTS]
+
+
+def _fsync_dir(path: Path) -> None:
+    """fsync a directory, making the renames inside it durable."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)

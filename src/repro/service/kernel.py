@@ -52,7 +52,9 @@ Request lifecycle with the failure states::
                                        ├> REJECTED (charger_failed)
                                        └> EXPIRED / CANCELLED
 
-Durability: every transition is appended to a checksummed JSONL journal.
+Durability: every transition is appended to a checksummed JSONL journal;
+an input is durable when its call returns, and its records share one
+fsync.
 ``submit``/``advance``/``drain``/``charger_down``/``charger_up``/``cancel``
 records are the *inputs*; :meth:`recover` replays them through a fresh
 kernel, re-deriving everything else, and atomically rewrites the journal
@@ -63,10 +65,15 @@ bytes an uninterrupted run would have produced.
 
 from __future__ import annotations
 
+import functools
 import heapq
+import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, TypeVar, Union,
+)
 
 from ..core import Device
 from ..core.costsharing import CostSharingScheme, EgalitarianSharing
@@ -92,6 +99,24 @@ _RATIO_BUCKETS = (0.25, 0.5, 0.7, 0.8, 0.9, 0.95, 1.0)
 _SIZE_BUCKETS = (1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0)
 
 _TIME_EPS = 1e-9
+
+_Input = TypeVar("_Input", bound=Callable[..., Any])
+
+
+def _durable_input(method: _Input) -> _Input:
+    """Make one public input one journal fsync barrier.
+
+    Every record the input writes is flushed on its own, and the batch
+    fsyncs them together before the call returns — on every return path,
+    no-ops included (those wrote nothing and take no fsync).
+    """
+
+    @functools.wraps(method)
+    def wrapper(self: "ChargingService", *args: Any, **kwargs: Any) -> Any:
+        with self.journal.batch() if self.journal is not None else nullcontext():
+            return method(self, *args, **kwargs)
+
+    return wrapper  # type: ignore[return-value]
 
 
 @dataclass(frozen=True)
@@ -171,15 +196,17 @@ class ChargingService:
     ):
         """``journal_path`` opens a fresh journal there; ``journal`` hands
         in a pre-built one instead (fault injection / tests).
-        ``journal_sync`` controls fsync-per-append; it is an operational
-        knob, deliberately *not* part of :class:`ServiceConfig` (which is
-        pinned into the journal header), so a daemon and its recovery can
-        differ on it.  ``snapshot_every`` (operational too, same reason)
-        turns on automatic state snapshots roughly every that many journal
-        records — taken only at quiescent points, i.e. at the end of a
-        public input method; ``snapshot_keep`` bounds how many snapshot
-        files survive pruning, and ``compact`` lets a successful snapshot
-        truncate the journal prefix the oldest retained snapshot covers.
+        ``journal_sync`` turns on the journal's fsync: an input is durable
+        when its call returns, and its records share one fsync.  It is an
+        operational knob, deliberately *not* part of :class:`ServiceConfig`
+        (which is pinned into the journal header), so a daemon and its
+        recovery can differ on it.  ``snapshot_every`` (operational too,
+        same reason) turns on automatic state snapshots roughly every that
+        many journal records — taken only at quiescent points, i.e. at the
+        end of a public input method; ``snapshot_keep`` bounds how many
+        snapshot files survive pruning, and ``compact`` lets a successful
+        snapshot truncate the journal prefix the oldest retained snapshot
+        covers.
         """
         if snapshot_every is not None and snapshot_every < 1:
             raise ConfigurationError(
@@ -233,6 +260,10 @@ class ChargingService:
         #: Set when availability shrank since the last fold; queued
         #: requests then get re-validated against their ceilings too.
         self._avail_dirty = False
+        #: Device id -> live requests (queued, planned or evacuating) for
+        #: it; the duplicate-device admission check.  Derived, so it is
+        #: rebuilt on restore rather than snapshotted.
+        self._live_devices: Dict[str, int] = {}
         if journal is not None:
             self.journal: Optional[Journal] = journal
         else:
@@ -291,6 +322,7 @@ class ChargingService:
     # ------------------------------------------------------------------ #
     # input events
 
+    @_durable_input
     def submit(self, request: ChargingRequest) -> str:
         """Process one submission; returns the request's resulting state.
 
@@ -325,7 +357,7 @@ class ChargingService:
             self._maybe_snapshot()
             return record.state
         record.quote, record.quote_charger = quote, quote_charger
-        duplicate = self._device_in_service(request.device.device_id)
+        duplicate = request.device.device_id in self._live_devices
         decision = self.admission.decide(
             request,
             now=now,
@@ -345,6 +377,7 @@ class ChargingService:
         else:
             record.state = RequestState.ADMITTED
             self._queue.append(request.request_id)
+            self._hold_device(record)
             self._journal(
                 "admit",
                 now,
@@ -359,6 +392,7 @@ class ChargingService:
         self._maybe_snapshot()
         return record.state
 
+    @_durable_input
     def advance(self, to: float) -> None:
         """Drive the event loop forward to logical time *to*.
 
@@ -378,6 +412,7 @@ class ChargingService:
     # ------------------------------------------------------------------ #
     # fault inputs (see docs/FAULTS.md)
 
+    @_durable_input
     def fail_charger(self, charger_id: str, at: Optional[float] = None) -> bool:
         """Charger outage at logical time *at* (default: now); an input event.
 
@@ -409,6 +444,7 @@ class ChargingService:
         self._maybe_snapshot()
         return True
 
+    @_durable_input
     def restore_charger(self, charger_id: str, at: Optional[float] = None) -> bool:
         """Charger recovery at logical time *at*; an input event.
 
@@ -432,6 +468,7 @@ class ChargingService:
         self._maybe_snapshot()
         return True
 
+    @_durable_input
     def cancel(
         self,
         request_id: str,
@@ -489,6 +526,7 @@ class ChargingService:
             evicted = self.planner.remove(index)
             for other in evicted:
                 self._evacuate(other, t, cause="ceiling")
+        self._release_device(record)
         record.state = RequestState.CANCELLED
         record.reason = reason
         self.metrics.counter("cancelled").inc()
@@ -527,16 +565,32 @@ class ChargingService:
         "now" (a no-op): the kernel is lenient at its *input* boundary so
         re-fed streams stay idempotent, while :class:`ServiceClock` itself
         treats a backward move as a hard :class:`~repro.errors.ClockError`.
+
+        Boundaries that can do no observable work are skipped (see
+        :meth:`_next_wake`): the cost of an advance is bounded by the
+        events it causes, not by how far the clock jumps.
         """
         t = max(float(to), self.clock.now)
-        while (self._epoch_index + 1) * self.config.epoch <= t + _TIME_EPS:
-            boundary = (self._epoch_index + 1) * self.config.epoch
-            self._run_epoch(boundary)
-            self._epoch_index += 1
+        epoch = self.config.epoch
+        # The last boundary at or before t, by the grid's own predicate
+        # (the float estimate can be off by one either way).
+        last = max(self._epoch_index, int((t + _TIME_EPS) // epoch))
+        while (last + 1) * epoch <= t + _TIME_EPS:
+            last += 1
+        while last > self._epoch_index and last * epoch > t + _TIME_EPS:
+            last -= 1
+        while self._epoch_index < last:
+            k = self._next_wake()
+            if k is None or k > last:
+                break
+            self._run_epoch(k * epoch)
+            self._epoch_index = k
+        self._epoch_index = last
         self._process_completions(t)
         self.clock.advance(t)
         self._update_gauges()
 
+    @_durable_input
     def drain(self) -> None:
         """Flush the service: fold the queue, depart everything, complete.
 
@@ -586,6 +640,37 @@ class ChargingService:
     # ------------------------------------------------------------------ #
     # the epoch machine
 
+    def _next_wake(self) -> Optional[int]:
+        """Index of the next boundary that may do observable work.
+
+        A boundary with nothing queued, evacuating or dirty, no coalition
+        born or dead since the last fold, no window elapsing and no
+        planned deadline coming due writes no record, touches no
+        deterministic metric and changes no state, so it can be skipped.
+        Completions need no boundary: the next processed one (or the
+        advance's own target) runs them in the same order.  The estimate
+        may only wake early, never late — an empty boundary is always
+        safe to process.  ``None``: no boundary has work until the next
+        input.
+        """
+        nxt = self._epoch_index + 1
+        if self._queue or self._evacuating or self._avail_dirty:
+            return nxt
+        if set(self._opened_at) != set(self.planner.live_cids()):
+            return nxt
+        epoch = self.config.epoch
+        # A check that fires from logical time x on fires at boundary
+        # ~x/epoch; one boundary of slack absorbs every rounding error.
+        due = [opened + self.config.window for opened in self._opened_at.values()]
+        for rid in self._rid_of_index.values():
+            deadline = self.requests[rid].request.deadline
+            if deadline is not None:
+                due.append(deadline - epoch)
+        first = min(due, default=math.inf)
+        if not math.isfinite(first):
+            return None
+        return max(nxt, math.floor(first / epoch) - 1)
+
     def _run_epoch(self, boundary: float) -> None:
         self._process_completions(boundary)
         self._process_departures(boundary)
@@ -628,6 +713,7 @@ class ChargingService:
             request_ids.append(rid)
             record = self.requests[rid]
             realized = info["shares"][i] + info["moving"][i]
+            self._release_device(record)
             record.state = RequestState.CHARGING
             record.departed_at = boundary
             record.session_seq = seq
@@ -696,6 +782,7 @@ class ChargingService:
         self._evacuating = still_evacuating
 
     def _expire(self, record: RequestRecord, boundary: float, where: str) -> None:
+        self._release_device(record)
         record.state = RequestState.EXPIRED
         record.reason = where
         self._journal(
@@ -722,6 +809,7 @@ class ChargingService:
         """Terminal rejection of an admitted request after an outage."""
         if record.device_index is not None:
             self.planner.ceiling.pop(record.device_index, None)
+        self._release_device(record)
         record.state = RequestState.REJECTED
         record.reason = REASON_CHARGER_FAILED
         self._journal(
@@ -821,17 +909,19 @@ class ChargingService:
     # ------------------------------------------------------------------ #
     # introspection
 
-    def _device_in_service(self, device_id: str) -> bool:
-        for rid in self._queue:
-            if self.requests[rid].request.device.device_id == device_id:
-                return True
-        for rid in self._evacuating:
-            if self.requests[rid].request.device.device_id == device_id:
-                return True
-        return any(
-            self.requests[rid].request.device.device_id == device_id
-            for rid in self._rid_of_index.values()
-        )
+    def _hold_device(self, record: RequestRecord) -> None:
+        """*record* became live (admitted): its device is in service."""
+        device_id = record.request.device.device_id
+        self._live_devices[device_id] = self._live_devices.get(device_id, 0) + 1
+
+    def _release_device(self, record: RequestRecord) -> None:
+        """*record* left the live states (departed, or went terminal)."""
+        device_id = record.request.device.device_id
+        left = self._live_devices[device_id] - 1
+        if left:
+            self._live_devices[device_id] = left
+        else:
+            del self._live_devices[device_id]
 
     def _update_gauges(self) -> None:
         self.metrics.gauge("queue_depth").set(len(self._queue))
@@ -1032,6 +1122,11 @@ class ChargingService:
             record.session_seq = entry["session_seq"]
             record.realized_cost = entry["realized_cost"]
             self.requests[record.request.request_id] = record
+        self._live_devices = {}
+        for rid in (
+            self._queue + self._evacuating + list(self._rid_of_index.values())
+        ):
+            self._hold_device(self.requests[rid])
         self.metrics.restore(state["metrics"])
         self._update_gauges()
 
@@ -1057,6 +1152,9 @@ class ChargingService:
         """
         if self.journal is None:
             raise ServiceError("snapshots need a journal to pin against")
+        # The records a snapshot covers reach the disk before it does, so
+        # a durable snapshot never pins a seq the journal may lose.
+        self.journal.barrier()
         seq = self.journal.seq
         path = write_snapshot(self.journal.path, seq, self.state())
         self._last_snapshot_seq = seq
@@ -1086,6 +1184,29 @@ class ChargingService:
 
     # ------------------------------------------------------------------ #
     # durability
+
+    def _replay(self, record: Dict[str, Any]) -> None:
+        """Re-feed one journaled input record."""
+        event = record["event"]
+        if event == "submit":
+            self.submit(ChargingRequest.from_dict(record["data"]))
+        elif event == "advance":
+            self.advance(record["t"])
+        elif event == "charger_down":
+            data = record["data"]
+            self.fail_charger(data["charger"], at=data.get("at", record["t"]))
+        elif event == "charger_up":
+            data = record["data"]
+            self.restore_charger(data["charger"], at=data.get("at", record["t"]))
+        elif event == "cancel":
+            data = record["data"]
+            self.cancel(
+                data["id"],
+                at=data.get("at", record["t"]),
+                reason=data.get("reason", "cancelled"),
+            )
+        else:
+            self.drain()
 
     @classmethod
     def recover(
@@ -1171,80 +1292,66 @@ class ChargingService:
                 "full replay is impossible"
             )
 
-        if chosen is not None:
-            sseq, sstate = chosen
-            service = cls(
-                chargers,
-                mobility=mobility,
-                scheme=scheme,
-                config=config,
-                snapshot_every=snapshot_every,
-                snapshot_keep=snapshot_keep,
-                compact=compact,
-            )
-            ours = service._open_payload()
-            if sstate.get("open") != ours:
-                raise ServiceError(
-                    "snapshot was written by a differently configured "
-                    f"service: {sstate.get('open')} != {ours}"
+        # The whole replay journal is one input: seeded and replayed
+        # records are flushed one by one and fsynced once, by commit_to.
+        journal = _make_journal()
+        with journal.batch():
+            if chosen is not None:
+                sseq, sstate = chosen
+                service = cls(
+                    chargers,
+                    mobility=mobility,
+                    scheme=scheme,
+                    config=config,
+                    snapshot_every=snapshot_every,
+                    snapshot_keep=snapshot_keep,
+                    compact=compact,
                 )
-            service._snapshots_paused = True
-            service.journal = _make_journal()
-            service.journal.seed([r for r in records if r["seq"] < sseq])
-            # The seeded prefix can be empty (snapshot at the compaction
-            # point); the next append must continue at the snapshot seq
-            # either way.
-            service.journal.seq = sseq
-            service._restore_state(sstate)
-            replay = [
-                r for r in Journal.input_records(records) if r["seq"] >= sseq
-            ]
-            service.metrics.counter(
-                "recovery.snapshot_used", operational=True
-            ).inc()
-        else:
-            service = cls(
-                chargers,
-                mobility=mobility,
-                scheme=scheme,
-                config=config,
-                journal=_make_journal(),
-                snapshot_every=snapshot_every,
-                snapshot_keep=snapshot_keep,
-                compact=compact,
-            )
-            service._snapshots_paused = True
-            if records and records[0]["event"] == "open":
                 ours = service._open_payload()
-                if records[0]["data"] != ours:
-                    service.journal.close()
+                if sstate.get("open") != ours:
+                    journal.close()
                     raise ServiceError(
-                        "journal was written by a differently configured "
-                        f"service: {records[0]['data']} != {ours}"
+                        "snapshot was written by a differently configured "
+                        f"service: {sstate.get('open')} != {ours}"
                     )
-            replay = Journal.input_records(records)
-        for record in replay:
-            event = record["event"]
-            if event == "submit":
-                service.submit(ChargingRequest.from_dict(record["data"]))
-            elif event == "advance":
-                service.advance(record["t"])
-            elif event == "charger_down":
-                data = record["data"]
-                service.fail_charger(data["charger"], at=data.get("at", record["t"]))
-            elif event == "charger_up":
-                data = record["data"]
-                service.restore_charger(data["charger"], at=data.get("at", record["t"]))
-            elif event == "cancel":
-                data = record["data"]
-                service.cancel(
-                    data["id"],
-                    at=data.get("at", record["t"]),
-                    reason=data.get("reason", "cancelled"),
-                )
+                service._snapshots_paused = True
+                service.journal = journal
+                journal.seed([r for r in records if r["seq"] < sseq])
+                # The seeded prefix can be empty (snapshot at the compaction
+                # point); the next append must continue at the snapshot seq
+                # either way.
+                journal.seq = sseq
+                service._restore_state(sstate)
+                replay = [
+                    r for r in Journal.input_records(records) if r["seq"] >= sseq
+                ]
+                service.metrics.counter(
+                    "recovery.snapshot_used", operational=True
+                ).inc()
             else:
-                service.drain()
-        service.journal.commit_to(journal_path)
+                service = cls(
+                    chargers,
+                    mobility=mobility,
+                    scheme=scheme,
+                    config=config,
+                    journal=journal,
+                    snapshot_every=snapshot_every,
+                    snapshot_keep=snapshot_keep,
+                    compact=compact,
+                )
+                service._snapshots_paused = True
+                if records and records[0]["event"] == "open":
+                    ours = service._open_payload()
+                    if records[0]["data"] != ours:
+                        journal.close()
+                        raise ServiceError(
+                            "journal was written by a differently configured "
+                            f"service: {records[0]['data']} != {ours}"
+                        )
+                replay = Journal.input_records(records)
+            for record in replay:
+                service._replay(record)
+            journal.commit_to(journal_path)
         service._snapshots_paused = False
         service._last_snapshot_seq = chosen[0] if chosen is not None else 0
         if read.dropped_bytes:
