@@ -10,7 +10,7 @@ JOBS ?= 1
 # Task-result cache directory used by run-all (re-runs resume from it).
 CACHE_DIR ?= .ccs-bench-cache
 
-.PHONY: test lint lint-flow typecheck bench bench-smoke bench-hotpath bench-large bench-exec bench-service bench-shard bench-recovery golden golden-experiments run-all serve-smoke chaos-smoke chaos shard-smoke recovery-smoke
+.PHONY: test lint lint-flow typecheck bench bench-smoke bench-hotpath bench-large bench-exec bench-recovery golden golden-experiments run-all serve-smoke chaos-smoke chaos shard-smoke recovery-smoke
 
 # Tier-1 gate: the full unit/property/golden suite.
 test:
@@ -64,16 +64,6 @@ run-all:
 bench-exec:
 	$(PYTHON) benchmarks/bench_exec.py --jobs $(if $(filter 1,$(JOBS)),4,$(JOBS))
 
-# Measure the service daemon (throughput + submit latency) and rewrite
-# benchmarks/BENCH_service.json.
-bench-service:
-	$(PYTHON) benchmarks/bench_service.py
-
-# Measure sharded-service scaling (shards in {1,2,4,8}) and rewrite
-# benchmarks/BENCH_shard.json.
-bench-shard:
-	$(PYTHON) benchmarks/bench_shard.py
-
 # Measure crash recovery (snapshot + suffix replay vs full replay) and
 # rewrite benchmarks/BENCH_recovery.json.
 bench-recovery:
@@ -101,7 +91,7 @@ chaos-smoke:
 	rm -rf .chaos-smoke-shards
 	$(PYTHON) -m repro.service --n 150 --rate 0.5 --seed 7 --chargers 8 \
 		--shards 4 --halo 12 --journal .chaos-smoke-supervised \
-		--snapshot-every 25 --fault-plan seed:13 --supervise --check-recovery
+		--snapshot-every 25 --fault-plan seed:13 --check-recovery
 	rm -rf .chaos-smoke-supervised
 
 # Self-healing smoke (tier-1 marker, <5 s): supervised chaos — shard
@@ -112,7 +102,7 @@ recovery-smoke:
 	$(PYTHON) -m pytest -q -m recovery_smoke tests/test_shard_supervisor.py
 	$(PYTHON) -m repro.service --n 100 --rate 0.5 --seed 7 --chargers 8 \
 		--shards 4 --halo 12 --journal .recovery-smoke \
-		--snapshot-every 20 --fault-plan seed:3 --supervise
+		--snapshot-every 20 --fault-plan seed:3
 	$(PYTHON) -m repro.service --chargers 8 --shards 4 \
 		--journal .recovery-smoke --recover-only
 	rm -rf .recovery-smoke

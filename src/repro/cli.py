@@ -264,7 +264,8 @@ def _build_serve_parser() -> argparse.ArgumentParser:
         "journal write failures) from a JSON plan file, or generate one "
         "deterministically from seed N (see docs/FAULTS.md); journal "
         "faults crash and recover the daemon mid-run and require --journal. "
-        "With --shards > 1, seed:N generates shard kill/recover events "
+        "With --shards > 1, seed:N generates shard chaos (kills, snapshot "
+        "corruption, crash-looping recoveries) for the shard supervisor "
         "instead of journal faults",
     )
     parser.add_argument(
@@ -283,14 +284,6 @@ def _build_serve_parser() -> argparse.ArgumentParser:
         metavar="K",
         help="snapshot files retained per journal (default 2; compaction "
         "needs at least 2 so one corrupt snapshot never strands recovery)",
-    )
-    parser.add_argument(
-        "--supervise",
-        action="store_true",
-        help="with --shards > 1: run the fault plan through the shard "
-        "supervisor (automatic failover with seed-derived backoff, "
-        "degraded-mode routing on escalation, supervision journal) "
-        "instead of the kill-and-recover chaos driver",
     )
     parser.add_argument(
         "--recover-only",
@@ -325,16 +318,14 @@ def _grid_chargers(k: int, side: float):
     return chargers
 
 
-def _load_fault_plan(
-    spec: str, requests, chargers, n_shards: int = 1, supervised: bool = False
-):
+def _load_fault_plan(spec: str, requests, chargers, n_shards: int = 1):
     """Resolve ``--fault-plan``: a JSON file path or ``seed:N``.
 
     With ``n_shards > 1`` a generated plan swaps journal faults (which
-    assume a single kernel) for ``shard_kill`` events drawn per shard via
-    ``derive_seed(seed, "shard", sid)``; ``supervised`` widens the mix to
-    the full self-healing chaos set (snapshot corruption, crashes
-    mid-snapshot, crash-looping recoveries).
+    assume a single kernel) for the self-healing chaos mix drawn per
+    shard by :meth:`~repro.faults.plan.FaultPlan.generate_supervised`:
+    shard kills, snapshot corruption, crashes mid-snapshot, and
+    crash-looping recoveries.
     """
     from .faults import FaultPlan
 
@@ -350,10 +341,7 @@ def _load_fault_plan(
                 requests=requests,
                 journal_faults=0,
             )
-            if supervised:
-                chaos = FaultPlan.generate_supervised(seed, n_shards, horizon)
-            else:
-                chaos = FaultPlan.generate_shard_kills(seed, n_shards, horizon)
+            chaos = FaultPlan.generate_supervised(seed, n_shards, horizon)
             return FaultPlan(list(plan.events) + list(chaos.events))
         return FaultPlan.generate(
             seed,
@@ -374,6 +362,79 @@ def _structured_error(exc: BaseException) -> None:
     )
 
 
+def _recover(args, chargers, config, **kwargs):
+    """Recover a daemon from ``--journal`` (sharded when ``--shards > 1``)."""
+    if args.shards > 1:
+        from .shard import ShardedService
+
+        recover = ShardedService.recover
+    else:
+        from .service import ChargingService
+
+        recover = ChargingService.recover
+    return recover(
+        args.journal, chargers, config=config,
+        snapshot_every=args.snapshot_every,
+        snapshot_keep=args.snapshot_keep,
+        **kwargs,
+    )
+
+
+def _close(service) -> None:
+    """Release *service*'s journals (idempotent)."""
+    from .shard import ShardedService
+
+    if isinstance(service, ShardedService):
+        service.close()
+    elif service.journal is not None:
+        service.journal.close()
+
+
+def _export_metrics(args, service) -> None:
+    """``--metrics-json``: write the deterministic metrics snapshot."""
+    if args.metrics_json:
+        with open(args.metrics_json, "w", encoding="utf-8") as fh:
+            json.dump(service.metrics_snapshot(), fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        print(f"wrote {args.metrics_json}", file=sys.stderr)
+
+
+def _check_recovery(args, service, chargers, config) -> int:
+    """``--check-recovery``: recover a fresh daemon from the journal.
+
+    Closes *service*, recovers from ``--journal``, and compares the final
+    schedule and metrics byte-for-byte.  Returns the exit code: 0 on a
+    match, 1 when the recovered state diverged, 3 with a one-line
+    structured error when recovery is impossible.
+    """
+    from .errors import ServiceError
+
+    _close(service)
+    try:
+        recovered = _recover(args, chargers, config)
+    except ServiceError as exc:
+        _structured_error(exc)
+        return 3
+    ok = (
+        recovered.final_schedule() == service.final_schedule()
+        and recovered.metrics_snapshot() == service.metrics_snapshot()
+    )
+    _close(recovered)
+    if not ok:
+        print("recovery check FAILED: recovered state diverged", file=sys.stderr)
+        return 1
+    print("recovery check OK", file=sys.stderr)
+    return 0
+
+
+def _finish(args, service, chargers, config) -> int:
+    """The shared tail of a run: metrics export, recovery check, close."""
+    _export_metrics(args, service)
+    rc = _check_recovery(args, service, chargers, config) if args.check_recovery else 0
+    _close(service)
+    return rc
+
+
 def _recover_only(args, chargers, config) -> int:
     """The ``--recover-only`` path: rebuild from the journal and report.
 
@@ -383,23 +444,9 @@ def _recover_only(args, chargers, config) -> int:
     that does not match the journal's ``open`` header.
     """
     from .errors import ServiceError
-    from .service import ChargingService
 
     try:
-        if args.shards > 1:
-            from .shard import ShardedService
-
-            service = ShardedService.recover(
-                args.journal, chargers, config=config, journal_sync=False,
-                snapshot_every=args.snapshot_every,
-                snapshot_keep=args.snapshot_keep,
-            )
-        else:
-            service = ChargingService.recover(
-                args.journal, chargers, config=config, journal_sync=False,
-                snapshot_every=args.snapshot_every,
-                snapshot_keep=args.snapshot_keep,
-            )
+        service = _recover(args, chargers, config, journal_sync=False)
     except ServiceError as exc:
         _structured_error(exc)
         return 3
@@ -407,28 +454,26 @@ def _recover_only(args, chargers, config) -> int:
     sessions = service.final_schedule()
     print(f"recovered: {len(sessions)} sessions")
     print("  " + "  ".join(f"{state}={n}" for state, n in sorted(counts.items())))
-    if args.metrics_json:
-        with open(args.metrics_json, "w", encoding="utf-8") as fh:
-            json.dump(service.metrics_snapshot(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.metrics_json}", file=sys.stderr)
-    if args.shards > 1:
-        service.close()
-    elif service.journal is not None:
-        service.journal.close()
+    _export_metrics(args, service)
+    _close(service)
     return 0
 
 
 def _serve_sharded(args, requests, chargers, config) -> int:
-    """The ``--shards N > 1`` path: a sharded service, one journal per shard."""
+    """The ``--shards N > 1`` path: one journal per shard, supervised.
+
+    Every run goes through a :class:`~repro.shard.supervisor.ShardSupervisor`
+    — the only shard-recovery path — so a shard death, injected or real,
+    heals in place instead of ending the run.
+    """
+    from .faults import drive
     from .geometry import Field
-    from .shard import ShardedService, drive_sharded, drive_supervised
+    from .shard import ShardedService, ShardSupervisor
 
     fault_plan = None
     if args.fault_plan:
         fault_plan = _load_fault_plan(
-            args.fault_plan, requests, chargers, n_shards=args.shards,
-            supervised=args.supervise,
+            args.fault_plan, requests, chargers, n_shards=args.shards
         )
         if fault_plan.journal_faults():
             print(
@@ -440,17 +485,6 @@ def _serve_sharded(args, requests, chargers, config) -> int:
         if fault_plan.supervisor_events() and not args.journal:
             print("shard chaos events require --journal", file=sys.stderr)
             return 2
-        if not args.supervise:
-            beyond_kills = [
-                e for e in fault_plan.supervisor_events()
-                if e.kind != "shard_kill"
-            ]
-            if beyond_kills or fault_plan.recovery_crashes():
-                print(
-                    "snapshot/recovery chaos events require --supervise",
-                    file=sys.stderr,
-                )
-                return 2
 
     field = Field(args.field, args.field)
     service = ShardedService(
@@ -463,23 +497,20 @@ def _serve_sharded(args, requests, chargers, config) -> int:
         snapshot_every=args.snapshot_every,
         snapshot_keep=args.snapshot_keep,
     )
-    if args.supervise:
-        service, supervisor, stats = drive_supervised(
-            service, requests, fault_plan, seed=args.seed,
-            advance_to=args.duration,
-        )
-        supervisor.close()
-        print(
-            f"supervisor: {supervisor.stats['failures']} failures, "
-            f"{supervisor.stats['restarts']} restarts, "
-            f"{supervisor.stats['recoveries']} recoveries, "
-            f"{supervisor.stats['escalations']} escalations "
-            f"(logical backoff {supervisor.stats['total_backoff']:.1f} s)"
-        )
-    else:
-        service, stats = drive_sharded(
-            service, requests, fault_plan, advance_to=args.duration
-        )
+    supervisor = ShardSupervisor(service, seed=args.seed)
+    drive(
+        service, requests, fault_plan, supervisor=supervisor,
+        advance_to=args.duration,
+    )
+    supervisor.close()
+    stats = supervisor.stats
+    print(
+        f"supervisor: {stats['failures']} failures, "
+        f"{stats['restarts']} restarts, "
+        f"{stats['recoveries']} recoveries, "
+        f"{stats['escalations']} escalations "
+        f"(logical backoff {stats['total_backoff']:.1f} s)"
+    )
     if fault_plan is not None:
         print(
             f"faults: {len(fault_plan)} scheduled, {stats['kills']} shard "
@@ -500,37 +531,7 @@ def _serve_sharded(args, requests, chargers, config) -> int:
     repairs = sum(k.planner.ops["repair_moves"] for k in service.kernels.values())
     solves = sum(k.planner.ops["full_solves"] for k in service.kernels.values())
     print(f"replanner: {moves} moves, {repairs} repairs, {solves} full solves")
-
-    if args.metrics_json:
-        with open(args.metrics_json, "w", encoding="utf-8") as fh:
-            json.dump(service.metrics_snapshot(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.metrics_json}", file=sys.stderr)
-
-    if args.check_recovery:
-        from .errors import ServiceError
-
-        service.close()
-        try:
-            recovered = ShardedService.recover(
-                args.journal, chargers, config=config,
-                snapshot_every=args.snapshot_every,
-                snapshot_keep=args.snapshot_keep,
-            )
-        except ServiceError as exc:
-            _structured_error(exc)
-            return 3
-        ok = (
-            recovered.final_schedule() == sessions
-            and recovered.metrics_snapshot() == service.metrics_snapshot()
-        )
-        recovered.close()
-        if not ok:
-            print("recovery check FAILED: recovered state diverged", file=sys.stderr)
-            return 1
-        print("recovery check OK", file=sys.stderr)
-    service.close()
-    return 0
+    return _finish(args, service, chargers, config)
 
 
 def serve_main(argv: Optional[List[str]] = None) -> int:
@@ -557,9 +558,6 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
         return 2
     if args.snapshot_keep < 1:
         print(f"--snapshot-keep must be >= 1, got {args.snapshot_keep}", file=sys.stderr)
-        return 2
-    if args.supervise and args.shards < 2:
-        print("--supervise requires --shards > 1", file=sys.stderr)
         return 2
     if args.recover_only and not args.journal:
         print("--recover-only requires --journal", file=sys.stderr)
@@ -600,9 +598,9 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
     fault_plan = None
     if args.fault_plan:
         fault_plan = _load_fault_plan(args.fault_plan, requests, chargers)
-        if fault_plan.shard_kills():
+        if fault_plan.supervisor_events():
             print(
-                "shard_kill events require --shards > 1", file=sys.stderr
+                "shard chaos events require --shards > 1", file=sys.stderr
             )
             return 2
         if fault_plan.journal_faults() and not args.journal:
@@ -654,37 +652,7 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
         f"{ops['full_solves']} full solves"
     )
 
-    if args.metrics_json:
-        with open(args.metrics_json, "w", encoding="utf-8") as fh:
-            json.dump(service.metrics_snapshot(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.metrics_json}", file=sys.stderr)
-
-    if args.check_recovery:
-        from .errors import ServiceError
-
-        service.journal.close()
-        try:
-            recovered = ChargingService.recover(
-                args.journal, chargers, config=config,
-                snapshot_every=args.snapshot_every,
-                snapshot_keep=args.snapshot_keep,
-            )
-        except ServiceError as exc:
-            _structured_error(exc)
-            return 3
-        ok = (
-            recovered.final_schedule() == sessions
-            and recovered.metrics_snapshot() == service.metrics_snapshot()
-        )
-        recovered.journal.close()
-        if not ok:
-            print("recovery check FAILED: recovered state diverged", file=sys.stderr)
-            return 1
-        print("recovery check OK", file=sys.stderr)
-    if service.journal is not None:
-        service.journal.close()
-    return 0
+    return _finish(args, service, chargers, config)
 
 
 if __name__ == "__main__":  # pragma: no cover

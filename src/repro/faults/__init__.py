@@ -21,7 +21,8 @@ Layout:
   workers die (``os._exit``) on scheduled attempts.
 - :mod:`.tasks` — module-qualified chaos task kinds for spawned workers.
 - :mod:`.driver` — feed a request stream *and* a fault plan into a
-  :class:`~repro.service.kernel.ChargingService`, including the
+  :class:`~repro.service.kernel.ChargingService` or a sharded service
+  (:func:`drive`, optionally through a shard supervisor), including the
   crash → recover → re-feed loop the chaos suite asserts byte-identity
   over.
 

@@ -1,10 +1,14 @@
 """Feed a request stream *and* a fault plan into a charging service.
 
-:func:`merge_timeline` interleaves submissions with kernel fault events
-into one deterministic, time-sorted timeline (submissions first at equal
-times, so a same-instant ``no_show`` cancellation finds its request).
-:func:`drive` feeds a timeline into an existing service —
-the fault-free path, and the in-memory chaos path.
+:func:`merge_timeline` interleaves submissions, kernel fault events, and
+shard chaos events into one deterministic, time-sorted timeline
+(submissions first at equal times, so a same-instant ``no_show``
+cancellation finds its request; shard chaos last, so a killed shard has
+processed every same-instant input).  :func:`drive` feeds that timeline
+into a :class:`~repro.service.kernel.ChargingService` or a
+:class:`~repro.shard.service.ShardedService` — directly, or through a
+:class:`~repro.shard.supervisor.ShardSupervisor`, which is the only
+consumer of shard chaos events and the only path that recovers a shard.
 
 :func:`drive_with_recovery` is the full crash loop: the service journals
 through a :class:`~repro.faults.journal.FaultyJournal`, and whenever an
@@ -25,29 +29,40 @@ numbering is stable because recovery is byte-identical).
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..errors import InjectedFaultError, JournalWriteError, ServiceError
+from ..errors import (
+    ConfigurationError,
+    InjectedFaultError,
+    JournalWriteError,
+    ServiceError,
+)
 from ..service.kernel import ChargingService, ServiceConfig
 from ..service.request import ChargingRequest
 from .journal import FaultyJournal
 from .plan import FaultEvent, FaultPlan
 
+if TYPE_CHECKING:  # pragma: no cover - typing only; shard imports faults
+    from ..shard.supervisor import ShardSupervisor
+
 __all__ = ["apply_event", "drive", "drive_with_recovery", "merge_timeline"]
 
-#: One timeline item: ``("submit", t, ChargingRequest)`` or
-#: ``("fault", t, FaultEvent)``.
+#: One timeline item: ``("submit", t, ChargingRequest)``,
+#: ``("fault", t, FaultEvent)`` for a kernel fault, or ``(kind, t,
+#: FaultEvent)`` for a :data:`~repro.faults.plan.SUPERVISOR_KINDS` event.
 TimelineItem = Tuple[str, float, Any]
 
 
 def merge_timeline(
     requests: Sequence[ChargingRequest], plan: FaultPlan
 ) -> List[TimelineItem]:
-    """Interleave submissions and kernel fault events, time-sorted.
+    """Interleave submissions, kernel faults, and shard chaos, time-sorted.
 
-    At equal times submissions come first (priority 0 vs 1), then kind,
-    then id — a total, deterministic order.  Journal and worker faults
-    are not timeline items; they key on seq / task index, not time.
+    At equal times submissions come first (priority 0), then kernel
+    faults (1), then supervisor chaos events (2, tagged with their kind);
+    then kind, then id — a total, deterministic order.  Journal, worker,
+    and recovery faults are not timeline items; they key on seq, task
+    index, or recovery attempt, not time.
     """
     items: List[Tuple[Tuple[float, int, str, str], TimelineItem]] = []
     for req in requests:
@@ -56,17 +71,31 @@ def merge_timeline(
     for event in plan.kernel_events():
         key = (float(event.t), 1, event.kind, event.target)
         items.append((key, ("fault", float(event.t), event)))
+    for event in plan.supervisor_events():
+        key = (float(event.t), 2, event.kind, event.target)
+        items.append((key, (event.kind, float(event.t), event)))
     items.sort(key=lambda pair: pair[0])
     return [item for _key, item in items]
 
 
-def apply_event(service: ChargingService, item: TimelineItem) -> None:
-    """Apply one timeline item to *service*."""
+def apply_event(service: Any, item: TimelineItem) -> None:
+    """Apply one submission or kernel fault to *service*.
+
+    A shard chaos item raises :class:`~repro.errors.ConfigurationError`:
+    only a :class:`~repro.shard.supervisor.ShardSupervisor` can kill and
+    heal a shard, so dropping the item would silently run a different
+    plan.
+    """
     tag, t, payload = item
     if tag == "submit":
         service.submit(payload)
         return
     event: FaultEvent = payload
+    if tag != "fault":
+        raise ConfigurationError(
+            f"{tag!r} is a shard chaos event; drive it through a "
+            "ShardSupervisor (drive(..., supervisor=...))"
+        )
     if event.kind == "charger_down":
         service.fail_charger(event.target, at=t)
     elif event.kind == "charger_up":
@@ -80,26 +109,53 @@ def apply_event(service: ChargingService, item: TimelineItem) -> None:
 
 
 def drive(
-    service: ChargingService,
+    target: Any,
     requests: Sequence[ChargingRequest],
     plan: Optional[FaultPlan] = None,
+    *,
+    supervisor: Optional["ShardSupervisor"] = None,
     drain: bool = True,
     advance_to: Optional[float] = None,
-) -> ChargingService:
-    """Feed *requests* interleaved with *plan*'s kernel faults; no crashes.
+) -> Any:
+    """Feed *requests* interleaved with *plan* into *target*; returns it.
+
+    *target* is a :class:`~repro.service.kernel.ChargingService` or a
+    :class:`~repro.shard.service.ShardedService`.  Without a
+    *supervisor* each item goes straight through :func:`apply_event`;
+    with one (it must supervise *target*) each item goes through
+    :meth:`~repro.shard.supervisor.ShardSupervisor.apply`, which also
+    consumes the shard chaos events, and the plan's ``recovery_crash``
+    faults are armed against its recovery journals first.  Any shard
+    death the run provokes heals in place; the kill and recovery tally
+    lands in ``supervisor.stats``.
 
     ``advance_to`` optionally drives the clock past the last event before
     the drain (the ``ccs-serve --duration`` knob).  Journal/worker faults
     in the plan are ignored here — use :func:`drive_with_recovery`
     (journal) or :class:`~repro.faults.executor.FaultyExecutor` (workers).
     """
-    for item in merge_timeline(requests, plan if plan is not None else FaultPlan()):
-        apply_event(service, item)
+    plan = plan if plan is not None else FaultPlan()
+    if supervisor is not None:
+        if supervisor.service is not target:
+            raise ConfigurationError("the supervisor must supervise the driven service")
+        supervisor.arm(plan)
+    for item in merge_timeline(requests, plan):
+        if supervisor is None:
+            apply_event(target, item)
+        else:
+            supervisor.apply(item)
+
+    def call(method: str, *args: Any) -> None:
+        if supervisor is None:
+            getattr(target, method)(*args)
+        else:
+            supervisor.call(method, *args)
+
     if advance_to is not None:
-        service.advance(advance_to)
+        call("advance", advance_to)
     if drain:
-        service.drain()
-    return service
+        call("drain")
+    return target
 
 
 def drive_with_recovery(

@@ -42,9 +42,10 @@ Event kinds:
 
 Kernel events land at logical-clock times; journal faults key on the
 record sequence number (stable across recovery, because recovery is
-byte-identical); worker crashes key on the task index; shard kills key
-on the shard id and are consumed by
-:func:`repro.shard.driver.drive_sharded`.
+byte-identical); worker crashes key on the task index; shard chaos
+events (:data:`SUPERVISOR_KINDS`) key on the shard id and are consumed,
+with ``recovery_crash``, by :class:`repro.shard.supervisor.ShardSupervisor`
+under ``repro.faults.drive(..., supervisor=...)``.
 
 :meth:`FaultPlan.generate` draws from *shared* per-kind streams, so the
 set of entities present changes every draw — fine for single-kernel
@@ -52,8 +53,8 @@ chaos, wrong for shard-stability tests.  :meth:`FaultPlan.generate_keyed`
 instead keys each draw by entity id (``derive_seed(seed, "outage", cid)``,
 ``derive_seed(seed, "cancel", rid)``), making each entity's fate a pure
 function of ``(seed, entity)`` — stable under any subsetting, including
-spatial sharding.  :meth:`FaultPlan.generate_shard_kills` does the same
-per shard via ``derive_seed(seed, "shard", shard_id)``.
+spatial sharding.  :meth:`FaultPlan.generate_supervised` does the same
+per shard via ``derive_seed(seed, "supervised", shard_id)``.
 """
 
 from __future__ import annotations
@@ -82,8 +83,7 @@ FAULT_KINDS = (
     "recovery_crash",
 )
 
-#: Kinds the *supervised* sharded chaos driver consumes as timeline
-#: items (``recovery_crash`` is armed per shard instead — it keys on
+#: Kinds the shard supervisor consumes as timeline items (``recovery_crash`` is armed per shard instead — it keys on
 #: recovery attempts, not on a time).
 SUPERVISOR_KINDS = frozenset(
     {"shard_kill", "snapshot_corrupt", "crash_in_snapshot"}
@@ -221,12 +221,8 @@ class FaultPlan:
             if e.kind == "worker_crash"
         }
 
-    def shard_kills(self) -> List[FaultEvent]:
-        """``shard_kill`` events in time order, for the sharded chaos driver."""
-        return [e for e in self.events if e.kind == "shard_kill"]
-
     def supervisor_events(self) -> List[FaultEvent]:
-        """Timeline events the supervised driver consumes
+        """Timeline events the shard supervisor consumes
         (``shard_kill`` / ``snapshot_corrupt`` / ``crash_in_snapshot``),
         in time order."""
         return [e for e in self.events if e.kind in SUPERVISOR_KINDS]
@@ -460,45 +456,6 @@ class FaultPlan:
         return cls(events)
 
     @classmethod
-    def generate_shard_kills(
-        cls,
-        seed: int,
-        n_shards: int,
-        horizon: float,
-        *,
-        kill_prob: float = 0.5,
-        torn_prob: float = 0.5,
-    ) -> "FaultPlan":
-        """Draw ``shard_kill`` events, one coin per shard.
-
-        Shard *s* draws from ``derive_seed(seed, "shard", s)``: with
-        ``kill_prob`` it is killed once at a uniform time in ``[0,
-        horizon)``, torn (journal tail damaged) with ``torn_prob``,
-        cleanly otherwise.  Because each shard's draw is keyed by its id,
-        changing ``n_shards`` never reshuffles the fate of the shards
-        that exist under both counts.
-        """
-        if n_shards < 1:
-            raise ConfigurationError(f"n_shards must be >= 1, got {n_shards}")
-        if not (math.isfinite(horizon) and horizon > 0.0):
-            raise ConfigurationError(
-                f"horizon must be finite and positive, got {horizon}"
-            )
-        events: List[FaultEvent] = []
-        for sid in range(n_shards):
-            rng = ensure_rng(derive_seed(int(seed), "shard", sid))
-            if rng.random() < kill_prob:
-                events.append(
-                    FaultEvent(
-                        t=float(rng.uniform(0.0, horizon)),
-                        kind="shard_kill",
-                        target=str(sid),
-                        mode="torn" if rng.random() < torn_prob else None,
-                    )
-                )
-        return cls(events)
-
-    @classmethod
     def generate_supervised(
         cls,
         seed: int,
@@ -514,9 +471,8 @@ class FaultPlan:
     ) -> "FaultPlan":
         """Draw the self-healing chaos mix, one keyed stream per shard.
 
-        Extends :meth:`generate_shard_kills` with the snapshot/recovery
-        fault categories: each shard independently draws a kill (torn or
-        clean), a snapshot corruption shortly before it, a
+        Each shard independently draws a kill (torn or clean), a
+        snapshot corruption shortly before it, a
         crash-during-snapshot-write, and up to ``max_recovery_crashes``
         crashes of its recovery replay.  Every coin comes from
         ``derive_seed(seed, "supervised", shard)``, so the plan for shard

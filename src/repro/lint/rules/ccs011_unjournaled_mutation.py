@@ -47,7 +47,7 @@ class UnjournaledMutationRule(FlowRule):
     **Approved fix.** Route every externally visible mutation through a
     journaling helper (``_journal`` + apply), or make the method a pure
     query.  Recovery-style methods that rebuild a kernel by replaying its
-    journal (``kill_and_recover_shard``) are recognized automatically —
+    journal (``recover_shard``) are recognized automatically —
     replay-derived state needs no second journaling.  A genuinely
     journal-free mutator (none exists today) takes an inline suppression
     at the ``def`` line explaining why divergence is impossible.

@@ -1,8 +1,8 @@
 """repro.shard — the sharded multi-kernel charging service.
 
 A single :class:`~repro.service.kernel.ChargingService` kernel is a
-single-process ceiling (``BENCH_service.json``); this package scales the
-service *out* by spatial decomposition, the same structure the
+single-process ceiling (``benchmarks/e2e/`` measures both); this package
+scales the service *out* by spatial decomposition, the same structure the
 multi-charger literature gives the field: N fully independent kernels —
 each with its own journal, logical clock, incremental planner, and
 metrics — behind a deterministic spatial router.
@@ -17,28 +17,26 @@ Layout:
   a pure function of the inputs, so replay is byte-identical;
 - :mod:`.service` — :class:`ShardedService`: the kernel-compatible
   facade (submit/advance/drain/faults), per-shard journals + manifest,
-  merged metrics and schedules, whole-service and per-shard recovery;
+  merged metrics and schedules, whole-service recovery and
+  :meth:`~ShardedService.recover_shard` for one shard;
 - :mod:`.tasks` — timeline partitioning and per-shard replay tasks over
-  the PR 2 executor (serial == parallel, byte-identical);
-- :mod:`.driver` — :func:`drive_sharded`: chaos driving with
-  ``shard_kill`` fault events (kill + recover one shard, others keep
-  serving);
-- :mod:`.supervisor` — :class:`ShardSupervisor` /
-  :func:`drive_supervised`: self-healing — automatic failover with
-  seed-derived backoff, crash-loop escalation into degraded-mode
-  routing, and a checksummed supervision journal (see
-  ``docs/RECOVERY.md``).
+  the task executor (serial == parallel, byte-identical);
+- :mod:`.supervisor` — :class:`ShardSupervisor`: self-healing and the
+  only shard-recovery path — automatic failover with seed-derived
+  backoff, crash-loop escalation into degraded-mode routing, a
+  checksummed supervision journal, and the consumer of the plan's shard
+  chaos under ``repro.faults.drive(service, requests, plan,
+  supervisor=...)`` (see ``docs/RECOVERY.md``).
 
 Degenerate-case guarantee: ``n_shards=1`` is byte-identical — journal,
 metrics snapshot, final schedule — to the unsharded service on every
 input stream.  See ``docs/SHARDING.md``.
 """
 
-from .driver import drive_sharded, sharded_timeline
 from .partition import GridPartition, grid_shape
 from .router import SpatialRouter
 from .service import ShardedService, merge_final_schedules, shard_journal_name
-from .supervisor import ShardSupervisor, drive_supervised, supervised_timeline
+from .supervisor import ShardSupervisor
 from .tasks import SHARD_REPLAY_KIND, partition_timeline, replay_sharded
 
 __all__ = [
@@ -51,9 +49,5 @@ __all__ = [
     "SHARD_REPLAY_KIND",
     "partition_timeline",
     "replay_sharded",
-    "drive_sharded",
-    "sharded_timeline",
     "ShardSupervisor",
-    "drive_supervised",
-    "supervised_timeline",
 ]

@@ -19,10 +19,10 @@ Durability: each shard journals independently under ``journal_dir``
 (``shard-0000.jsonl``, …) next to a ``manifest.json`` recording the
 partition, and :meth:`ShardedService.recover` rebuilds every kernel from
 its own journal — including the router's sticky request→shard assignment,
-recovered from the ``submit`` records each journal holds.  Killing and
-recovering a *single* shard (:meth:`kill_and_recover_shard`) leaves the
-other kernels untouched; see :mod:`repro.shard.driver` for the chaos loop
-that exercises it.
+recovered from the ``submit`` records each journal holds.  Recovering a
+*single* shard (:meth:`recover_shard`) leaves the other kernels
+untouched; :class:`~repro.shard.supervisor.ShardSupervisor` is its only
+caller and the loop that kills, heals, and re-feeds shards.
 
 Semantics that genuinely relax under ``n_shards > 1`` (documented in
 docs/SHARDING.md): border devices are only quoted against their candidate
@@ -468,23 +468,20 @@ class ShardedService:
     # ------------------------------------------------------------------ #
     # durability
 
-    def kill_and_recover_shard(
+    def recover_shard(
         self,
         shard: int,
-        torn: bool = False,
         journal_factory: Optional[Callable[[str], Any]] = None,
     ) -> ChargingService:
-        """Kill shard *shard*'s kernel and rebuild it from its journal.
+        """Abandon shard *shard*'s kernel and rebuild it from its journal.
 
-        The in-memory kernel is abandoned (its journal closed) and
+        The in-memory kernel's journal is closed and
         :meth:`ChargingService.recover` replays the journal into a fresh
-        kernel — the other shards are never touched.  ``torn=True`` first
-        damages the journal's tail (the last bytes of the final record),
-        simulating a mid-append ``kill -9``: recovery then restarts from
-        the longest valid prefix, and the caller must re-feed the input
-        stream (idempotent) to converge — exactly the
-        :func:`repro.faults.driver.drive_with_recovery` discipline, per
-        shard.  Returns the recovered kernel.
+        kernel — the other shards are never touched.  A journal whose tail
+        was torn recovers to its longest valid prefix, and the caller must
+        re-feed the input stream (idempotent) to converge: the
+        :class:`~repro.shard.supervisor.ShardSupervisor` loop, which is
+        this method's only caller.  Returns the recovered kernel.
 
         The dead kernel is replaced only when recovery *succeeds* — on a
         crash mid-recovery (``journal_factory`` is the fault harness's
@@ -500,8 +497,6 @@ class ShardedService:
         assert kernel.journal is not None
         path = Path(kernel.journal.path)
         kernel.journal.close()
-        if torn:
-            _tear_tail(path)
         recovered = ChargingService.recover(
             path,
             self.shard_chargers[shard],
@@ -633,15 +628,3 @@ class ShardedService:
             )
         return kernels
 
-
-def _tear_tail(path: Path, nbytes: int = 10) -> None:
-    """Chop *nbytes* off the journal file, tearing its final record.
-
-    Never removes the whole file: at least one byte survives, and a file
-    shorter than *nbytes* loses all but its first byte — the torn-tail
-    shape :meth:`Journal.read_records` is built to survive.
-    """
-    size = path.stat().st_size
-    keep = max(1, size - int(nbytes))
-    with open(path, "r+b") as fh:
-        fh.truncate(keep)

@@ -14,10 +14,10 @@ deaths into recoveries instead of exceptions.  The loop, per failure:
    the service clock is input-driven (CCS002), so backoff is pure
    bookkeeping — journaled, summed in :attr:`stats`, asserted
    deterministic by the tests.
-3. **Recover** — :meth:`ShardedService.kill_and_recover_shard` rebuilds
-   exactly the dead kernel from its journal (snapshot fast path
-   included).  A crash *during* recovery counts as a failed attempt and
-   the loop retries, up to ``max_restarts``.
+3. **Recover** — :meth:`ShardedService.recover_shard` (the supervisor
+   is its only caller) rebuilds exactly the dead kernel from its journal
+   (snapshot fast path included).  A crash *during* recovery counts as a
+   failed attempt and the loop retries, up to ``max_restarts``.
 4. **Escalate** — past the restart budget the shard is marked down
    (:meth:`ShardedService.mark_shard_down`): the router degrades around
    it and the supervisor stops fighting.  :meth:`reset_shard` is the
@@ -35,17 +35,19 @@ pure function of ``(seed, failure sequence)``, re-running the same
 timeline against the same fault plan reproduces the supervision journal
 byte-for-byte — the supervise→recover→re-feed loop is itself replayable.
 
-:func:`drive_supervised` is the chaos harness: it weaves the plan's
-``shard_kill`` / ``snapshot_corrupt`` / ``crash_in_snapshot`` events
-into the timeline, arms ``recovery_crash`` faults against the replay
-journals, and drives everything through a supervisor — converging
+The supervisor is also the chaos harness's only consumer of shard chaos:
+``drive(service, requests, plan, supervisor=supervisor)``
+(:func:`repro.faults.driver.drive`) arms the plan's ``recovery_crash``
+faults (:meth:`arm`) and feeds every timeline item through
+:meth:`apply`, which turns ``shard_kill`` / ``snapshot_corrupt`` /
+``crash_in_snapshot`` items into kills and on-disk damage — converging
 byte-identical to a fault-free run with zero operator calls.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from ..errors import (
     ConfigurationError,
@@ -54,27 +56,18 @@ from ..errors import (
     ServiceError,
     ShardFailedError,
 )
-from ..faults.driver import apply_event, merge_timeline
+from ..faults.driver import TimelineItem, apply_event
 from ..faults.journal import FaultyJournal
-from ..faults.plan import FaultPlan
+from ..faults.plan import SUPERVISOR_KINDS, FaultEvent, FaultPlan
 from ..rng import derive_seed, ensure_rng
 from ..service.journal import Journal
-from ..service.request import ChargingRequest
 from ..service.snapshot import list_snapshots, snapshot_path
-from .service import ShardedService, _tear_tail, shard_journal_name
+from .service import ShardedService, shard_journal_name
 
-__all__ = [
-    "SUPERVISOR_JOURNAL_NAME",
-    "ShardSupervisor",
-    "drive_supervised",
-    "supervised_timeline",
-]
+__all__ = ["SUPERVISOR_JOURNAL_NAME", "ShardSupervisor"]
 
 #: The supervision journal's file name inside the journal directory.
 SUPERVISOR_JOURNAL_NAME = "supervisor.jsonl"
-
-#: ``(tag, t, payload)`` — the sharded timeline plus supervisor chaos tags.
-SupervisedTimelineItem = Tuple[str, float, Any]
 
 #: Exceptions that mean "this recovery attempt crashed; retry" — anything
 #: else (config mismatch, unrecoverable corruption) propagates to the
@@ -121,7 +114,7 @@ class ShardSupervisor:
         self.recovery_journal_factory = recovery_journal_factory
         #: Timeline items successfully applied, in order — the re-feed
         #: source after a recovery.
-        self.history: List[SupervisedTimelineItem] = []
+        self.history: List[TimelineItem] = []
         self.stats: Dict[str, Any] = {
             "failures": 0,
             "restarts": 0,
@@ -129,6 +122,11 @@ class ShardSupervisor:
             "escalations": 0,
             "refeeds": 0,
             "total_backoff": 0.0,
+            "kills": 0,
+            "torn_kills": 0,
+            "skipped_kills": 0,
+            "snapshot_corruptions": 0,
+            "snapshot_crashes": 0,
         }
         self._refeeding = False
         self.journal: Optional[Journal] = None
@@ -182,7 +180,7 @@ class ShardSupervisor:
                 "shard": sid, "attempt": attempt, "backoff": pause,
             })
             try:
-                self.service.kill_and_recover_shard(
+                self.service.recover_shard(
                     sid, journal_factory=self._factory_for(sid)
                 )
             except _RETRYABLE as retry_exc:
@@ -245,30 +243,25 @@ class ShardSupervisor:
     # ------------------------------------------------------------------ #
     # driving
 
-    def apply(self, item: SupervisedTimelineItem) -> None:
+    def apply(self, item: TimelineItem) -> None:
         """Apply one timeline item, healing any shard death it provokes.
 
         The item is retried after each recovery — inputs are idempotent,
         and after an *escalation* the retry terminates through the
         degraded paths (rejected ``shard_unavailable``, skipped clock
-        advance) instead of failing again.
+        advance) instead of failing again.  Shard chaos items
+        (:data:`~repro.faults.plan.SUPERVISOR_KINDS`) go to
+        :meth:`_inject` instead and never join the re-feed history.
         """
-        while True:
-            try:
-                apply_event(self.service, item)  # type: ignore[arg-type]
-            except ShardFailedError as exc:
-                self.handle_failure(exc)
-                continue
-            self.history.append(item)
+        if item[0] in SUPERVISOR_KINDS:
+            self._inject(item[0], item[2])
             return
+        self._healed(apply_event, self.service, item)
+        self.history.append(item)
 
     def call(self, method: str, *args: Any, **kwargs: Any) -> Any:
         """Invoke a facade method (``advance``, ``drain``, …) supervised."""
-        while True:
-            try:
-                return getattr(self.service, method)(*args, **kwargs)
-            except ShardFailedError as exc:
-                self.handle_failure(exc)
+        return self._healed(getattr(self.service, method), *args, **kwargs)
 
     def refeed(self) -> None:
         """Re-apply the processed history through the facade (idempotent).
@@ -282,15 +275,73 @@ class ShardSupervisor:
         self._refeeding = True
         try:
             for item in self.history:
-                while True:
-                    try:
-                        apply_event(self.service, item)  # type: ignore[arg-type]
-                    except ShardFailedError as exc:
-                        self.handle_failure(exc)
-                        continue
-                    break
+                self._healed(apply_event, self.service, item)
         finally:
             self._refeeding = False
+
+    def _healed(self, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
+        """Call *fn*, recovering and retrying after each shard death."""
+        while True:
+            try:
+                return fn(*args, **kwargs)
+            except ShardFailedError as exc:
+                self.handle_failure(exc)
+
+    # ------------------------------------------------------------------ #
+    # chaos
+
+    def arm(self, plan: FaultPlan) -> None:
+        """Arm *plan*'s ``recovery_crash`` faults against recovery journals.
+
+        Each armed shard's recovery journals share one ``fail_at`` dict
+        across attempts, so fired entries stay popped and later ones stay
+        armed — the crash-loop shape backoff and escalation are built
+        against.  A plan with no recovery crashes leaves
+        ``recovery_journal_factory`` as it is.
+        """
+        armed = plan.recovery_crashes()
+        if not armed:
+            return
+
+        def factory(shard: int) -> Optional[Callable[[str], Journal]]:
+            fail_at = armed.get(shard)
+            if not fail_at:
+                return None
+            return lambda path: FaultyJournal(
+                path, truncate=True, sync=False, fail_at=fail_at
+            )
+
+        self.recovery_journal_factory = factory
+
+    def _inject(self, kind: str, event: FaultEvent) -> None:
+        """Land one shard chaos event: damage the shard's files, then kill.
+
+        ``snapshot_corrupt`` garbles the newest snapshot (no kill);
+        ``crash_in_snapshot`` strands a half-written snapshot tmp, then
+        kills cleanly; ``shard_kill`` kills, tearing the journal tail
+        when ``mode="torn"``.  Events against a shard with no kernel, or
+        a service with no journals, are counted as skipped — the
+        partition decides which shards exist, not the plan.
+        """
+        sid = int(event.target)
+        if sid not in self.service.kernels or self.service.journal_dir is None:
+            self.stats["skipped_kills"] += 1
+            return
+        journal_path = self.service.journal_dir / shard_journal_name(sid)
+        if kind == "snapshot_corrupt":
+            if _corrupt_newest_snapshot(journal_path):
+                self.stats["snapshot_corruptions"] += 1
+            return
+        if kind == "crash_in_snapshot":
+            _litter_snapshot_tmp(
+                journal_path, self.service.kernels[sid].journal.seq  # type: ignore[union-attr]
+            )
+            self.stats["snapshot_crashes"] += 1
+        torn = event.mode == "torn"
+        self.kill_shard(sid, torn=torn)
+        self.stats["kills"] += 1
+        if torn:
+            self.stats["torn_kills"] += 1
 
     # ------------------------------------------------------------------ #
     # plumbing
@@ -317,32 +368,20 @@ class ShardSupervisor:
 
 
 # ---------------------------------------------------------------------- #
-# the supervised chaos harness
+# on-disk damage
 
 
-def supervised_timeline(
-    requests: Sequence[ChargingRequest], plan: FaultPlan
-) -> List[SupervisedTimelineItem]:
-    """The kernel timeline with every supervisor chaos event woven in.
+def _tear_tail(path: Path, nbytes: int = 10) -> None:
+    """Chop *nbytes* off the journal file, tearing its final record.
 
-    Like :func:`repro.shard.driver.sharded_timeline`, with
-    ``snapshot_corrupt`` and ``crash_in_snapshot`` joining ``shard_kill``
-    at priority 2 (after same-instant submissions and kernel faults);
-    the item tag is the event's kind.  Total and deterministic.
+    Never removes the whole file: at least one byte survives, and a file
+    shorter than *nbytes* loses all but its first byte — the torn-tail
+    shape :meth:`Journal.read_records` is built to survive.
     """
-    keyed: List[Tuple[Tuple[float, int, str, str], SupervisedTimelineItem]] = []
-    for item in merge_timeline(requests, plan):
-        tag, t, payload = item
-        if tag == "submit":
-            key = (t, 0, "submit", payload.request_id)
-        else:
-            key = (t, 1, payload.kind, payload.target)
-        keyed.append((key, item))
-    for event in plan.supervisor_events():
-        key = (float(event.t), 2, event.kind, event.target)
-        keyed.append((key, (event.kind, float(event.t), event)))
-    keyed.sort(key=lambda pair: pair[0])
-    return [item for _key, item in keyed]
+    size = path.stat().st_size
+    keep = max(1, size - int(nbytes))
+    with open(path, "r+b") as fh:
+        fh.truncate(keep)
 
 
 def _corrupt_newest_snapshot(journal_path: Path) -> bool:
@@ -373,91 +412,3 @@ def _litter_snapshot_tmp(journal_path: Path, seq: int) -> Path:
     tmp = final.with_name(final.name + ".tmp")
     tmp.write_text('{"schema":1,"seq":', encoding="utf-8")
     return tmp
-
-
-def drive_supervised(
-    service: ShardedService,
-    requests: Sequence[ChargingRequest],
-    plan: Optional[FaultPlan] = None,
-    seed: int = 0,
-    max_restarts: int = 3,
-    drain: bool = True,
-    advance_to: Optional[float] = None,
-) -> Tuple[ShardedService, ShardSupervisor, Dict[str, Any]]:
-    """Drive requests + the full self-healing chaos mix, supervised.
-
-    Consumes the plan's ``shard_kill`` (clean/torn), ``snapshot_corrupt``
-    (garble the newest snapshot before recovery needs it),
-    ``crash_in_snapshot`` (strand a half-written tmp, then kill), and
-    ``recovery_crash`` (crash the recovery replay itself, ``count``
-    times) events; kernel faults and submissions flow through
-    :meth:`ShardSupervisor.apply` so any provoked death heals in place.
-    Returns ``(service, supervisor, stats)`` — the supervisor is *not*
-    closed, so callers can assert on its journal before closing.
-
-    Convergence: when every recovery eventually succeeds (finite
-    ``recovery_crash`` budgets, ``max_restarts`` large enough), the run
-    ends byte-identical — journals, metrics, schedule — to a fault-free
-    run of the same timeline, with zero operator calls.  The chaos tests
-    assert exactly that.
-    """
-    plan = plan if plan is not None else FaultPlan()
-    armed = plan.recovery_crashes()
-
-    def recovery_factory(shard: int) -> Optional[Callable[[str], Journal]]:
-        fail_at = armed.get(shard)
-        if not fail_at:
-            return None
-
-        def make(path: str) -> Journal:
-            # The shared dict survives across attempts: fired entries
-            # stay popped, later ones stay armed.
-            return FaultyJournal(path, truncate=True, sync=False, fail_at=fail_at)
-
-        return make
-
-    supervisor = ShardSupervisor(
-        service,
-        seed=seed,
-        max_restarts=max_restarts,
-        recovery_journal_factory=recovery_factory if armed else None,
-    )
-    stats: Dict[str, Any] = {
-        "kills": 0,
-        "torn_kills": 0,
-        "skipped_kills": 0,
-        "snapshot_corruptions": 0,
-        "snapshot_crashes": 0,
-    }
-    for item in supervised_timeline(requests, plan):
-        tag, _t, payload = item
-        if tag in ("shard_kill", "snapshot_corrupt", "crash_in_snapshot"):
-            sid = int(payload.target)
-            if sid not in service.kernels or service.journal_dir is None:
-                stats["skipped_kills"] += 1
-                continue
-            journal_path = service.journal_dir / shard_journal_name(sid)
-            if tag == "snapshot_corrupt":
-                if _corrupt_newest_snapshot(journal_path):
-                    stats["snapshot_corruptions"] += 1
-                continue
-            if tag == "crash_in_snapshot":
-                _litter_snapshot_tmp(
-                    journal_path, service.kernels[sid].journal.seq  # type: ignore[union-attr]
-                )
-                stats["snapshot_crashes"] += 1
-                supervisor.kill_shard(sid, torn=False)
-                stats["kills"] += 1
-                continue
-            torn = payload.mode == "torn"
-            supervisor.kill_shard(sid, torn=torn)
-            stats["kills"] += 1
-            if torn:
-                stats["torn_kills"] += 1
-            continue
-        supervisor.apply(item)
-    if advance_to is not None:
-        supervisor.call("advance", advance_to)
-    if drain:
-        supervisor.call("drain")
-    return service, supervisor, stats

@@ -75,6 +75,10 @@ def partition_timeline(
     for tag, t, payload in merge_timeline(
         requests, plan if plan is not None else FaultPlan()
     ):
+        if tag not in ("submit", "fault"):
+            # Shard chaos: a healed kill converges to the fault-free run,
+            # so the replay of a chaos plan is the replay without it.
+            continue
         if tag == "submit":
             sid = router.route(payload)
             per_shard[sid].append(

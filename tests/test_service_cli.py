@@ -65,7 +65,7 @@ class TestServeCli:
 
 
 class TestServeRecoveryCli:
-    """``--snapshot-every`` / ``--supervise`` / ``--recover-only`` and the
+    """``--snapshot-every`` / supervised chaos / ``--recover-only`` and the
     one-line structured error contract (exit 3, JSON on stderr)."""
 
     def _run(self, journal, extra=()):
@@ -111,7 +111,7 @@ class TestServeRecoveryCli:
                 "--n", "30", "--rate", "0.4", "--seed", "7",
                 "--shards", "4", "--journal", str(journal),
                 "--snapshot-every", "15",
-                "--fault-plan", "seed:3", "--supervise",
+                "--fault-plan", "seed:3",
                 "--check-recovery",
             ]
         )
@@ -150,8 +150,6 @@ class TestServeRecoveryCli:
         assert doc["error"] == "RecoveryError"
 
     def test_flag_validation(self, capsys):
-        assert serve_main(["--supervise"]) == 2
-        assert "--supervise requires --shards > 1" in capsys.readouterr().err
         assert serve_main(["--recover-only"]) == 2
         assert "--recover-only requires --journal" in capsys.readouterr().err
         assert serve_main(["--snapshot-every", "0"]) == 2

@@ -14,11 +14,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.faults import FaultPlan
+from repro.faults import FaultPlan, drive
 from repro.faults.plan import FaultEvent
 from repro.geometry import Field, Point
 from repro.service import ServiceConfig, generate_requests
-from repro.shard import ShardedService, drive_sharded, shard_journal_name
+from repro.shard import ShardedService, ShardSupervisor, shard_journal_name
 from repro.wpt import Charger
 
 FIELD = Field(100.0, 100.0)
@@ -40,20 +40,32 @@ def make_stream(seed, n=16):
     )
 
 
+def kill_stats(supervisor):
+    """The kill tally out of the supervisor's stats."""
+    return {k: supervisor.stats[k] for k in ("kills", "torn_kills", "skipped_kills")}
+
+
 def run_to_journals(tmp_path, tag, stream, plan):
     svc = ShardedService(
         make_chargers(), n_shards=4, field=FIELD, halo=10.0, config=CONFIG,
         journal_dir=tmp_path / tag, journal_sync=False,
     )
-    _, stats = drive_sharded(
-        svc, stream, plan, advance_to=stream[-1].submitted_at + 300.0
-    )
+    with ShardSupervisor(svc) as sup:
+        drive(
+            svc, stream, plan, supervisor=sup,
+            advance_to=stream[-1].submitted_at + 300.0,
+        )
+    stats = kill_stats(sup)
     svc.close()
     journals = {
         sid: (tmp_path / tag / shard_journal_name(sid)).read_bytes()
         for sid in svc.kernels
     }
     return svc, stats, journals
+
+
+def kill_events(plan):
+    return [e for e in plan if e.kind == "shard_kill"]
 
 
 def kill_plan(kernel_plan, kills):
@@ -113,7 +125,7 @@ class TestShardKillConvergence:
             for sid in svc.kernels
         }
         survivor_ids = [sid for sid in svc.kernels if sid != 1]
-        svc.kill_and_recover_shard(1, torn=False)
+        svc.recover_shard(1)
         after = {
             sid: (tmp_path / "live" / shard_journal_name(sid)).read_bytes()
             for sid in svc.kernels
@@ -135,9 +147,23 @@ class TestShardKillConvergence:
             journal_dir=tmp_path / "sparse", journal_sync=False,
         )
         plan = kill_plan(FaultPlan(), [(3, 100.0, None)])  # no kernel there
-        _, stats = drive_sharded(svc, stream, plan)
+        with ShardSupervisor(svc) as sup:
+            drive(svc, stream, plan, supervisor=sup)
+        stats = kill_stats(sup)
         svc.close()
         assert stats == {"kills": 0, "torn_kills": 0, "skipped_kills": 1}
+
+    def test_chaos_plan_without_supervisor_is_a_typed_error(self, tmp_path):
+        # Only a supervisor can kill and heal a shard; driving a kill
+        # without one must fail loudly, not run a different plan.
+        stream = make_stream(4)
+        svc = ShardedService(
+            make_chargers(), n_shards=4, field=FIELD, config=CONFIG,
+            journal_dir=tmp_path / "unsupervised", journal_sync=False,
+        )
+        with pytest.raises(ConfigurationError, match="ShardSupervisor"):
+            drive(svc, stream, kill_plan(FaultPlan(), [(1, 900.0, None)]))
+        svc.close()
 
     @settings(max_examples=6, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -162,10 +188,10 @@ class TestShardKillConvergence:
 
 class TestShardKillPlans:
     def test_generate_is_deterministic(self):
-        a = FaultPlan.generate_shard_kills(7, 8, horizon=1000.0)
-        b = FaultPlan.generate_shard_kills(7, 8, horizon=1000.0)
+        a = FaultPlan.generate_supervised(7, 8, horizon=1000.0)
+        b = FaultPlan.generate_supervised(7, 8, horizon=1000.0)
         assert a == b
-        for e in a.shard_kills():
+        for e in kill_events(a):
             assert e.kind == "shard_kill"
             assert 0 <= int(e.target) < 8
             assert 0.0 <= e.t < 1000.0
@@ -173,10 +199,10 @@ class TestShardKillPlans:
     def test_keyed_kills_stable_under_shard_count(self):
         # Shard s's fate is a pure function of (seed, s): growing the
         # count never reshuffles the shards both counts share.
-        small = {e.target: e for e in
-                 FaultPlan.generate_shard_kills(3, 4, horizon=500.0)}
-        large = {e.target: e for e in
-                 FaultPlan.generate_shard_kills(3, 16, horizon=500.0)}
+        small = {(e.kind, e.target): e for e in
+                 FaultPlan.generate_supervised(3, 4, horizon=500.0)}
+        large = {(e.kind, e.target): e for e in
+                 FaultPlan.generate_supervised(3, 16, horizon=500.0)}
         for target, event in small.items():
             assert target in large
             assert large[target].t == event.t
@@ -184,13 +210,13 @@ class TestShardKillPlans:
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            FaultPlan.generate_shard_kills(0, 0, horizon=10.0)
+            FaultPlan.generate_supervised(0, 0, horizon=10.0)
         with pytest.raises(ConfigurationError):
-            FaultPlan.generate_shard_kills(0, 2, horizon=-1.0)
+            FaultPlan.generate_supervised(0, 2, horizon=-1.0)
         with pytest.raises(ConfigurationError):
             FaultEvent(t=0.0, kind="shard_kill", target="1", mode="sideways")
 
     def test_shard_kills_are_not_kernel_events(self):
-        plan = FaultPlan.generate_shard_kills(1, 8, horizon=100.0)
-        assert plan.shard_kills()
+        plan = FaultPlan.generate_supervised(1, 8, horizon=100.0)
+        assert kill_events(plan)
         assert plan.kernel_events() == []

@@ -13,7 +13,7 @@ import pytest
 from repro.faults import FaultPlan, drive
 from repro.geometry import Point
 from repro.service import ChargingService, ServiceConfig, generate_requests
-from repro.shard import ShardedService, drive_sharded, shard_journal_name
+from repro.shard import ShardedService, shard_journal_name
 from repro.wpt import Charger
 
 CHARGERS = [
@@ -88,7 +88,7 @@ class TestOneShardByteIdentity:
             fresh_chargers(), n_shards=1, config=CONFIG,
             journal_dir=sharded_dir, journal_sync=False,
         )
-        drive_sharded(svc, stream, plan)
+        drive(svc, stream, plan)
         svc.close()
 
         assert (sharded_dir / shard_journal_name(0)).read_bytes() == (

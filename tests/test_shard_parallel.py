@@ -5,13 +5,14 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.exec import ParallelExecutor, SerialExecutor
-from repro.faults import FaultPlan
+from repro.faults import FaultPlan, drive
+from repro.faults.plan import FaultEvent
 from repro.geometry import Field, Point
 from repro.service import ServiceConfig, generate_requests
 from repro.shard import (
     GridPartition,
     ShardedService,
-    drive_sharded,
+    ShardSupervisor,
     partition_timeline,
     replay_sharded,
 )
@@ -116,7 +117,7 @@ class TestExecutorEquivalence:
         svc = ShardedService(
             make_chargers(), n_shards=4, field=FIELD, halo=15.0, config=CONFIG
         )
-        drive_sharded(svc, stream, plan, advance_to=advance_to)
+        drive(svc, stream, plan, advance_to=advance_to)
 
         replayed = replay_sharded(
             make_chargers(), stream, n_shards=4, field=FIELD, halo=15.0,
@@ -126,3 +127,32 @@ class TestExecutorEquivalence:
         assert replayed["schedule"] == svc.final_schedule()
         assert replayed["metrics"] == svc.metrics_snapshot()
         assert replayed["assignment"] == svc.router.assignment
+
+    def test_replay_of_kill_plan_matches_supervised_run(self, tmp_path):
+        # A healed kill converges to the fault-free run, so replaying a
+        # plan with shard kills is replaying it without them.
+        stream = make_stream()
+        t_mid = stream[len(stream) // 2].submitted_at
+        plan = FaultPlan(list(make_plan(stream)) + [
+            FaultEvent(t=t_mid, kind="shard_kill", target="1", mode="torn"),
+            FaultEvent(t=t_mid + 60.0, kind="shard_kill", target="2"),
+        ])
+        advance_to = stream[-1].submitted_at + 300.0
+
+        svc = ShardedService(
+            make_chargers(), n_shards=4, field=FIELD, halo=15.0, config=CONFIG,
+            journal_dir=tmp_path / "live", journal_sync=False,
+        )
+        with ShardSupervisor(svc) as sup:
+            drive(svc, stream, plan, supervisor=sup, advance_to=advance_to)
+        assert sup.stats["kills"] == 2
+        assert all(tag in ("submit", "fault") for tag, _t, _p in sup.history)
+
+        replayed = replay_sharded(
+            make_chargers(), stream, n_shards=4, field=FIELD, halo=15.0,
+            plan=plan, config=CONFIG, advance_to=advance_to,
+        )
+        assert replayed["counts"] == svc.counts()
+        assert replayed["schedule"] == svc.final_schedule()
+        assert replayed["metrics"] == svc.metrics_snapshot()
+        svc.close()

@@ -187,7 +187,7 @@ class TestDurability:
     def test_journal_less_shard_cannot_recover(self):
         svc, _ = run_service(tmp_path=None)
         with pytest.raises(ServiceError):
-            svc.kill_and_recover_shard(0)
+            svc.recover_shard(0)
 
     def test_journal_files_one_per_kernel(self, tmp_path):
         svc, _ = run_service(tmp_path)

@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.faults import FaultPlan
+from repro.faults import FaultPlan, drive
 from repro.geometry import Field, Point
 from repro.service import (
     ServiceConfig,
     generate_clustered_requests,
     generate_keyed_requests,
 )
-from repro.shard import ShardedService, drive_sharded
+from repro.shard import ShardedService
 from repro.wpt import Charger
 
 FIELD = Field(100.0, 100.0)
@@ -53,7 +53,7 @@ def outcomes(n_shards, stream, plan):
         make_chargers(), n_shards=n_shards, field=FIELD, halo=5.0,
         config=CONFIG,
     )
-    drive_sharded(svc, stream, plan, advance_to=stream[-1].submitted_at + 300.0)
+    drive(svc, stream, plan, advance_to=stream[-1].submitted_at + 300.0)
     out = {}
     for kernel in svc.kernels.values():
         for rid, record in kernel.requests.items():

@@ -37,12 +37,11 @@ from repro.errors import (
     ServiceError,
     ShardUnavailableError,
 )
-from repro.faults import FaultPlan, FaultyJournal
+from repro.faults import FaultPlan, FaultyJournal, drive
 from repro.faults.plan import SUPERVISOR_KINDS
 from repro.geometry import Field, Point
 from repro.service import RequestState, ServiceConfig, generate_requests
-from repro.shard import ShardedService, ShardSupervisor, drive_supervised
-from repro.shard.driver import drive_sharded
+from repro.shard import ShardedService, ShardSupervisor
 from repro.shard.service import MANIFEST_NAME
 from repro.shard.supervisor import SUPERVISOR_JOURNAL_NAME
 from repro.wpt import Charger
@@ -89,8 +88,7 @@ def reference_run(requests, plan=None, n_shards=4, halo=0.0, **kw):
         make_chargers(), n_shards=n_shards, field=FIELD, halo=halo,
         config=CONFIG, journal_dir=None, **kw,
     )
-    service, _stats = drive_sharded(service, requests, plan)
-    return service
+    return drive(service, requests, plan)
 
 
 class TestBackoff:
@@ -197,7 +195,8 @@ class TestFailover:
         raws = []
         for tag in ("one", "two"):
             svc = make_service(tmp_path / tag, snapshot_every=15)
-            svc, sup, _stats = drive_supervised(svc, requests, plan, seed=9)
+            sup = ShardSupervisor(svc, seed=9)
+            drive(svc, requests, plan, supervisor=sup)
             sup.close()
             svc.close()
             raws.append((tmp_path / tag / SUPERVISOR_JOURNAL_NAME).read_bytes())
@@ -348,7 +347,9 @@ def run_supervised_case(tmp_path, stream_seed, chaos_seed, n=25, tag="chaos"):
     plan = FaultPlan.generate_supervised(chaos_seed, 4, horizon)
     svc = make_service(tmp_path / f"{tag}-{stream_seed}-{chaos_seed}",
                        snapshot_every=15)
-    svc, sup, stats = drive_supervised(svc, requests, plan, seed=chaos_seed)
+    sup = ShardSupervisor(svc, seed=chaos_seed)
+    drive(svc, requests, plan, supervisor=sup)
+    stats = sup.stats
     ref = reference_run(requests, plan)
     assert sup.stats["escalations"] == 0
     assert svc.shards_down() == []
