@@ -10,7 +10,7 @@ JOBS ?= 1
 # Task-result cache directory used by run-all (re-runs resume from it).
 CACHE_DIR ?= .ccs-bench-cache
 
-.PHONY: test lint lint-flow typecheck bench bench-smoke bench-hotpath bench-large bench-exec bench-recovery golden golden-experiments run-all serve-smoke chaos-smoke chaos shard-smoke recovery-smoke
+.PHONY: test lint lint-flow typecheck bench bench-smoke bench-hotpath bench-large bench-exec bench-recovery golden golden-experiments run-all serve-smoke chaos-smoke chaos shard-smoke recovery-smoke e2e-smoke
 
 # Tier-1 gate: the full unit/property/golden suite.
 test:
@@ -115,6 +115,19 @@ shard-smoke:
 	$(PYTHON) -m repro.service --n 150 --rate 0.5 --seed 7 --chargers 8 \
 		--shards 4 --halo 12 --journal .shard-smoke --check-recovery
 	rm -rf .shard-smoke
+
+# The deployed-daemon benchmark's own checks, one short run per workload
+# (about 25 s in all): every restart reproduces the journaled history
+# byte for byte, drain leaves every request terminal, and the final
+# journal recovers the final outputs.  Fails unless each run's last line
+# reports "correct": true.  Timings are not checked here.
+e2e-smoke:
+	@for w in steady sharded_churn sparse; do \
+		out=$$($(PYTHON) benchmarks/e2e/run.py --workload $$w --seed 1 \
+			--seconds 1 --trace 0) || exit 1; \
+		echo "$$out" | tail -n 1; \
+		echo "$$out" | tail -n 1 | grep -q '"correct": true' || exit 1; \
+	done
 
 # The heavy randomized chaos suite (hundreds of hypothesis examples);
 # excluded from tier-1 by the `chaos` marker.

@@ -11,8 +11,9 @@ treats *anything* suspicious — unreadable file, invalid JSON, missing
 fields, fingerprint mismatch, checksum mismatch — as a miss: the entry is
 logged, discarded, and the task recomputed.  A cache can therefore be
 truncated by ``kill -9`` mid-write, bit-rotted, or hand-edited without
-ever poisoning results.  Writes go through a temp file + :func:`os.replace`
-so a concurrent reader only ever sees complete entries.
+ever poisoning results.  Writes go through a temp file +
+:func:`~repro.io.atomic_replace` so a concurrent reader only ever sees
+complete entries, and a power cut never loses a published one.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import tempfile
 from pathlib import Path
 from typing import Any, Optional, Tuple, Union
 
+from ...io import atomic_replace
 from .task import Task, canonical_json
 
 __all__ = ["ResultCache"]
@@ -95,7 +97,7 @@ class ResultCache:
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 json.dump(doc, fh, sort_keys=True)
-            os.replace(tmp, path)
+            atomic_replace(tmp, path)
         except BaseException:
             try:
                 os.unlink(tmp)

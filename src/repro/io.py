@@ -5,12 +5,17 @@ fixtures, the exact instance behind a plotted point, schedules to replay
 on the testbed.  This module round-trips both through plain JSON with a
 versioned envelope, refusing payloads it cannot faithfully reconstruct
 (unknown tariff or mobility types) rather than guessing.
+
+It also holds :func:`atomic_replace`, the one way a durable file is
+published over its old version.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict
+import os
+from pathlib import Path
+from typing import Any, Dict, Union
 
 from .core import CCSInstance, Device, Schedule, Session
 from .errors import ConfigurationError
@@ -19,6 +24,7 @@ from .mobility import LinearMobility, ManhattanMobility, QuadraticMobility
 from .wpt import Charger, LinearTariff, PiecewiseConcaveTariff, PowerLawTariff
 
 __all__ = [
+    "atomic_replace",
     "charger_to_dict",
     "charger_from_dict",
     "instance_to_dict",
@@ -268,3 +274,25 @@ def load_schedule(path: str, instance: CCSInstance) -> Schedule:
     """Read a schedule written by :func:`save_schedule`."""
     with open(path) as fh:
         return schedule_from_dict(json.load(fh), instance)
+
+
+def atomic_replace(tmp: Union[str, Path], path: Union[str, Path]) -> None:
+    """Publish the written file *tmp* as *path*, durably and atomically.
+
+    fsync *tmp*, :func:`os.replace` it over *path*, then fsync the
+    directory, so after a power cut *path* holds either its old contents
+    or all of *tmp* — never a lost rename or a name over unwritten data.
+    *tmp* must live in *path*'s directory.
+    """
+    _fsync(tmp)
+    os.replace(tmp, path)
+    _fsync(Path(path).parent)
+
+
+def _fsync(path: Union[str, Path]) -> None:
+    """fsync a file or a directory by name."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)

@@ -10,8 +10,15 @@ produces, so recovery can load the snapshot and replay only the suffix
 document minus the ``sha`` field (the same canonicalization as journal
 records), so torn or bit-flipped snapshots are detected, not trusted.
 
-Write discipline is temp + fsync + :func:`os.replace`: a snapshot file
-either exists completely or not at all — a crash mid-write leaves only a
+Like a journal record, a snapshot costs one JSON encoding: when the plain
+dump is canonical the file is the hashed body with the ``"sha"`` field
+spliced in (:func:`~repro.service.journal.sealed_json`), and loading checks it
+with one hash over the raw bytes minus that field, falling back to
+re-canonicalizing the parsed document only when that hash misses.
+
+Write discipline is temp + :func:`~repro.io.atomic_replace` (file fsync,
+rename, directory fsync): a snapshot file either exists completely or
+not at all, even across a power cut — a crash mid-write leaves only a
 ``*.tmp`` sibling that readers ignore.  Snapshots live next to their
 journal as ``<journal>.snap-<seq:010d>``; the zero-padded seq makes
 lexicographic and numeric order agree.
@@ -27,12 +34,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from pathlib import Path
 from typing import Any, Dict, List, Tuple, Union
 
 from ..errors import SnapshotError
 from ..experiments.exec.task import canonical_json
+from ..io import atomic_replace
+from .journal import seal_holds, sealed_json
 
 __all__ = [
     "SNAPSHOT_SCHEMA",
@@ -90,24 +98,18 @@ def write_snapshot(
 ) -> Path:
     """Atomically persist *state* pinned to journal seq *seq*.
 
-    Returns the snapshot's path.  The document is fully written and
-    fsynced to a ``*.tmp`` sibling before :func:`os.replace` publishes it
-    under its real name, so no reader ever sees a half snapshot.
+    Returns the snapshot's path.  The document is fully written to a
+    ``*.tmp`` sibling before :func:`~repro.io.atomic_replace` publishes
+    it under its real name, so no reader ever sees a half snapshot.
     """
-    doc: Dict[str, Any] = {
-        "schema": SNAPSHOT_SCHEMA,
-        "seq": int(seq),
-        "state": state,
-    }
-    doc["sha"] = _snapshot_checksum(doc)
+    doc: Dict[str, Any] = {"schema": SNAPSHOT_SCHEMA, "seq": int(seq), "state": state}
+    text = sealed_json(doc, "state", last=False)
     path = snapshot_path(journal_path, seq)
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+        fh.write(text)
         fh.write("\n")
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    atomic_replace(tmp, path)
     return path
 
 
@@ -143,9 +145,11 @@ def load_snapshot(path: Union[str, Path]) -> Tuple[int, Dict[str, Any]]:
         raise SnapshotError(f"snapshot {path}: bad seq {seq!r}")
     if not isinstance(state, dict):
         raise SnapshotError(f"snapshot {path}: state is not an object")
-    body = {"schema": schema, "seq": seq, "state": state}
-    if sha != _snapshot_checksum(body):
-        raise SnapshotError(f"snapshot {path}: checksum mismatch")
+    text = raw[:-1] if raw.endswith(b"\n") else raw
+    if not seal_holds(text, sha, last=False):
+        body = {"schema": schema, "seq": seq, "state": state}
+        if sha != _snapshot_checksum(body):
+            raise SnapshotError(f"snapshot {path}: checksum mismatch")
     return seq, state
 
 

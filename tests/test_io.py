@@ -1,14 +1,18 @@
-"""Tests for JSON serialization of instances and schedules."""
+"""Tests for JSON serialization of instances and schedules, and durable renames."""
 
 from __future__ import annotations
 
 import json
+import os
+import stat
 
 import pytest
 
 from repro.core import ccsa, comprehensive_cost, validate_schedule
 from repro.errors import ConfigurationError
+from repro.experiments.exec import ResultCache, Task
 from repro.io import (
+    atomic_replace,
     instance_from_dict,
     instance_to_dict,
     load_instance,
@@ -142,3 +146,40 @@ class TestFileIO:
         inst = load_instance(str(inst_path))
         restored = load_schedule(str(sched_path), inst)
         assert restored.canonical() == sched.canonical()
+
+
+@pytest.fixture
+def durability_log(monkeypatch):
+    """Every ``os.fsync`` (as ``"file"`` or ``"dir"``) and ``os.replace``, in order."""
+    log = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        log.append("dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file")
+        real_fsync(fd)
+
+    def replace(src, dst):
+        log.append("replace")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    return log
+
+
+class TestAtomicReplace:
+    def test_file_fsync_then_rename_then_directory_fsync(self, tmp_path, durability_log):
+        tmp, path = tmp_path / "doc.tmp", tmp_path / "doc"
+        path.write_text("old", encoding="utf-8")
+        tmp.write_text("new", encoding="utf-8")
+        atomic_replace(tmp, path)
+        assert durability_log == ["file", "replace", "dir"]
+        assert path.read_text(encoding="utf-8") == "new" and not tmp.exists()
+
+    def test_result_cache_publishes_durably(self, tmp_path, durability_log):
+        cache = ResultCache(tmp_path / "cache")
+        task = Task("table2", {"n": 3}, seed=1)
+        cache.store(task, {"cost": 1.5})
+        assert durability_log == ["file", "replace", "dir"]
+        assert cache.load(task) == (True, {"cost": 1.5})
+        assert [p.name for p in cache.root.rglob("*.tmp")] == []

@@ -24,6 +24,7 @@ from repro.core import Device
 from repro.geometry import Point
 from repro.service import ChargingRequest, ChargingService, ServiceConfig
 from repro.service.journal import Journal
+from repro.service.snapshot import list_snapshots
 from repro.wpt import Charger
 
 _EPS = 1e-9
@@ -318,10 +319,13 @@ class TestOneFsyncPerInput:
         service.submit(request("a", 1.0))
         service.submit(request("b", 2.0, "d1", x=90.0, y=90.0))  # snapshot due
         journal = path.stat().st_ino
+        (_seq, snap), = list_snapshots(path)
         # First submit's barrier; then the second's, taken before the
-        # snapshot file is written, and none after it.
-        assert inodes[:2] == [journal, journal]
-        assert len(inodes) == 3 and inodes[2] != journal
+        # snapshot file is written; then the snapshot file and its
+        # directory (a durable rename), and none after it.
+        assert inodes == [
+            journal, journal, snap.stat().st_ino, path.parent.stat().st_ino
+        ]
         assert service.metrics.counter("snapshots_written", operational=True).value == 1
 
     def test_no_op_inputs_take_no_fsync(self, tmp_path, monkeypatch):
