@@ -73,18 +73,18 @@ bench-recovery:
 # crash-recover from the journal and verify byte-identical state.
 serve-smoke:
 	$(PYTHON) -m repro.service --n 200 --rate 0.5 --seed 7 \
-		--journal .serve-smoke.jsonl --metrics-json .serve-smoke-metrics.json \
+		--journal .serve-smoke --metrics-json .serve-smoke-metrics.json \
 		--check-recovery
-	rm -f .serve-smoke.jsonl .serve-smoke-metrics.json
+	rm -rf .serve-smoke .serve-smoke-metrics.json
 
 # Fault-injection smoke (<30 s): a seeded fault plan — charger outages,
-# cancellations, no-shows, and journal write failures that crash and
-# recover the daemon mid-run — then verify recovery converges on the
-# byte-identical journal (see docs/FAULTS.md).
+# cancellations, no-shows, and journal write failures that crash the
+# daemon mid-run for the shard supervisor to recover — then verify
+# recovery converges on the byte-identical journal (see docs/FAULTS.md).
 chaos-smoke:
 	$(PYTHON) -m repro.service --n 150 --rate 0.5 --seed 7 --chargers 4 \
-		--journal .chaos-smoke.jsonl --fault-plan seed:13 --check-recovery
-	rm -f .chaos-smoke.jsonl
+		--journal .chaos-smoke --fault-plan seed:13 --check-recovery
+	rm -rf .chaos-smoke
 	$(PYTHON) -m repro.service --n 150 --rate 0.5 --seed 7 --chargers 8 \
 		--shards 4 --halo 12 --journal .chaos-smoke-shards \
 		--fault-plan seed:13 --check-recovery

@@ -18,8 +18,8 @@ serial run (see docs/EXECUTION.md).
 recorded request stream (see docs/SERVICE.md)::
 
     ccs-serve --loadgen poisson --n 200 --rate 0.5 --seed 7 \\
-        --journal service.jsonl --metrics-json metrics.json
-    ccs-serve --trace requests.jsonl --journal service.jsonl --check-recovery
+        --journal service/ --metrics-json metrics.json
+    ccs-serve --trace requests.jsonl --journal service/ --check-recovery
 """
 
 from __future__ import annotations
@@ -194,7 +194,10 @@ def _build_serve_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=0, help="loadgen seed (default 0)")
     parser.add_argument(
-        "--journal", metavar="PATH", help="write the durable journal to PATH"
+        "--journal",
+        metavar="DIR",
+        help="journal durably into directory DIR: a partition manifest, one "
+        "journal per shard, and the supervision journal",
     )
     parser.add_argument(
         "--metrics-json",
@@ -237,9 +240,8 @@ def _build_serve_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help="run N independent service kernels behind a spatial router "
-        "(see docs/SHARDING.md); 1 = the single unsharded daemon "
-        "(default).  With N > 1, --journal names a directory holding one "
-        "journal per shard plus a partition manifest",
+        "(see docs/SHARDING.md; default 1, which serves exactly like one "
+        "kernel)",
     )
     parser.add_argument(
         "--halo",
@@ -263,10 +265,10 @@ def _build_serve_parser() -> argparse.ArgumentParser:
         help="inject faults (charger outages, cancellations, no-shows, "
         "journal write failures) from a JSON plan file, or generate one "
         "deterministically from seed N (see docs/FAULTS.md); journal "
-        "faults crash and recover the daemon mid-run and require --journal. "
+        "faults crash the daemon mid-run, the shard supervisor recovers "
+        "it, and they require --journal and one shard. "
         "With --shards > 1, seed:N generates shard chaos (kills, snapshot "
-        "corruption, crash-looping recoveries) for the shard supervisor "
-        "instead of journal faults",
+        "corruption, crash-looping recoveries) instead of journal faults",
     )
     parser.add_argument(
         "--snapshot-every",
@@ -321,73 +323,53 @@ def _grid_chargers(k: int, side: float):
 def _load_fault_plan(spec: str, requests, chargers, n_shards: int = 1):
     """Resolve ``--fault-plan``: a JSON file path or ``seed:N``.
 
-    With ``n_shards > 1`` a generated plan swaps journal faults (which
-    assume a single kernel) for the self-healing chaos mix drawn per
-    shard by :meth:`~repro.faults.plan.FaultPlan.generate_supervised`:
-    shard kills, snapshot corruption, crashes mid-snapshot, and
-    crash-looping recoveries.
+    A generated plan crashes a one-shard daemon with a journal write
+    fault.  With ``n_shards > 1`` (journal faults key on one kernel's
+    record seqs) it draws the self-healing chaos mix per shard instead,
+    by :meth:`~repro.faults.plan.FaultPlan.generate_supervised`: shard
+    kills, snapshot corruption, crashes mid-snapshot, and crash-looping
+    recoveries.
     """
     from .faults import FaultPlan
 
-    if spec.startswith("seed:"):
-        seed = int(spec[len("seed:"):])
-        if n_shards > 1:
-            horizon = max(
-                (float(r.submitted_at) for r in requests), default=0.0
-            ) + 600.0
-            plan = FaultPlan.generate(
-                seed,
-                charger_ids=[c.charger_id for c in chargers],
-                requests=requests,
-                journal_faults=0,
-            )
-            chaos = FaultPlan.generate_supervised(seed, n_shards, horizon)
-            return FaultPlan(list(plan.events) + list(chaos.events))
-        return FaultPlan.generate(
-            seed,
-            charger_ids=[c.charger_id for c in chargers],
-            requests=requests,
-        )
-    return FaultPlan.load(spec)
-
-
-def _structured_error(exc: BaseException) -> None:
-    """One machine-parsable line on stderr for unrecoverable failures."""
-    print(
-        json.dumps(
-            {"error": type(exc).__name__, "message": str(exc)},
-            sort_keys=True,
-        ),
-        file=sys.stderr,
+    if not spec.startswith("seed:"):
+        return FaultPlan.load(spec)
+    seed = int(spec[len("seed:"):])
+    plan = FaultPlan.generate(
+        seed,
+        charger_ids=[c.charger_id for c in chargers],
+        requests=requests,
+        journal_faults=1 if n_shards == 1 else 0,
     )
+    if n_shards == 1:
+        return plan
+    horizon = max((float(r.submitted_at) for r in requests), default=0.0) + 600.0
+    chaos = FaultPlan.generate_supervised(seed, n_shards, horizon)
+    return FaultPlan(list(plan.events) + list(chaos.events))
 
 
 def _recover(args, chargers, config, **kwargs):
-    """Recover a daemon from ``--journal`` (sharded when ``--shards > 1``)."""
-    if args.shards > 1:
-        from .shard import ShardedService
+    """Recover the daemon from its ``--journal`` directory.
 
-        recover = ShardedService.recover
-    else:
-        from .service import ChargingService
-
-        recover = ChargingService.recover
-    return recover(
-        args.journal, chargers, config=config,
-        snapshot_every=args.snapshot_every,
-        snapshot_keep=args.snapshot_keep,
-        **kwargs,
-    )
-
-
-def _close(service) -> None:
-    """Release *service*'s journals (idempotent)."""
+    Returns ``None`` when recovery is impossible, after printing one
+    machine-parsable line on stderr: the typed error's name and message.
+    """
+    from .errors import ServiceError
     from .shard import ShardedService
 
-    if isinstance(service, ShardedService):
-        service.close()
-    elif service.journal is not None:
-        service.journal.close()
+    try:
+        return ShardedService.recover(
+            args.journal, chargers, config=config,
+            snapshot_every=args.snapshot_every,
+            snapshot_keep=args.snapshot_keep,
+            **kwargs,
+        )
+    except ServiceError as exc:
+        print(
+            json.dumps({"error": type(exc).__name__, "message": str(exc)}, sort_keys=True),
+            file=sys.stderr,
+        )
+        return None
 
 
 def _export_metrics(args, service) -> None:
@@ -407,32 +389,20 @@ def _check_recovery(args, service, chargers, config) -> int:
     match, 1 when the recovered state diverged, 3 with a one-line
     structured error when recovery is impossible.
     """
-    from .errors import ServiceError
-
-    _close(service)
-    try:
-        recovered = _recover(args, chargers, config)
-    except ServiceError as exc:
-        _structured_error(exc)
+    service.close()
+    recovered = _recover(args, chargers, config)
+    if recovered is None:
         return 3
     ok = (
         recovered.final_schedule() == service.final_schedule()
         and recovered.metrics_snapshot() == service.metrics_snapshot()
     )
-    _close(recovered)
+    recovered.close()
     if not ok:
         print("recovery check FAILED: recovered state diverged", file=sys.stderr)
         return 1
     print("recovery check OK", file=sys.stderr)
     return 0
-
-
-def _finish(args, service, chargers, config) -> int:
-    """The shared tail of a run: metrics export, recovery check, close."""
-    _export_metrics(args, service)
-    rc = _check_recovery(args, service, chargers, config) if args.check_recovery else 0
-    _close(service)
-    return rc
 
 
 def _recover_only(args, chargers, config) -> int:
@@ -443,29 +413,28 @@ def _recover_only(args, chargers, config) -> int:
     corruption beyond repair, a manifest schema mismatch, or a config
     that does not match the journal's ``open`` header.
     """
-    from .errors import ServiceError
-
-    try:
-        service = _recover(args, chargers, config, journal_sync=False)
-    except ServiceError as exc:
-        _structured_error(exc)
+    service = _recover(args, chargers, config, journal_sync=False)
+    if service is None:
         return 3
     counts = service.counts()
     sessions = service.final_schedule()
     print(f"recovered: {len(sessions)} sessions")
     print("  " + "  ".join(f"{state}={n}" for state, n in sorted(counts.items())))
     _export_metrics(args, service)
-    _close(service)
+    service.close()
     return 0
 
 
-def _serve_sharded(args, requests, chargers, config) -> int:
-    """The ``--shards N > 1`` path: one journal per shard, supervised.
+def _serve(args, requests, chargers, config) -> int:
+    """Run the daemon: one :class:`~repro.shard.service.ShardedService`
+    (``--shards`` kernels; one by default) under one
+    :class:`~repro.shard.supervisor.ShardSupervisor`.
 
-    Every run goes through a :class:`~repro.shard.supervisor.ShardSupervisor`
-    — the only shard-recovery path — so a shard death, injected or real,
-    heals in place instead of ending the run.
+    The supervisor is the only crash loop: a shard death, injected or
+    real — a killed shard, a journal write fault — heals in place
+    instead of ending the run.
     """
+    from .errors import ConfigurationError
     from .faults import drive
     from .geometry import Field
     from .shard import ShardedService, ShardSupervisor
@@ -475,34 +444,35 @@ def _serve_sharded(args, requests, chargers, config) -> int:
         fault_plan = _load_fault_plan(
             args.fault_plan, requests, chargers, n_shards=args.shards
         )
-        if fault_plan.journal_faults():
-            print(
-                "journal faults are per-kernel; with --shards > 1 use "
-                "shard_kill events instead (seed:N generates them)",
-                file=sys.stderr,
-            )
-            return 2
         if fault_plan.supervisor_events() and not args.journal:
             print("shard chaos events require --journal", file=sys.stderr)
             return 2
 
-    field = Field(args.field, args.field)
     service = ShardedService(
         chargers,
         n_shards=args.shards,
-        field=field,
+        field=Field(args.field, args.field),
         halo=args.halo,
         config=config,
         journal_dir=args.journal,
         snapshot_every=args.snapshot_every,
         snapshot_keep=args.snapshot_keep,
     )
-    supervisor = ShardSupervisor(service, seed=args.seed)
-    drive(
-        service, requests, fault_plan, supervisor=supervisor,
-        advance_to=args.duration,
-    )
-    supervisor.close()
+    # Each journal write fault crashes the live shard or one recovery
+    # attempt, so a budget above their count never escalates on them.
+    armed = len(fault_plan.journal_faults()) if fault_plan is not None else 0
+    with ShardSupervisor(
+        service, seed=args.seed, max_restarts=max(3, armed + 1)
+    ) as supervisor:
+        try:
+            drive(
+                service, requests, fault_plan, supervisor=supervisor,
+                advance_to=args.duration,
+            )
+        except ConfigurationError as exc:
+            print(f"--fault-plan: {exc}", file=sys.stderr)
+            service.close()
+            return 2
     stats = supervisor.stats
     print(
         f"supervisor: {stats['failures']} failures, "
@@ -531,13 +501,16 @@ def _serve_sharded(args, requests, chargers, config) -> int:
     repairs = sum(k.planner.ops["repair_moves"] for k in service.kernels.values())
     solves = sum(k.planner.ops["full_solves"] for k in service.kernels.values())
     print(f"replanner: {moves} moves, {repairs} repairs, {solves} full solves")
-    return _finish(args, service, chargers, config)
+    _export_metrics(args, service)
+    rc = _check_recovery(args, service, chargers, config) if args.check_recovery else 0
+    service.close()
+    return rc
 
 
 def serve_main(argv: Optional[List[str]] = None) -> int:
     """``ccs-serve`` entry point; returns a process exit code."""
     from .geometry import Field
-    from .service import ChargingService, ServiceConfig
+    from .service import ServiceConfig
     from .service.loadgen import generate_requests, read_trace
 
     args = _build_serve_parser().parse_args(argv)
@@ -563,14 +536,14 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
         print("--recover-only requires --journal", file=sys.stderr)
         return 2
 
+    chargers = _grid_chargers(args.chargers, args.field)
+    config = ServiceConfig(
+        epoch=args.epoch,
+        window=args.window,
+        queue_limit=args.queue_limit,
+        max_active=args.max_active,
+    )
     if args.recover_only:
-        chargers = _grid_chargers(args.chargers, args.field)
-        config = ServiceConfig(
-            epoch=args.epoch,
-            window=args.window,
-            queue_limit=args.queue_limit,
-            max_active=args.max_active,
-        )
         return _recover_only(args, chargers, config)
 
     if args.trace:
@@ -585,74 +558,7 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
             max_price_factor=args.max_price_factor,
             rng=args.seed,
         )
-
-    chargers = _grid_chargers(args.chargers, args.field)
-    config = ServiceConfig(
-        epoch=args.epoch,
-        window=args.window,
-        queue_limit=args.queue_limit,
-        max_active=args.max_active,
-    )
-    if args.shards > 1:
-        return _serve_sharded(args, requests, chargers, config)
-    fault_plan = None
-    if args.fault_plan:
-        fault_plan = _load_fault_plan(args.fault_plan, requests, chargers)
-        if fault_plan.supervisor_events():
-            print(
-                "shard chaos events require --shards > 1", file=sys.stderr
-            )
-            return 2
-        if fault_plan.journal_faults() and not args.journal:
-            print(
-                "--fault-plan with journal faults requires --journal",
-                file=sys.stderr,
-            )
-            return 2
-
-    if fault_plan is not None and fault_plan.journal_faults():
-        from .faults import drive_with_recovery
-
-        service, fault_stats = drive_with_recovery(
-            args.journal, chargers, requests, fault_plan,
-            config=config, advance_to=args.duration,
-        )
-        print(
-            f"faults: {len(fault_plan)} scheduled, "
-            f"{fault_stats['crashes']} crashes, "
-            f"{fault_stats['recoveries']} recoveries"
-        )
-    elif fault_plan is not None:
-        from .faults import drive
-
-        service = ChargingService(
-            chargers, config=config, journal_path=args.journal,
-            snapshot_every=args.snapshot_every, snapshot_keep=args.snapshot_keep,
-        )
-        drive(service, requests, fault_plan, advance_to=args.duration)
-        print(f"faults: {len(fault_plan)} scheduled")
-    else:
-        service = ChargingService(
-            chargers, config=config, journal_path=args.journal,
-            snapshot_every=args.snapshot_every, snapshot_keep=args.snapshot_keep,
-        )
-        for request in requests:
-            service.submit(request)
-        if args.duration is not None:
-            service.advance(args.duration)
-        service.drain()
-
-    counts = service.counts()
-    sessions = service.final_schedule()
-    print(f"requests: {len(requests)}  sessions: {len(sessions)}")
-    print("  " + "  ".join(f"{state}={n}" for state, n in sorted(counts.items())))
-    ops = service.planner.ops
-    print(
-        f"replanner: {ops['moves']} moves, {ops['repair_moves']} repairs, "
-        f"{ops['full_solves']} full solves"
-    )
-
-    return _finish(args, service, chargers, config)
+    return _serve(args, requests, chargers, config)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -22,15 +22,15 @@ Layout:
 - :mod:`.tasks` — module-qualified chaos task kinds for spawned workers.
 - :mod:`.driver` — feed a request stream *and* a fault plan into a
   :class:`~repro.service.kernel.ChargingService` or a sharded service
-  (:func:`drive`, optionally through a shard supervisor), including the
+  (:func:`drive`, optionally through a shard supervisor — the one
   crash → recover → re-feed loop the chaos suite asserts byte-identity
-  over.
+  over).
 
 See ``docs/FAULTS.md`` for the fault model and the failure-semantics
 state diagram.
 """
 
-from .driver import apply_event, drive, drive_with_recovery, merge_timeline
+from .driver import apply_event, drive, merge_timeline
 from .executor import FaultyExecutor
 from .journal import FaultyJournal
 from .plan import FAULT_KINDS, SUPERVISOR_KINDS, FaultEvent, FaultPlan
@@ -44,6 +44,5 @@ __all__ = [
     "FaultyExecutor",
     "apply_event",
     "drive",
-    "drive_with_recovery",
     "merge_timeline",
 ]

@@ -10,42 +10,26 @@ into a :class:`~repro.service.kernel.ChargingService` or a
 :class:`~repro.shard.supervisor.ShardSupervisor`, which is the only
 consumer of shard chaos events and the only path that recovers a shard.
 
-:func:`drive_with_recovery` is the full crash loop: the service journals
-through a :class:`~repro.faults.journal.FaultyJournal`, and whenever an
-injected write failure "kills the daemon"
-(:class:`~repro.errors.JournalWriteError` for a clean ``ENOSPC``,
-:class:`~repro.errors.InjectedFaultError` for a torn mid-record write),
-the dead service object is abandoned,
-:meth:`~repro.service.kernel.ChargingService.recover` rebuilds a fresh
-one from the longest valid journal prefix, and the *entire* timeline is
-re-fed from the start — every kernel input is idempotent (known request
-ids, applied fault keys), so the re-feed no-ops through everything
-already journaled and continues from the crash point.  The surviving
-``fail_at`` dict is shared across journal instances, so multi-fault plans
-arm correctly: fired faults stay fired, later faults stay armed (record
-numbering is stable because recovery is byte-identical).
+The crash → recover → re-feed loop is the supervisor's: journal write
+faults armed by :meth:`~repro.shard.supervisor.ShardSupervisor.arm` kill
+the shard mid-input, and the supervisor rebuilds it from the longest
+valid journal prefix and re-feeds its history — every kernel input is
+idempotent (known request ids, applied fault keys), so the re-feed no-ops
+through everything already journaled and continues from the crash point.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
 
-from ..errors import (
-    ConfigurationError,
-    InjectedFaultError,
-    JournalWriteError,
-    ServiceError,
-)
-from ..service.kernel import ChargingService, ServiceConfig
+from ..errors import ConfigurationError, ServiceError
 from ..service.request import ChargingRequest
-from .journal import FaultyJournal
 from .plan import FaultEvent, FaultPlan
 
 if TYPE_CHECKING:  # pragma: no cover - typing only; shard imports faults
     from ..shard.supervisor import ShardSupervisor
 
-__all__ = ["apply_event", "drive", "drive_with_recovery", "merge_timeline"]
+__all__ = ["apply_event", "drive", "merge_timeline"]
 
 #: One timeline item: ``("submit", t, ChargingRequest)``,
 #: ``("fault", t, FaultEvent)`` for a kernel fault, or ``(kind, t,
@@ -124,15 +108,16 @@ def drive(
     *supervisor* each item goes straight through :func:`apply_event`;
     with one (it must supervise *target*) each item goes through
     :meth:`~repro.shard.supervisor.ShardSupervisor.apply`, which also
-    consumes the shard chaos events, and the plan's ``recovery_crash``
-    faults are armed against its recovery journals first.  Any shard
+    consumes the shard chaos events, and the plan's ``journal_write`` and
+    ``recovery_crash`` faults are armed first
+    (:meth:`~repro.shard.supervisor.ShardSupervisor.arm`).  Any shard
     death the run provokes heals in place; the kill and recovery tally
     lands in ``supervisor.stats``.
 
     ``advance_to`` optionally drives the clock past the last event before
-    the drain (the ``ccs-serve --duration`` knob).  Journal/worker faults
-    in the plan are ignored here — use :func:`drive_with_recovery`
-    (journal) or :class:`~repro.faults.executor.FaultyExecutor` (workers).
+    the drain (the ``ccs-serve --duration`` knob).  Without a supervisor
+    the plan's journal faults are ignored; worker faults always are — use
+    :class:`~repro.faults.executor.FaultyExecutor` for those.
     """
     plan = plan if plan is not None else FaultPlan()
     if supervisor is not None:
@@ -156,82 +141,3 @@ def drive(
     if drain:
         call("drain")
     return target
-
-
-def drive_with_recovery(
-    journal_path: Union[str, Path],
-    chargers: Sequence[Any],
-    requests: Sequence[ChargingRequest],
-    plan: FaultPlan,
-    mobility: Optional[Any] = None,
-    scheme: Optional[Any] = None,
-    config: Optional[ServiceConfig] = None,
-    drain: bool = True,
-    advance_to: Optional[float] = None,
-) -> Tuple[ChargingService, Dict[str, Any]]:
-    """Run the full crash → recover → re-feed loop (module docstring).
-
-    Returns ``(service, stats)`` where *stats* counts the injected
-    crashes and successful recoveries and lists the fired journal faults
-    as ``(seq, mode)``.
-
-    A fault can fire *during recovery* too: replay re-derives past the
-    crash point (the input that was mid-derivation when the daemon died
-    is itself in the journal prefix), so a later armed seq can be reached
-    while replaying — exactly like a disk that keeps failing while the
-    daemon restarts.  Recovery is simply retried; each crash consumes one
-    armed fault, so the loop is bounded by the plan.
-    """
-    fail_at = plan.journal_faults()  # shared; FaultyJournal pops fired entries
-    budget = len(fail_at)  # every crash fires (and disarms) exactly one fault
-    timeline = merge_timeline(requests, plan)
-    journals: List[FaultyJournal] = []
-    stats: Dict[str, Any] = {"crashes": 0, "recoveries": 0}
-
-    def factory(path: Union[str, Path]) -> FaultyJournal:
-        journal = FaultyJournal(path, truncate=True, sync=False, fail_at=fail_at)
-        journals.append(journal)
-        return journal
-
-    def crashed() -> None:
-        stats["crashes"] += 1
-        if stats["crashes"] > budget:
-            raise ServiceError(
-                f"fault plan still crashing after {budget} armed faults; "
-                "a journal fault seq is being re-armed or re-hit"
-            )
-        journals[-1].close()
-
-    service = ChargingService(
-        chargers, mobility=mobility, scheme=scheme, config=config,
-        journal=factory(journal_path),
-    )
-    while True:
-        try:
-            for item in timeline:
-                apply_event(service, item)
-            if advance_to is not None:
-                service.advance(advance_to)
-            if drain:
-                service.drain()
-            break
-        except (InjectedFaultError, JournalWriteError):
-            # The "daemon" is dead: abandon its in-memory state entirely
-            # and rebuild from the longest valid journal prefix, retrying
-            # if the disk fails again mid-replay.
-            crashed()
-            while True:
-                try:
-                    service = ChargingService.recover(
-                        journal_path, chargers, mobility=mobility,
-                        scheme=scheme, config=config, journal_factory=factory,
-                    )
-                    stats["recoveries"] += 1
-                    break
-                except (InjectedFaultError, JournalWriteError):
-                    crashed()
-    stats["journal_faults_fired"] = sorted(
-        entry for journal in journals for entry in journal.fired
-    )
-    stats["journal_faults_unfired"] = sorted(fail_at.items())
-    return service, stats

@@ -19,11 +19,12 @@ record carrying a scheduled seq, the write fails in one of two ways:
     with a garbage tail on disk, and recovery must find the longest valid
     prefix (:meth:`Journal.read_records`) and replay past it.
 
-The ``fail_at`` dict is consumed in place (fired entries are popped), so a
-recovery driver can hand the *same* dict to each successive journal
-instance: faults already fired stay fired, faults not yet reached stay
-armed.  Record numbering is stable across recovery because replay is
-byte-identical.  Fired faults are logged in :attr:`fired` as
+The ``fail_at`` dict is consumed in place (fired entries are popped), so
+:meth:`repro.shard.supervisor.ShardSupervisor.arm` hands the *same* dict
+to the live journal (:meth:`FaultyJournal.adopt`) and to every recovery
+journal of that shard: faults already fired stay fired, faults not yet
+reached stay armed.  Record numbering is stable across recovery because
+replay is byte-identical.  Fired faults are logged in :attr:`fired` as
 ``(seq, mode)`` for assertions.
 
 ``sync`` defaults to ``False`` here — chaos tests measure logic, not disk
@@ -58,6 +59,21 @@ class FaultyJournal(Journal):
         self.fail_at: Dict[int, str] = fail_at if fail_at is not None else {}
         #: Faults that actually fired, as ``(seq, mode)``.
         self.fired: List[Tuple[int, str]] = []
+
+    @classmethod
+    def adopt(cls, journal: Journal, fail_at: Dict[int, str]) -> "FaultyJournal":
+        """Take over a live *journal*'s file, failing appends per *fail_at*.
+
+        Closes *journal* and reopens the same path for append, keeping
+        ``seq`` and ``base_seq``, so the next record lands exactly where
+        *journal*'s would have.  Callers swap the result in for *journal*.
+        """
+        journal.barrier()
+        journal.close()
+        faulty = cls(journal.path, truncate=False, sync=journal.sync, fail_at=fail_at)
+        faulty.seq = journal.seq
+        faulty.base_seq = journal.base_seq
+        return faulty
 
     def _write(self, line: str) -> None:
         mode = self.fail_at.pop(self.seq, None)

@@ -306,46 +306,22 @@ class FaultPlan:
         the whole field down only tests the trivial all-rejected path.
         """
         events: List[FaultEvent] = []
-        if horizon is None:
-            last = max((float(r.submitted_at) for r in requests), default=0.0)
-            horizon = last + 600.0
+        horizon = _horizon(requests, horizon)
 
         rng = ensure_rng(derive_seed(int(seed), _NS_OUTAGE))
         downed = 0
         for cid in charger_ids:
             if downed >= max(0, len(charger_ids) - 1):
                 break
-            if rng.random() < outage_prob:
-                t_down = float(rng.uniform(0.0, horizon))
-                duration = float(rng.exponential(mean_outage))
-                events.append(FaultEvent(t=t_down, kind="charger_down", target=cid))
-                events.append(
-                    FaultEvent(t=t_down + duration, kind="charger_up", target=cid)
-                )
-                downed += 1
+            outage = _draw_outage(rng, cid, horizon, outage_prob, mean_outage)
+            events.extend(outage)
+            downed += bool(outage)
 
         rng = ensure_rng(derive_seed(int(seed), _NS_CANCEL))
         for req in requests:
-            u = rng.random()
-            delay = float(rng.uniform(0.0, cancel_window))
-            if u < cancel_prob:
-                events.append(
-                    FaultEvent(
-                        t=float(req.submitted_at) + delay,
-                        kind="cancel",
-                        target=req.request_id,
-                        reason="cancelled",
-                    )
-                )
-            elif u < cancel_prob + no_show_prob:
-                events.append(
-                    FaultEvent(
-                        t=float(req.submitted_at),
-                        kind="no_show",
-                        target=req.request_id,
-                        reason="no-show",
-                    )
-                )
+            events.extend(
+                _draw_cancel(rng, req, cancel_prob, no_show_prob, cancel_window)
+            )
 
         if journal_faults > 0:
             if journal_records is None:
@@ -416,43 +392,15 @@ class FaultPlan:
         deliberately absent here.
         """
         events: List[FaultEvent] = []
-        if horizon is None:
-            last = max((float(r.submitted_at) for r in requests), default=0.0)
-            horizon = last + 600.0
-
+        horizon = _horizon(requests, horizon)
         for cid in charger_ids:
             rng = ensure_rng(derive_seed(int(seed), "outage", cid))
-            if rng.random() < outage_prob:
-                t_down = float(rng.uniform(0.0, horizon))
-                duration = float(rng.exponential(mean_outage))
-                events.append(FaultEvent(t=t_down, kind="charger_down", target=cid))
-                events.append(
-                    FaultEvent(t=t_down + duration, kind="charger_up", target=cid)
-                )
-
+            events.extend(_draw_outage(rng, cid, horizon, outage_prob, mean_outage))
         for req in requests:
             rng = ensure_rng(derive_seed(int(seed), "cancel", req.request_id))
-            u = rng.random()
-            delay = float(rng.uniform(0.0, cancel_window))
-            if u < cancel_prob:
-                events.append(
-                    FaultEvent(
-                        t=float(req.submitted_at) + delay,
-                        kind="cancel",
-                        target=req.request_id,
-                        reason="cancelled",
-                    )
-                )
-            elif u < cancel_prob + no_show_prob:
-                events.append(
-                    FaultEvent(
-                        t=float(req.submitted_at),
-                        kind="no_show",
-                        target=req.request_id,
-                        reason="no-show",
-                    )
-                )
-
+            events.extend(
+                _draw_cancel(rng, req, cancel_prob, no_show_prob, cancel_window)
+            )
         return cls(events)
 
     @classmethod
@@ -525,3 +473,44 @@ class FaultPlan:
                     )
                 )
         return cls(events)
+
+
+# ---------------------------------------------------------------------- #
+# per-entity draws shared by generate (one stream per kind) and
+# generate_keyed (one stream per entity)
+
+
+def _horizon(requests: Sequence[Any], horizon: Optional[float]) -> float:
+    """*horizon*, defaulting to 600 s past the last submission."""
+    if horizon is not None:
+        return horizon
+    return max((float(r.submitted_at) for r in requests), default=0.0) + 600.0
+
+
+def _draw_outage(
+    rng: Any, cid: str, horizon: float, outage_prob: float, mean_outage: float
+) -> List[FaultEvent]:
+    """Charger *cid*'s outage coin: no events, or a down/up pair."""
+    if not rng.random() < outage_prob:
+        return []
+    t_down = float(rng.uniform(0.0, horizon))
+    t_up = t_down + float(rng.exponential(mean_outage))
+    return [
+        FaultEvent(t=t_down, kind="charger_down", target=cid),
+        FaultEvent(t=t_up, kind="charger_up", target=cid),
+    ]
+
+
+def _draw_cancel(
+    rng: Any, req: Any, cancel_prob: float, no_show_prob: float, cancel_window: float
+) -> List[FaultEvent]:
+    """Request *req*'s coin: a cancellation some time into its wait, a
+    no-show at submission, or neither (both numbers are always drawn)."""
+    u = rng.random()
+    delay = float(rng.uniform(0.0, cancel_window))
+    rid, t = req.request_id, float(req.submitted_at)
+    if u < cancel_prob:
+        return [FaultEvent(t=t + delay, kind="cancel", target=rid, reason="cancelled")]
+    if u < cancel_prob + no_show_prob:
+        return [FaultEvent(t=t, kind="no_show", target=rid, reason="no-show")]
+    return []

@@ -13,7 +13,8 @@ Degenerate-case guarantee (asserted byte-for-byte by the test suite):
 with ``n_shards=1`` the lone kernel receives the same chargers in the
 same order and the same input stream as an unsharded ``ChargingService``
 would, so its journal bytes, metrics snapshot, and final schedule are
-*identical* — sharding at 1 is the unsharded service.
+*identical* — sharding at 1 is the unsharded service, which is why
+``ccs-serve`` runs every daemon, one shard included, through this facade.
 
 Durability: each shard journals independently under ``journal_dir``
 (``shard-0000.jsonl``, …) next to a ``manifest.json`` recording the
@@ -48,6 +49,7 @@ from ..errors import (
     ShardUnavailableError,
 )
 from ..geometry import Field
+from ..io import atomic_replace
 from ..mobility import MobilityModel
 from ..service.kernel import ChargingService, ServiceConfig
 from ..service.metrics import Metrics, merge_snapshots
@@ -233,11 +235,15 @@ class ShardedService:
         }
 
     def _write_manifest(self) -> None:
+        """Publish the manifest durably: a temp sibling, fsynced and
+        renamed over the old one (:func:`~repro.io.atomic_replace`)."""
         assert self.journal_dir is not None
         path = self.journal_dir / MANIFEST_NAME
-        with open(path, "w", encoding="utf-8") as fh:
+        tmp = path.with_name(path.name + ".tmp")
+        with open(tmp, "w", encoding="utf-8") as fh:
             json.dump(self._manifest_payload(), fh, indent=2, sort_keys=True)
             fh.write("\n")
+        atomic_replace(tmp, path)
 
     # ------------------------------------------------------------------ #
     # the kernel-compatible input API
@@ -539,9 +545,10 @@ class ShardedService:
 
         A directory still owned by a live service object in this process
         raises :class:`~repro.errors.LiveJournalError` (``close()`` it
-        first).  A missing, unparsable, or version-skewed manifest raises
-        :class:`~repro.errors.RecoveryError`: the partition shape cannot
-        be trusted, so no per-shard replay may start.
+        first).  A missing, unparsable, or version-skewed manifest — or a
+        file where the directory belongs, such as a single-file journal —
+        raises :class:`~repro.errors.RecoveryError`: the partition shape
+        cannot be trusted, so no per-shard replay may start.
         """
         journal_dir = Path(journal_dir)
         if str(journal_dir.resolve()) in _LIVE_DIRS:
@@ -556,6 +563,12 @@ class ShardedService:
             raise RecoveryError(
                 f"no shard manifest at {journal_dir / MANIFEST_NAME}"
             ) from exc
+        except NotADirectoryError as exc:
+            raise RecoveryError(
+                f"{journal_dir} is a file, not a journal directory (one "
+                f"holding {MANIFEST_NAME} and a shard-NNNN.jsonl journal "
+                "per shard)"
+            ) from exc
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise RecoveryError(
                 f"shard manifest {journal_dir / MANIFEST_NAME} is corrupt: {exc}"
@@ -566,43 +579,6 @@ class ShardedService:
                 f"unsupported shard manifest schema {got!r} "
                 f"(supported: {MANIFEST_SCHEMA})"
             )
-        field = Field(manifest["field"]["width"], manifest["field"]["height"])
-        service = cls(
-            chargers,
-            n_shards=int(manifest["n_shards"]),
-            field=field,
-            halo=float(manifest["halo"]),
-            mobility=mobility,
-            scheme=scheme,
-            config=config,
-            journal_sync=journal_sync,
-            journal_dir=journal_dir,
-            snapshot_every=snapshot_every,
-            snapshot_keep=snapshot_keep,
-            compact=compact,
-            _recovered=cls._recover_kernels(
-                journal_dir, manifest, chargers, mobility, scheme, config,
-                journal_sync, snapshot_every, snapshot_keep, compact,
-            ),
-        )
-        for sid in sorted(service.kernels):
-            for rid in service.kernels[sid].requests:
-                service.router.assignment[rid] = sid
-        return service
-
-    @staticmethod
-    def _recover_kernels(
-        journal_dir: Path,
-        manifest: Dict[str, Any],
-        chargers: Sequence[Charger],
-        mobility: Optional[MobilityModel],
-        scheme: Optional[CostSharingScheme],
-        config: Optional[ServiceConfig],
-        journal_sync: bool,
-        snapshot_every: Optional[int] = None,
-        snapshot_keep: int = 2,
-        compact: bool = True,
-    ) -> Dict[int, ChargingService]:
         by_id = {c.charger_id: c for c in chargers}
         kernels: Dict[int, ChargingService] = {}
         for sid_str in sorted(manifest["shards"], key=int):
@@ -626,5 +602,22 @@ class ShardedService:
                 snapshot_keep=snapshot_keep,
                 compact=compact,
             )
-        return kernels
-
+        service = cls(
+            chargers,
+            n_shards=int(manifest["n_shards"]),
+            field=Field(manifest["field"]["width"], manifest["field"]["height"]),
+            halo=float(manifest["halo"]),
+            mobility=mobility,
+            scheme=scheme,
+            config=config,
+            journal_sync=journal_sync,
+            journal_dir=journal_dir,
+            snapshot_every=snapshot_every,
+            snapshot_keep=snapshot_keep,
+            compact=compact,
+            _recovered=kernels,
+        )
+        for sid in sorted(service.kernels):
+            for rid in service.kernels[sid].requests:
+                service.router.assignment[rid] = sid
+        return service

@@ -35,11 +35,11 @@ pure function of ``(seed, failure sequence)``, re-running the same
 timeline against the same fault plan reproduces the supervision journal
 byte-for-byte — the supervise→recover→re-feed loop is itself replayable.
 
-The supervisor is also the chaos harness's only consumer of shard chaos:
+The supervisor is also the chaos harness's only crash loop:
 ``drive(service, requests, plan, supervisor=supervisor)``
-(:func:`repro.faults.driver.drive`) arms the plan's ``recovery_crash``
-faults (:meth:`arm`) and feeds every timeline item through
-:meth:`apply`, which turns ``shard_kill`` / ``snapshot_corrupt`` /
+(:func:`repro.faults.driver.drive`) arms the plan's ``journal_write`` and
+``recovery_crash`` faults (:meth:`arm`) and feeds every timeline item
+through :meth:`apply`, which turns ``shard_kill`` / ``snapshot_corrupt`` /
 ``crash_in_snapshot`` items into kills and on-disk damage — converging
 byte-identical to a fault-free run with zero operator calls.
 """
@@ -291,24 +291,56 @@ class ShardSupervisor:
     # chaos
 
     def arm(self, plan: FaultPlan) -> None:
-        """Arm *plan*'s ``recovery_crash`` faults against recovery journals.
+        """Arm *plan*'s journal-keyed faults: the crash → recover → re-feed loop.
 
-        Each armed shard's recovery journals share one ``fail_at`` dict
-        across attempts, so fired entries stay popped and later ones stay
-        armed — the crash-loop shape backoff and escalation are built
-        against.  A plan with no recovery crashes leaves
-        ``recovery_journal_factory`` as it is.
+        ``journal_write`` faults go on the one kernel's live journal
+        (:meth:`~repro.faults.journal.FaultyJournal.adopt`) and on every
+        recovery journal of its shard; ``recovery_crash`` faults on the
+        named shard's recovery journals.  Each shard's journals share one
+        ``fail_at`` dict, so fired entries stay popped, later ones stay
+        armed, and every crash consumes exactly one armed fault.  A plan
+        with neither leaves ``recovery_journal_factory`` as it is.
+
+        Raises :class:`~repro.errors.ConfigurationError` for
+        ``journal_write`` faults on a facade with more than one kernel
+        (kill shards with ``shard_kill`` instead) or without journals, at
+        seqs already written, or on a shard also armed with
+        ``recovery_crash``.
         """
         armed = plan.recovery_crashes()
+        fail_at = plan.journal_faults()
+        if fail_at:
+            ((sid, kernel), *others) = self.service.kernels.items()
+            if others:
+                raise ConfigurationError(
+                    "journal_write faults are per-kernel; a facade with "
+                    f"{len(self.service.kernels)} kernels takes shard_kill "
+                    "events instead"
+                )
+            if kernel.journal is None:
+                raise ConfigurationError("journal_write faults need a journal")
+            if sid in armed:
+                raise ConfigurationError(
+                    f"shard {sid} is armed with both journal_write and "
+                    "recovery_crash faults"
+                )
+            written = sorted(seq for seq in fail_at if seq < kernel.journal.seq)
+            if written:
+                raise ConfigurationError(
+                    f"journal_write faults at seqs {written} target records "
+                    "already written"
+                )
+            kernel.journal = FaultyJournal.adopt(kernel.journal, fail_at)
+            armed[sid] = fail_at
         if not armed:
             return
 
         def factory(shard: int) -> Optional[Callable[[str], Journal]]:
-            fail_at = armed.get(shard)
-            if not fail_at:
+            shard_fail_at = armed.get(shard)
+            if shard_fail_at is None:
                 return None
             return lambda path: FaultyJournal(
-                path, truncate=True, sync=False, fail_at=fail_at
+                path, truncate=True, sync=False, fail_at=shard_fail_at
             )
 
         self.recovery_journal_factory = factory

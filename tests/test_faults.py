@@ -19,6 +19,8 @@ Three contracts under test:
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 
 import pytest
@@ -32,6 +34,7 @@ from repro.errors import (
 from repro.experiments.exec import ParallelExecutor, ResultCache, SerialExecutor, Task
 from repro.faults import FaultEvent, FaultPlan, FaultyExecutor, FaultyJournal
 from repro.service.journal import Journal
+from repro.service.loadgen import generate_requests
 
 
 class TestFaultEvent:
@@ -98,6 +101,42 @@ class TestFaultPlan:
         )
         downed = {e.target for e in plan if e.kind == "charger_down"}
         assert len(downed) <= 2
+
+
+def _plan_digest(plan: FaultPlan) -> str:
+    return hashlib.sha256(
+        json.dumps(plan.to_dict(), sort_keys=True).encode("utf-8")
+    ).hexdigest()
+
+
+class TestPlanDigests:
+    """Generated plans are pinned byte for byte: the deployed-daemon
+    benchmark builds its timelines with ``FaultPlan.generate``, so any
+    refactor of the draws must reproduce every plan exactly."""
+
+    REQUESTS = generate_requests(40, rate=0.05, rng=3)
+    CHARGERS = [f"c{i}" for i in range(6)]
+
+    @pytest.mark.parametrize("seed,generate,keyed,supervised", [
+        (0, "86d4b63cc4002a9fd3a015c299b17d1afed2e97d19ae65188850d7fe2b5b2117",
+         "f23179625de9b99fe1979d00d6183fa2994d88d601f80b0b8513bacbde9b12b2",
+         "9f75e539125bbea429e7a2803db84dadb259014b1b3cb0f08c00d09a2bbc5ec4"),
+        (7, "05a35f5dd490a9379e707f4d9006e85c88bfb6834cbe83b6fd0d845d23604ad4",
+         "628c043626e9dcf297865d295e8e7c4d958b24fa03b16ca58796ef3016f4a65c",
+         "d9e8c356d32650bc73d0e35413c7583ee4d55ef4a2c9b4660750940b2f57c950"),
+        (13, "b39351314d00794a948bd43ae1303f5c9f9f3865e2fa3bb87a3941286d6eaffa",
+         "a7a945a6f767304255448c3e7fdcd3f46df1e3ee10a26ad8dea6fd3d5c956530",
+         "d8d97d28ca39ffc143d4df6caced89fad2556a7a567df32b2fdf14f179a3baa5"),
+    ])
+    def test_generated_plans_are_pinned(self, seed, generate, keyed, supervised):
+        assert _plan_digest(FaultPlan.generate(
+            seed, charger_ids=self.CHARGERS, requests=self.REQUESTS,
+            journal_faults=3, n_tasks=5,
+        )) == generate
+        assert _plan_digest(FaultPlan.generate_keyed(
+            seed, charger_ids=self.CHARGERS, requests=self.REQUESTS,
+        )) == keyed
+        assert _plan_digest(FaultPlan.generate_supervised(seed, 4, 900.0)) == supervised
 
 
 class TestJournalSync:

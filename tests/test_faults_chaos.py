@@ -13,9 +13,10 @@ the kernel and asserts, after *every* injected event:
    structure's placements exactly.
 4. **Terminality**: after ``drain()`` every request is terminal.
 5. **Durability**: the journal replays byte-identically from any
-   truncation point, and the crash → recover → re-feed loop under
-   injected journal faults converges on the exact journal an
-   uninterrupted fault-free-disk run writes.
+   truncation point, and the shard supervisor's crash → recover →
+   re-feed loop, driving a one-shard facade under injected journal
+   faults, converges on the exact journal an uninterrupted
+   fault-free-disk kernel writes.
 
 The quick versions run in tier-1; the ``chaos``-marked heavy versions
 (hundreds of examples) run via ``make chaos``.
@@ -35,7 +36,8 @@ from repro.service import (
     ServiceConfig,
     generate_requests,
 )
-from repro.faults import FaultPlan, apply_event, drive, drive_with_recovery, merge_timeline
+from repro.faults import FaultPlan, apply_event, drive, merge_timeline
+from repro.shard import ShardedService, ShardSupervisor
 from repro.wpt import Charger
 
 CONFIG = ServiceConfig(epoch=60.0, window=120.0)
@@ -152,30 +154,9 @@ class TestDurabilityUnderChaos:
               suppress_health_check=[HealthCheck.too_slow])
     @given(seed=st.integers(0, 10_000))
     def test_journal_fault_crash_loop_converges(self, seed, tmp_path_factory):
-        tmp_path = tmp_path_factory.mktemp("chaos")
         requests = make_stream(seed)
         plan = make_plan(seed + 1, requests, journal_faults=3)
-        path = tmp_path / "faulty.jsonl"
-        svc, stats = drive_with_recovery(path, make_chargers(), requests, plan,
-                                         config=CONFIG)
-        svc.journal.close()
-        ref_path = tmp_path / "ref.jsonl"
-        ref = ChargingService(make_chargers(), config=CONFIG,
-                              journal_path=ref_path, journal_sync=False)
-        drive(ref, requests, plan)
-        ref.journal.close()
-        assert path.read_bytes() == ref_path.read_bytes()
-        assert svc.metrics_snapshot() == ref.metrics_snapshot()
-        assert svc.final_schedule() == ref.final_schedule()
-        # Every crash fires exactly one armed fault; a crash during
-        # recovery retries the recovery, so recoveries never exceed
-        # crashes but the last crash always ends in a successful one.
-        assert stats["crashes"] == len(stats["journal_faults_fired"])
-        assert stats["recoveries"] <= stats["crashes"]
-        assert stats["crashes"] == 0 or stats["recoveries"] >= 1
-        # Every journaled record is intact: longest-prefix read sees no tear.
-        records, torn = Journal.read_records(path)
-        assert not torn and records
+        assert_crash_loop_converges(tmp_path_factory.mktemp("chaos"), requests, plan)
 
     @pytest.mark.chaos
     @settings(max_examples=100, deadline=None,
@@ -183,16 +164,40 @@ class TestDurabilityUnderChaos:
     @given(seed=st.integers(0, 1_000_000), faults=st.integers(1, 6))
     def test_journal_fault_crash_loop_converges_heavy(self, seed, faults,
                                                       tmp_path_factory):
-        tmp_path = tmp_path_factory.mktemp("chaos")
         requests = make_stream(seed, n=15)
         plan = make_plan(seed + 1, requests, journal_faults=faults)
-        path = tmp_path / "faulty.jsonl"
-        svc, _stats = drive_with_recovery(path, make_chargers(), requests, plan,
-                                          config=CONFIG)
-        svc.journal.close()
-        ref_path = tmp_path / "ref.jsonl"
-        ref = ChargingService(make_chargers(), config=CONFIG,
-                              journal_path=ref_path, journal_sync=False)
-        drive(ref, requests, plan)
-        ref.journal.close()
-        assert path.read_bytes() == ref_path.read_bytes()
+        assert_crash_loop_converges(tmp_path_factory.mktemp("chaos"), requests, plan)
+
+
+def assert_crash_loop_converges(tmp_path, requests, plan):
+    """Drive a one-shard facade through the supervisor's crash loop and
+    hold it to an uninterrupted fault-free-disk kernel (item 5)."""
+    armed = len(plan.journal_faults())
+    svc = ShardedService(make_chargers(), n_shards=1, config=CONFIG,
+                         journal_dir=tmp_path / "faulty", journal_sync=False)
+    # Each crash consumes one armed fault, so this budget never escalates.
+    sup = ShardSupervisor(svc, max_restarts=armed + 1)
+    drive(svc, requests, plan, supervisor=sup)
+    sup.close()
+    (kernel,) = svc.kernels.values()
+    unfired = len(kernel.journal.fail_at)  # the shared dict, popped as faults fire
+    svc.close()
+    ref_path = tmp_path / "ref.jsonl"
+    ref = ChargingService(make_chargers(), config=CONFIG,
+                          journal_path=ref_path, journal_sync=False)
+    drive(ref, requests, plan)
+    ref.journal.close()
+    path = tmp_path / "faulty" / "shard-0000.jsonl"
+    assert path.read_bytes() == ref_path.read_bytes()
+    assert svc.metrics_snapshot() == ref.metrics_snapshot()
+    assert svc.final_schedule() == ref.final_schedule()
+    # Every crash fires exactly one armed fault: each failure and each
+    # failed restart attempt is one crash, and every failure ends in
+    # exactly one successful recovery.
+    stats = sup.stats
+    assert stats["failures"] + stats["restarts"] - stats["recoveries"] == armed - unfired
+    assert stats["recoveries"] == stats["failures"]
+    assert stats["escalations"] == 0
+    # Every journaled record is intact: longest-prefix read sees no tear.
+    records, torn = Journal.read_records(path)
+    assert not torn and records

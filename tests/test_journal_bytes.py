@@ -93,6 +93,51 @@ class TestJournalV1Fixture:
         assert got == fault_free
 
 
+class TestDurableManifest:
+    def build(self, journal_dir):
+        return ShardedService(
+            _grid_chargers(8, 100.0), n_shards=2, field=Field(100.0, 100.0),
+            config=ServiceConfig(), journal_dir=journal_dir, journal_sync=False,
+        )
+
+    def test_manifest_is_a_durable_rename(self, tmp_path, monkeypatch):
+        log = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            log.append("dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file")
+            real_fsync(fd)
+
+        def replace(src, dst):
+            log.append("replace")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        out = tmp_path / "svc"
+        self.build(out).close()
+        assert log == ["file", "replace", "dir"]
+        assert sorted(p.name for p in out.iterdir()) == [
+            "manifest.json", "shard-0000.jsonl", "shard-0001.jsonl",
+        ]
+        assert (out / "manifest.json").read_bytes() == (
+            FIXTURE / "manifest.json"
+        ).read_bytes()
+
+    def test_recovery_never_rewrites_the_manifest(self, tmp_path, monkeypatch):
+        out = tmp_path / "svc"
+        self.build(out).close()
+
+        def refuse(_self):
+            raise AssertionError("recovery must not write the manifest")
+
+        monkeypatch.setattr(ShardedService, "_write_manifest", refuse)
+        ShardedService.recover(
+            out, _grid_chargers(8, 100.0), config=ServiceConfig(),
+            journal_sync=False,
+        ).close()
+
+
 def journal_with_records(path, n):
     journal = Journal(path, sync=False)
     for k in range(n):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 
 from repro.cli import serve_main
+from repro.faults import FaultEvent, FaultPlan
 from repro.service import read_trace, write_trace
 from repro.service.loadgen import generate_requests
 
@@ -17,7 +18,7 @@ class TestServeCli:
         assert "0 full solves" in out
 
     def test_journal_metrics_and_recovery_check(self, tmp_path, capsys):
-        journal = tmp_path / "service.jsonl"
+        journal = tmp_path / "service"
         metrics = tmp_path / "metrics.json"
         rc = serve_main(
             [
@@ -33,7 +34,8 @@ class TestServeCli:
         assert "recovery check OK" in captured.err
         snap = json.loads(metrics.read_text())
         assert snap["counters"]["submitted"] == 25
-        assert journal.exists()
+        assert (journal / "shard-0000.jsonl").exists()
+        assert (journal / "manifest.json").exists()
 
     def test_trace_round_trip(self, tmp_path, capsys):
         trace = tmp_path / "trace.jsonl"
@@ -79,10 +81,10 @@ class TestServeRecoveryCli:
         )
 
     def test_snapshot_run_then_recover_only(self, tmp_path, capsys):
-        journal = tmp_path / "svc.jsonl"
+        journal = tmp_path / "svc"
         assert self._run(journal, ["--check-recovery"]) == 0
         assert "recovery check OK" in capsys.readouterr().err
-        assert list(tmp_path.glob("svc.jsonl.snap-*"))
+        assert list(journal.glob("shard-0000.jsonl.snap-*"))
         assert serve_main(["--journal", str(journal), "--recover-only"]) == 0
         assert "recovered:" in capsys.readouterr().out
 
@@ -134,12 +136,12 @@ class TestServeRecoveryCli:
         assert "manifest" in doc["message"]
 
     def test_unrecoverable_journal_is_a_structured_error(self, tmp_path, capsys):
-        journal = tmp_path / "svc.jsonl"
+        journal = tmp_path / "svc"
         assert self._run(journal) == 0
         capsys.readouterr()
         # Compaction truncated the journal prefix; garbling every
         # snapshot leaves nothing to recover from.
-        snaps = list(tmp_path.glob("svc.jsonl.snap-*"))
+        snaps = list(journal.glob("shard-0000.jsonl.snap-*"))
         assert len(snaps) >= 2
         for snap in snaps:
             snap.write_bytes(snap.read_bytes()[:20])
@@ -148,6 +150,56 @@ class TestServeRecoveryCli:
         assert rc == 3
         doc = json.loads(err.splitlines()[-1])
         assert doc["error"] == "RecoveryError"
+
+    def test_file_where_the_journal_directory_belongs(self, tmp_path, capsys):
+        # A single-file journal, as written before every run journaled
+        # into a directory, is a typed error, not a traceback.
+        journal = tmp_path / "one.jsonl"
+        journal.write_text('{"data":{},"event":"open","seq":0}\n')
+        rc = serve_main(
+            ["--shards", "4", "--journal", str(journal), "--recover-only"]
+        )
+        err = capsys.readouterr().err.strip()
+        assert rc == 3
+        doc = json.loads(err.splitlines()[-1])
+        assert doc["error"] == "RecoveryError"
+        assert "not a journal directory" in doc["message"]
+        assert "manifest.json" in doc["message"]
+
+    def test_shard_kill_heals_a_single_shard(self, tmp_path, capsys):
+        plan = tmp_path / "plan.json"
+        FaultPlan([
+            FaultEvent(t=120.0, kind="shard_kill", target="0", mode="torn"),
+            FaultEvent(t=240.0, kind="shard_kill", target="0"),
+        ]).save(plan)
+        rc = serve_main(
+            [
+                "--n", "30", "--rate", "0.4", "--seed", "7",
+                "--journal", str(tmp_path / "svc"),
+                "--fault-plan", str(plan),
+                "--check-recovery",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert "faults: 2 scheduled, 2 shard kills (1 torn)" in captured.out
+        assert "0 escalations" in captured.out
+        assert "recovery check OK" in captured.err
+
+    def test_journal_faults_need_a_single_shard(self, tmp_path, capsys):
+        plan = tmp_path / "plan.json"
+        FaultPlan([
+            FaultEvent(t=0.0, kind="journal_write", target="5", mode="torn"),
+        ]).save(plan)
+        rc = serve_main(
+            [
+                "--n", "10", "--rate", "0.4", "--seed", "7", "--chargers", "8",
+                "--shards", "4", "--journal", str(tmp_path / "svc"),
+                "--fault-plan", str(plan),
+            ]
+        )
+        assert rc == 2
+        assert "journal_write faults are per-kernel" in capsys.readouterr().err
 
     def test_flag_validation(self, capsys):
         assert serve_main(["--recover-only"]) == 2

@@ -96,6 +96,7 @@ class TestShardKillConvergence:
             outage_prob=0.5,
             cancel_prob=0.15,
             no_show_prob=0.05,
+            journal_faults=0,  # per-kernel; a 4-shard supervisor refuses them
         )
         ref, ref_stats, ref_journals = run_to_journals(
             tmp_path, "ref", stream, base

@@ -133,7 +133,9 @@ class TestExecutorEquivalence:
         # plan with shard kills is replaying it without them.
         stream = make_stream()
         t_mid = stream[len(stream) // 2].submitted_at
-        plan = FaultPlan(list(make_plan(stream)) + [
+        # kernel_events() drops make_plan's per-kernel journal fault,
+        # which a 4-shard supervisor refuses to arm.
+        plan = FaultPlan(make_plan(stream).kernel_events() + [
             FaultEvent(t=t_mid, kind="shard_kill", target="1", mode="torn"),
             FaultEvent(t=t_mid + 60.0, kind="shard_kill", target="2"),
         ])

@@ -32,13 +32,14 @@ from hypothesis import strategies as st
 
 from repro.errors import (
     ConfigurationError,
+    JournalWriteError,
     LiveJournalError,
     RecoveryError,
     ServiceError,
     ShardUnavailableError,
 )
 from repro.faults import FaultPlan, FaultyJournal, drive
-from repro.faults.plan import SUPERVISOR_KINDS
+from repro.faults.plan import SUPERVISOR_KINDS, FaultEvent
 from repro.geometry import Field, Point
 from repro.service import RequestState, ServiceConfig, generate_requests
 from repro.shard import ShardedService, ShardSupervisor
@@ -129,6 +130,47 @@ class TestBackoff:
             sup.backoff(0, 0)
         sup.close()
         svc.close()
+
+
+def journal_fault_plan(*faults):
+    return FaultPlan([
+        FaultEvent(t=0.0, kind=kind, target=str(target), mode=mode)
+        for kind, target, mode in faults
+    ])
+
+
+class TestArmJournalFaults:
+    """``arm`` puts journal write faults on a one-kernel facade's live
+    journal and recovery journals, and refuses them anywhere else."""
+
+    def test_adopt_keeps_appending_where_the_journal_left_off(self, tmp_path):
+        svc = make_service(tmp_path / "svc", n_shards=1, journal_sync=False)
+        (kernel,) = svc.kernels.values()
+        seq = kernel.journal.seq
+        kernel.journal = FaultyJournal.adopt(kernel.journal, {seq + 1: "enospc"})
+        kernel.journal.append("drain", 0.0, {})
+        with pytest.raises(JournalWriteError):
+            kernel.journal.append("drain", 0.0, {})
+        assert kernel.journal.fired == [(seq + 1, "enospc")]
+        svc.close()
+        lines = (tmp_path / "svc" / "shard-0000.jsonl").read_bytes().splitlines()
+        assert [json.loads(line)["seq"] for line in lines] == list(range(seq + 1))
+
+    @pytest.mark.parametrize("n_shards,faults,match", [
+        (4, [("journal_write", 5, "torn")], "per-kernel"),
+        (1, [("journal_write", 0, "enospc")], "already written"),
+        (1, [("journal_write", 5, "torn"), ("recovery_crash", 0, None)], "both"),
+    ])
+    def test_refuses_what_it_cannot_arm(self, tmp_path, n_shards, faults, match):
+        svc = make_service(tmp_path / "svc", n_shards=n_shards, journal_sync=False)
+        with ShardSupervisor(svc) as sup, pytest.raises(ConfigurationError, match=match):
+            sup.arm(journal_fault_plan(*faults))
+        svc.close()
+
+    def test_refuses_a_journal_less_facade(self):
+        svc = make_service(None, n_shards=1)
+        with pytest.raises(ConfigurationError, match="need a journal"):
+            ShardSupervisor(svc).arm(journal_fault_plan(("journal_write", 5, "torn")))
 
 
 class TestFailover:
