@@ -27,6 +27,13 @@ reached stay armed.  Record numbering is stable across recovery because
 replay is byte-identical.  Fired faults are logged in :attr:`fired` as
 ``(seq, mode)`` for assertions.
 
+Recovery crashes key on the *attempt*, not on a seq: a snapshot recovery
+writes from the journal's compacted base seq up, so no fixed seq is sure
+to be written.  ``crashes`` is a list of modes shared by every recovery
+journal of one shard; each journal pops one for the first record it
+writes, whatever its seq, so each recovery attempt crashes once until
+the list is empty.
+
 ``sync`` defaults to ``False`` here — chaos tests measure logic, not disk
 latency, and an fsync per input makes the hypothesis suite crawl.
 """
@@ -53,10 +60,14 @@ class FaultyJournal(Journal):
         truncate: bool = True,
         sync: bool = False,
         fail_at: Optional[Dict[int, str]] = None,
+        crashes: Optional[List[str]] = None,
     ) -> None:
         super().__init__(path, truncate=truncate, sync=sync)
         #: ``{seq: "enospc" | "torn"}`` — shared and consumed in place.
         self.fail_at: Dict[int, str] = fail_at if fail_at is not None else {}
+        #: Modes for first-write crashes — shared and consumed in place.
+        self.crashes: List[str] = crashes if crashes is not None else []
+        self._first_write = True
         #: Faults that actually fired, as ``(seq, mode)``.
         self.fired: List[Tuple[int, str]] = []
 
@@ -77,6 +88,9 @@ class FaultyJournal(Journal):
 
     def _write(self, line: str) -> None:
         mode = self.fail_at.pop(self.seq, None)
+        if mode is None and self._first_write and self.crashes:
+            mode = self.crashes.pop(0)
+        self._first_write = False
         if mode is None:
             super()._write(line)
             return

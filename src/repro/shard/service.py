@@ -161,9 +161,6 @@ class ShardedService:
         if _recovered is not None:
             self.kernels: Dict[int, ChargingService] = dict(_recovered)
         else:
-            if self.journal_dir is not None:
-                self.journal_dir.mkdir(parents=True, exist_ok=True)
-                self._write_manifest()
             self.kernels = {}
             for sid in sorted(self.shard_chargers):
                 owned = self.shard_chargers[sid]
@@ -185,6 +182,9 @@ class ShardedService:
                     snapshot_keep=snapshot_keep,
                     compact=compact,
                 )
+            # Published last: under a manifest a missing journal is loss.
+            if self.journal_dir is not None and self.kernels:
+                self._write_manifest()
         if not self.kernels:
             raise ConfigurationError(
                 "no shard owns a charger — empty partition cannot serve"
@@ -235,8 +235,8 @@ class ShardedService:
         }
 
     def _write_manifest(self) -> None:
-        """Publish the manifest durably: a temp sibling, fsynced and
-        renamed over the old one (:func:`~repro.io.atomic_replace`)."""
+        """Publish the manifest durably (:func:`~repro.io.atomic_replace`);
+        its directory fsync also makes the shard journals' entries durable."""
         assert self.journal_dir is not None
         path = self.journal_dir / MANIFEST_NAME
         tmp = path.with_name(path.name + ".tmp")
@@ -548,7 +548,10 @@ class ShardedService:
         first).  A missing, unparsable, or version-skewed manifest — or a
         file where the directory belongs, such as a single-file journal —
         raises :class:`~repro.errors.RecoveryError`: the partition shape
-        cannot be trusted, so no per-shard replay may start.
+        cannot be trusted, so no per-shard replay may start.  So does a
+        missing journal of a shard that owns chargers: the manifest is
+        published only after every shard journal exists, so the shard's
+        history is lost, and nothing is replayed or created.
         """
         journal_dir = Path(journal_dir)
         if str(journal_dir.resolve()) in _LIVE_DIRS:
@@ -580,7 +583,7 @@ class ShardedService:
                 f"(supported: {MANIFEST_SCHEMA})"
             )
         by_id = {c.charger_id: c for c in chargers}
-        kernels: Dict[int, ChargingService] = {}
+        owned: Dict[int, List[Charger]] = {}
         for sid_str in sorted(manifest["shards"], key=int):
             ids = manifest["shards"][sid_str]
             if not ids:
@@ -590,10 +593,18 @@ class ShardedService:
                 raise ServiceError(
                     f"manifest shard {sid_str} names unknown chargers {missing}"
                 )
-            sid = int(sid_str)
+            path = journal_dir / shard_journal_name(int(sid_str))
+            if not path.exists():
+                raise RecoveryError(
+                    f"shard {sid_str} owns chargers {ids} but its journal "
+                    f"{path} is missing; its history is lost"
+                )
+            owned[int(sid_str)] = [by_id[cid] for cid in ids]
+        kernels: Dict[int, ChargingService] = {}
+        for sid, shard_chargers in owned.items():
             kernels[sid] = ChargingService.recover(
                 journal_dir / shard_journal_name(sid),
-                [by_id[cid] for cid in ids],
+                shard_chargers,
                 mobility=mobility,
                 scheme=scheme,
                 config=config,
