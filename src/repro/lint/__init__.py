@@ -1,7 +1,8 @@
 """ccs-lint — domain-aware static analysis for the repro codebase.
 
 Generic linters check style; this package checks the *invariants* the
-reproduction's correctness guarantees actually rest on:
+reproduction's correctness guarantees actually rest on.  Per-file rules
+check one module at a time:
 
 - **CCS001** — all randomness flows through :mod:`repro.rng` (task
   fingerprints and serial==parallel equivalence);
@@ -15,8 +16,24 @@ reproduction's correctness guarantees actually rest on:
   (journal durability / longest-valid-prefix recovery);
 - **CCS006** — no set iteration in canonical-output code
   (fingerprint / golden byte-stability);
-- **CCS007** — ``json.dumps`` sorts keys in canonical-output code.
+- **CCS007** — ``json.dumps`` sorts keys in canonical-output code;
+- **CCS008** — no dtype narrowing or unordered float reductions in the
+  array engine (bit-identity with the object engine).
 
+Whole-program rules (:mod:`repro.lint.flow`, docs/DETERMINISM.md) follow
+call chains across files:
+
+- **CCS009** — no nondeterminism source reachable from a replay-critical
+  sink;
+- **CCS010** — no per-process shared mutable state reachable from a
+  task-kind worker;
+- **CCS011** — every state-mutating public service method journals (or
+  replays);
+- **CCS012** — no nondeterministic value flows into a seed or task
+  fingerprint.
+
+Both kinds run over one parse of each file and resolve names through one
+import alias map per module.
 Run ``ccs-lint --explain CCS00x`` for any rule's full rationale, or see
 docs/LINTING.md for the catalog, the suppression policy, and the recipe
 for adding a rule.  The analyzer itself is pure stdlib (its only numpy

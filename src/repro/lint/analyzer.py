@@ -1,29 +1,30 @@
 """Drive the rules over files: parse once, run every applicable rule.
 
 The analyzer is pure stdlib and side-effect free: it reads sources,
-parses them with :mod:`ast`, asks each registered rule for findings, and
-applies inline suppressions.  Per-file rules run on each file's AST;
-whole-program :class:`~repro.lint.registry.FlowRule`\\ s run once over
-the full :class:`~repro.lint.flow.program.Program` (built from the same
-single parse set) and their findings are routed back into the per-file
-reports through the same suppression machinery.  Baselines are the CLI's
-concern (:mod:`repro.lint.cli`), so library callers — the test suite, a
-future pre-commit hook — always see the full picture.
+parses each exactly once into a
+:class:`~repro.lint.flow.program.ModuleInfo` (a file that fails to parse
+becomes one CCS000 finding instead), and runs every rule over that one
+parse set.  Per-file rules check each module on its own; whole-program
+:class:`~repro.lint.registry.FlowRule`\\ s run once over the
+:class:`~repro.lint.flow.program.Program` the same modules make up.
+Every finding then passes through its own file's inline suppressions.
+Baselines are the CLI's concern (:mod:`repro.lint.cli`), so library
+callers — the test suite, a future pre-commit hook — always see the full
+picture.
 """
 
 from __future__ import annotations
 
-import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .finding import Finding
+from .flow.program import ModuleInfo, Program
 from .registry import FlowRule, Rule, all_rules
 from .suppress import parse_suppressions
 
 __all__ = [
-    "FileContext",
     "FileReport",
     "analyze_paths",
     "analyze_source",
@@ -34,20 +35,6 @@ __all__ = [
 
 #: Reserved code for files the analyzer cannot parse at all.
 SYNTAX_ERROR_CODE = "CCS000"
-
-
-@dataclass
-class FileContext:
-    """Everything a rule may need to know about the file under analysis."""
-
-    path: str
-    module: str
-    source: str
-    lines: List[str] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if not self.lines:
-            self.lines = self.source.splitlines()
 
 
 @dataclass
@@ -82,47 +69,13 @@ def analyze_source(
     module: Optional[str] = None,
     rules: Optional[Sequence[Rule]] = None,
 ) -> FileReport:
-    """Analyze one in-memory source text.
+    """Analyze one in-memory source text, as a one-module program.
 
     *module* defaults to ``normalize_module(path)``; tests pass synthetic
     module paths (e.g. ``repro/service/kernel.py``) to exercise scoped
     rules on fixture snippets.
     """
-    mod = module if module is not None else normalize_module(path)
-    ctx = FileContext(path=path, module=mod, source=source)
-    try:
-        tree = ast.parse(source)
-    except SyntaxError as exc:
-        line = exc.lineno or 1
-        col = (exc.offset or 1)
-        snippet = ctx.lines[line - 1] if 0 < line <= len(ctx.lines) else ""
-        finding = Finding(
-            path=path,
-            module=mod,
-            line=line,
-            col=col,
-            code=SYNTAX_ERROR_CODE,
-            message=f"file cannot be parsed: {exc.msg}",
-            snippet=snippet,
-        )
-        return FileReport(path=path, module=mod, findings=[finding], suppressed=[])
-
-    active_rules = list(rules) if rules is not None else all_rules()
-    raw: List[Finding] = []
-    for rule in active_rules:
-        if not rule.applies_to(mod):
-            continue
-        raw.extend(rule.check(tree, ctx))
-
-    suppressions = parse_suppressions(source)
-    findings: List[Finding] = []
-    suppressed: List[Finding] = []
-    for finding in sorted(raw, key=Finding.sort_key):
-        if suppressions.is_suppressed(finding.code, finding.line):
-            suppressed.append(finding)
-        else:
-            findings.append(finding)
-    return FileReport(path=path, module=mod, findings=findings, suppressed=suppressed)
+    return analyze_sources([(path, source, module)], rules=rules)[0]
 
 
 def iter_python_files(paths: Iterable[Union[str, Path]]) -> List[Path]:
@@ -139,63 +92,16 @@ def iter_python_files(paths: Iterable[Union[str, Path]]) -> List[Path]:
     return out
 
 
-def _route_flow_findings(
-    reports: List[FileReport],
-    items: Sequence[Tuple[str, str, Optional[str]]],
-    flow_rules: Sequence[FlowRule],
-) -> None:
-    """Run whole-program rules and merge their findings into *reports*.
-
-    The program is built from the already-read sources (one parse set for
-    the whole run); each finding passes through its own file's inline
-    suppressions, and ``applies_to`` filters on the finding's module so
-    per-rule scope/allow behave identically to per-file rules.
-    """
-    from .flow.program import Program
-
-    program = Program.from_sources(items)
-    sources = {path: text for path, text, _ in items}
-    by_path = {report.path: report for report in reports}
-    extra: Dict[str, List[Finding]] = {}
-    for rule in flow_rules:
-        for finding in rule.check_program(program):
-            if rule.applies_to(finding.module):
-                extra.setdefault(finding.path, []).append(finding)
-    for path, found in extra.items():
-        report = by_path.get(path)
-        if report is None:
-            continue
-        suppressions = parse_suppressions(sources.get(path, ""))
-        for finding in found:
-            if suppressions.is_suppressed(finding.code, finding.line):
-                report.suppressed.append(finding)
-            else:
-                report.findings.append(finding)
-        report.findings.sort(key=Finding.sort_key)
-        report.suppressed.sort(key=Finding.sort_key)
-
-
 def analyze_paths(
     paths: Sequence[Union[str, Path]],
     rules: Optional[Sequence[Rule]] = None,
 ) -> List[FileReport]:
-    """Analyze every ``.py`` file under *paths* (files or directories).
-
-    Per-file rules run on each file; flow rules run once over the whole
-    set.  Passing an explicit *rules* list restricts both kinds.
-    """
-    active_rules = list(rules) if rules is not None else all_rules()
-    file_rules = [r for r in active_rules if not r.whole_program]
-    flow_rules = [r for r in active_rules if isinstance(r, FlowRule)]
-    reports: List[FileReport] = []
-    items: List[Tuple[str, str, Optional[str]]] = []
-    for file_path in iter_python_files(paths):
-        text = file_path.read_text(encoding="utf-8")
-        items.append((str(file_path), text, None))
-        reports.append(analyze_source(text, str(file_path), rules=file_rules))
-    if flow_rules:
-        _route_flow_findings(reports, items, flow_rules)
-    return reports
+    """Analyze every ``.py`` file under *paths* (files or directories) as
+    one program; an explicit *rules* list restricts the run to those."""
+    items: List[Tuple[str, str, Optional[str]]] = [
+        (str(p), p.read_text(encoding="utf-8"), None) for p in iter_python_files(paths)
+    ]
+    return analyze_sources(items, rules=rules)
 
 
 def analyze_sources(
@@ -204,16 +110,59 @@ def analyze_sources(
 ) -> List[FileReport]:
     """Analyze in-memory ``(path, source, module)`` triples as one program.
 
-    The flow-rule equivalent of calling :func:`analyze_source` per item:
-    per-file rules see each source alone, flow rules see them all as one
-    program.  Tests use this to build multi-file fixture programs.
+    Each source is parsed once.  Per-file rules see each module alone;
+    flow rules see them all as one program, and ``applies_to`` filters on
+    the module a finding anchors in, so ``scope``/``allow`` mean the same
+    for both kinds.  *module* ``None`` derives it from *path*.  Tests use
+    this to build multi-file fixture programs.
     """
     active_rules = list(rules) if rules is not None else all_rules()
-    file_rules = [r for r in active_rules if not r.whole_program]
     flow_rules = [r for r in active_rules if isinstance(r, FlowRule)]
     reports: List[FileReport] = []
+    raw: List[List[Finding]] = []  # unsuppressed findings, one list per report
+    infos: List[ModuleInfo] = []
     for path, text, module in items:
-        reports.append(analyze_source(text, path, module=module, rules=file_rules))
+        mod = module if module is not None else normalize_module(path)
+        reports.append(FileReport(path=path, module=mod, findings=[], suppressed=[]))
+        raw.append([])
+        try:
+            info = ModuleInfo.parse(path, text, mod)
+        except SyntaxError as exc:
+            reports[-1].findings.append(_syntax_error(path, mod, text, exc))
+            continue
+        infos.append(info)
+        for rule in active_rules:
+            if not rule.whole_program and rule.applies_to(mod):
+                raw[-1].extend(rule.check(info))
     if flow_rules:
-        _route_flow_findings(reports, items, flow_rules)
+        program = Program(infos)
+        by_path = {report.path: k for k, report in enumerate(reports)}
+        for rule in flow_rules:
+            for finding in rule.check_program(program):
+                if rule.applies_to(finding.module):
+                    raw[by_path[finding.path]].append(finding)
+    for (_, text, _), report, found in zip(items, reports, raw):
+        if not found:
+            continue
+        suppressions = parse_suppressions(text)
+        for finding in sorted(found, key=Finding.sort_key):
+            if suppressions.is_suppressed(finding.code, finding.line):
+                report.suppressed.append(finding)
+            else:
+                report.findings.append(finding)
     return reports
+
+
+def _syntax_error(path: str, module: str, source: str, exc: SyntaxError) -> Finding:
+    """The CCS000 finding for a file that cannot be parsed."""
+    lines = source.splitlines()
+    line = exc.lineno or 1
+    return Finding(
+        path=path,
+        module=module,
+        line=line,
+        col=exc.offset or 1,
+        code=SYNTAX_ERROR_CODE,
+        message=f"file cannot be parsed: {exc.msg}",
+        snippet=lines[line - 1] if 0 < line <= len(lines) else "",
+    )

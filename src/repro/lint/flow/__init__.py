@@ -1,21 +1,23 @@
 """Whole-program determinism analysis (the ``repro.lint.flow`` engine).
 
-The per-file rules (CCS001–CCS008) see one AST at a time, so they cannot
-prove the property the repo's guarantees actually rest on: *transitive*
-purity.  A wall-clock read three calls below ``ChargingService.submit``
-breaks byte-identical replay just as surely as one in ``submit`` itself —
-and no single-file rule can see it.
+The per-file rules (CCS001–CCS008) see one module at a time, so they
+cannot prove the property the repo's guarantees actually rest on:
+*transitive* purity.  A wall-clock read three calls below
+``ChargingService.submit`` breaks byte-identical replay just as surely as
+one in ``submit`` itself — and no single-file rule can see it.
 
-This package parses the whole tree once and builds, in order:
+Over the modules the analyzer parsed once, this package builds, in order:
 
-- :mod:`~repro.lint.flow.program` — the module set and its import graph;
+- :mod:`~repro.lint.flow.program` — the module set, each module's one
+  import alias map (shared with the per-file rules), and the import
+  graph;
 - :mod:`~repro.lint.flow.callgraph` — a name-resolution-based,
   conservative call graph (import aliases, ``self`` dispatch, class
   attribute/parameter type bindings; dynamic dispatch stays unresolved
-  and errs toward silence, the same trade the per-file alias resolver
-  makes);
+  and errs toward silence, as the alias map itself does);
 - :mod:`~repro.lint.flow.effects` — per-function *direct* effect scans
-  (nondeterminism-source reads, global/attribute mutations, calls);
+  (nondeterminism-source reads, global/attribute mutations, calls), and
+  the source catalog CCS001 and CCS002 classify with too;
 - :mod:`~repro.lint.flow.purity` — transitive purity summaries and
   sink-rooted reachability with witness call chains;
 - :mod:`~repro.lint.flow.taint` — value-level taint from source reads

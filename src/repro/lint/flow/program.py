@@ -1,19 +1,21 @@
 """The analyzed module set: sources, ASTs, names, and the import graph.
 
-A :class:`Program` is the unit every whole-program pass works on: the
-collection of modules parsed *once*, addressable both by repo-normalized
-path (``repro/service/kernel.py`` — what findings and baselines key on)
-and by dotted module name (``repro.service.kernel`` — what import
-resolution speaks).  Files that fail to parse are skipped here; the
-per-file analyzer has already reported them as CCS000.
+A :class:`Program` is the collection of modules parsed *once*,
+addressable both by repo-normalized path (``repro/service/kernel.py`` —
+what findings and baselines key on) and by dotted module name
+(``repro.service.kernel`` — what import resolution speaks).  Each module
+is a :class:`ModuleInfo`, which is what a per-file rule checks; it also
+carries the module's one import alias map, so every rule, the call graph
+and the import graph resolve names the same way.  Files that fail to
+parse never become modules; the analyzer reports them as CCS000.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from functools import cached_property
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = ["ModuleInfo", "Program", "dotted_name"]
 
@@ -48,6 +50,18 @@ class ModuleInfo:
         if not self.lines:
             self.lines = self.source.splitlines()
 
+    @classmethod
+    def parse(cls, path: str, source: str, module: str) -> "ModuleInfo":
+        """Parse *source* (the one ``ast.parse`` of a file); raises
+        :class:`SyntaxError` when it cannot be parsed."""
+        return cls(
+            path=path,
+            module=module,
+            modname=dotted_name(module),
+            source=source,
+            tree=ast.parse(source),
+        )
+
     @property
     def package(self) -> str:
         """The dotted package this module's relative imports resolve in."""
@@ -55,6 +69,69 @@ class ModuleInfo:
             return self.modname
         head, _, _ = self.modname.rpartition(".")
         return head
+
+    @cached_property
+    def aliases(self) -> Dict[str, str]:
+        """Local name → absolute dotted target for every import.
+
+        - ``import numpy as np`` → ``{"np": "numpy"}``
+        - ``import numpy.random`` → ``{"numpy": "numpy"}`` (attribute
+          access reaches the submodule through the top-level binding)
+        - ``from numpy.random import seed`` →
+          ``{"seed": "numpy.random.seed"}``
+        - ``from .journal import Journal`` in ``repro/service/kernel.py``
+          → ``{"Journal": "repro.service.journal.Journal"}``
+
+        Relative imports resolve against :attr:`package`, so the result
+        joins directly with program module names.  Flow-insensitive:
+        rebinding an imported name mid-function can evade it, and the
+        rules err toward silence rather than false alarms.
+        """
+        aliases: Dict[str, str] = {}
+        for node in ast.walk(self.tree):
+            if isinstance(node, ast.Import):
+                for item in node.names:
+                    if item.asname is not None:
+                        aliases[item.asname] = item.name
+                    else:
+                        top = item.name.split(".")[0]
+                        aliases[top] = top
+            elif isinstance(node, ast.ImportFrom):
+                if node.level == 0:
+                    base = node.module or ""
+                else:
+                    # level=1 resolves in the module's own package, each
+                    # further dot climbs one package higher.
+                    parts = self.package.split(".") if self.package else []
+                    base = ".".join(parts[: max(0, len(parts) - node.level + 1)])
+                    if node.module:
+                        base = f"{base}.{node.module}" if base else node.module
+                for item in node.names:
+                    if item.name == "*":
+                        continue
+                    bound = item.asname if item.asname is not None else item.name
+                    aliases[bound] = f"{base}.{item.name}" if base else item.name
+        return aliases
+
+    def resolve_dotted(self, node: ast.expr) -> Optional[str]:
+        """Absolute dotted path of a Name/Attribute chain, or ``None``.
+
+        ``np.random.seed`` under ``import numpy as np`` resolves to
+        ``numpy.random.seed``; anything that is not a pure attribute
+        chain rooted at an imported name resolves to ``None``.
+        """
+        parts: List[str] = []
+        current: ast.expr = node
+        while isinstance(current, ast.Attribute):
+            parts.append(current.attr)
+            current = current.value
+        if not isinstance(current, ast.Name):
+            return None
+        root = self.aliases.get(current.id)
+        if root is None:
+            return None
+        parts.append(root)
+        return ".".join(reversed(parts))
 
 
 class Program:
@@ -78,38 +155,19 @@ class Program:
 
         *module* is the repo-normalized module path; ``None`` derives it
         from *path* via :func:`repro.lint.analyzer.normalize_module`.
-        Unparsable sources are skipped (CCS000 is the per-file
-        analyzer's concern).
+        Unparsable sources are skipped.
         """
         from ..analyzer import normalize_module
 
         infos: List[ModuleInfo] = []
         for path, source, module in items:
-            mod = module if module is not None else normalize_module(path)
             try:
-                tree = ast.parse(source)
+                infos.append(ModuleInfo.parse(
+                    path, source, module if module is not None else normalize_module(path)
+                ))
             except SyntaxError:
                 continue
-            infos.append(
-                ModuleInfo(
-                    path=path,
-                    module=mod,
-                    modname=dotted_name(mod),
-                    source=source,
-                    tree=tree,
-                )
-            )
         return cls(infos)
-
-    @classmethod
-    def load(cls, paths: Sequence[Union[str, Path]]) -> "Program":
-        """Parse every ``.py`` file under *paths* into a program."""
-        from ..analyzer import iter_python_files
-
-        items: List[Tuple[str, str, Optional[str]]] = []
-        for file_path in iter_python_files(paths):
-            items.append((str(file_path), file_path.read_text(encoding="utf-8"), None))
-        return cls.from_sources(items)
 
     def __contains__(self, modname: str) -> bool:
         return modname in self.modules
@@ -146,12 +204,10 @@ class Program:
         dropped.  Used by CCS010 to bound which modules a spawned worker
         process re-imports.
         """
-        from .callgraph import absolute_aliases
-
         edges: Dict[str, List[str]] = {}
         for modname, info in sorted(self.modules.items()):
             targets: List[str] = []
-            for dotted in absolute_aliases(info).values():
+            for dotted in info.aliases.values():
                 hit = self.resolve_prefix(dotted)
                 if hit is not None and hit[0] != modname and hit[0] not in targets:
                     targets.append(hit[0])

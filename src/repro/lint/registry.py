@@ -4,7 +4,10 @@ A rule is a class with a ``CCS0xx`` code, a one-line title, an optional
 *scope* (module-path prefixes it applies to; ``None`` = everywhere), an
 *allow* list (module paths exempt by design — the one blessed
 implementation site of the invariant), and a :meth:`Rule.check` that
-walks a parsed AST and yields findings.
+walks one parsed :class:`~repro.lint.flow.program.ModuleInfo` and yields
+findings.  A :class:`FlowRule` instead sees the whole
+:class:`~repro.lint.flow.program.Program` at once; both kinds build
+findings with :meth:`Rule.finding`.
 
 The rule docstring is user-facing: ``ccs-lint --explain CCS0xx`` renders
 it verbatim, so each docstring states the invariant, *why* it matters
@@ -20,7 +23,6 @@ from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple, Type
 from .finding import Finding
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
-    from .analyzer import FileContext
     from .flow.program import ModuleInfo, Program
 
 __all__ = ["FlowRule", "Rule", "all_rules", "get_rule", "register"]
@@ -51,19 +53,19 @@ class Rule:
             return True
         return any(module.startswith(s) for s in self.scope)
 
-    def check(self, tree: ast.Module, ctx: "FileContext") -> Iterator[Finding]:
-        """Yield findings for *tree*; overridden by every concrete rule."""
+    def check(self, info: "ModuleInfo") -> Iterator[Finding]:
+        """Yield findings for one module; overridden by every per-file rule."""
         raise NotImplementedError
         yield  # pragma: no cover - makes this a generator for type checkers
 
-    def finding(self, ctx: "FileContext", node: ast.AST, message: str) -> Finding:
-        """Build a finding anchored at *node* with this rule's code."""
+    def finding(self, info: "ModuleInfo", node: ast.AST, message: str) -> Finding:
+        """Build a finding anchored at *node* inside module *info*."""
         line = int(getattr(node, "lineno", 1))
         col = int(getattr(node, "col_offset", 0)) + 1
-        snippet = ctx.lines[line - 1] if 0 < line <= len(ctx.lines) else ""
+        snippet = info.lines[line - 1] if 0 < line <= len(info.lines) else ""
         return Finding(
-            path=ctx.path,
-            module=ctx.module,
+            path=info.path,
+            module=info.module,
             line=line,
             col=col,
             code=self.code,
@@ -91,29 +93,10 @@ class FlowRule(Rule):
 
     whole_program: bool = True
 
-    def check(self, tree: ast.Module, ctx: "FileContext") -> Iterator[Finding]:
-        """Flow rules have no per-file pass."""
-        return iter(())
-
     def check_program(self, program: "Program") -> Iterator[Finding]:
         """Yield findings over the whole program; overridden by subclasses."""
         raise NotImplementedError
         yield  # pragma: no cover - makes this a generator for type checkers
-
-    def finding_at(self, info: "ModuleInfo", node: ast.AST, message: str) -> Finding:
-        """Build a finding anchored at *node* inside module *info*."""
-        line = int(getattr(node, "lineno", 1))
-        col = int(getattr(node, "col_offset", 0)) + 1
-        snippet = info.lines[line - 1] if 0 < line <= len(info.lines) else ""
-        return Finding(
-            path=info.path,
-            module=info.module,
-            line=line,
-            col=col,
-            code=self.code,
-            message=message,
-            snippet=snippet,
-        )
 
 
 def register(cls: Type[Rule]) -> Type[Rule]:

@@ -3,29 +3,14 @@
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Tuple
+from typing import Iterator, List, Tuple
 
-from ..analyzer import FileContext
 from ..finding import Finding
+from ..flow.effects import classify_source
+from ..flow.program import ModuleInfo
 from ..registry import Rule, register
 
 __all__ = ["GlobalRngRule"]
-
-#: numpy.random members that carry no process-global state and are the
-#: building blocks ``repro.rng`` itself is made of.
-ALLOWED_NP_RANDOM = frozenset(
-    {
-        "Generator",
-        "default_rng",
-        "SeedSequence",
-        "BitGenerator",
-        "PCG64",
-        "PCG64DXSM",
-        "Philox",
-        "SFC64",
-        "MT19937",
-    }
-)
 
 
 @register
@@ -58,19 +43,16 @@ class GlobalRngRule(Rule):
     title = "global RNG state (random module / legacy numpy.random) used outside repro.rng"
     allow = ("repro/rng.py",)
 
-    def check(self, tree: ast.Module, ctx: FileContext) -> Iterator[Finding]:
-        from .helpers import collect_import_aliases
-
-        aliases = collect_import_aliases(tree)
+    def check(self, info: ModuleInfo) -> Iterator[Finding]:
         findings: List[Finding] = []
 
-        for node in ast.walk(tree):
+        for node in ast.walk(info.tree):
             if isinstance(node, ast.Import):
                 for item in node.names:
                     if item.name == "random" or item.name.startswith("random."):
                         findings.append(
                             self.finding(
-                                ctx,
+                                info,
                                 node,
                                 "the stdlib 'random' module is process-global state; "
                                 "use repro.rng (ensure_rng / derive_seed) instead",
@@ -80,7 +62,7 @@ class GlobalRngRule(Rule):
                 if node.level == 0 and node.module == "random":
                     findings.append(
                         self.finding(
-                            ctx,
+                            info,
                             node,
                             "importing from the stdlib 'random' module; "
                             "use repro.rng (ensure_rng / derive_seed) instead",
@@ -88,10 +70,12 @@ class GlobalRngRule(Rule):
                     )
                 elif node.level == 0 and node.module == "numpy.random":
                     for item in node.names:
-                        if item.name != "*" and item.name not in ALLOWED_NP_RANDOM:
+                        if item.name != "*" and classify_source(
+                            f"numpy.random.{item.name}", node
+                        ) is not None:
                             findings.append(
                                 self.finding(
-                                    ctx,
+                                    info,
                                     node,
                                     f"numpy.random.{item.name} is legacy global-state "
                                     "RNG API; use an explicit Generator from "
@@ -99,40 +83,36 @@ class GlobalRngRule(Rule):
                                 )
                             )
 
-        findings.extend(self._check_attribute_chains(tree, ctx, aliases))
+        findings.extend(self._check_attribute_chains(info))
         for finding in sorted(findings, key=Finding.sort_key):
             yield finding
 
-    def _check_attribute_chains(
-        self, tree: ast.Module, ctx: FileContext, aliases: Dict[str, str]
-    ) -> List[Finding]:
-        from .helpers import resolve_dotted
-
+    def _check_attribute_chains(self, info: ModuleInfo) -> List[Finding]:
         findings: List[Finding] = []
         # Visit top-down and stop descending once a chain is classified, so
         # ``np.random.seed`` is one finding, not also an inner ``np.random``.
-        stack: List[Tuple[ast.AST, bool]] = [(tree, False)]
+        stack: List[Tuple[ast.AST, bool]] = [(info.tree, False)]
         while stack:
             node, skip = stack.pop()
             if skip:
                 continue
             classified = False
             if isinstance(node, (ast.Attribute, ast.Name)):
-                dotted = resolve_dotted(node, aliases)
+                dotted = info.resolve_dotted(node)
                 if dotted is not None:
-                    classified = self._classify(dotted, node, ctx, findings)
+                    classified = self._classify(dotted, node, info, findings)
             for child in ast.iter_child_nodes(node):
                 stack.append((child, classified))
         return findings
 
     def _classify(
-        self, dotted: str, node: ast.AST, ctx: FileContext, findings: List[Finding]
+        self, dotted: str, node: ast.AST, info: ModuleInfo, findings: List[Finding]
     ) -> bool:
         """Record a finding (or an allowance) for *dotted*; True = handled."""
         if dotted == "numpy.random":
             findings.append(
                 self.finding(
-                    ctx,
+                    info,
                     node,
                     "referencing the global numpy.random module; pass an explicit "
                     "Generator from repro.rng.ensure_rng instead",
@@ -140,26 +120,28 @@ class GlobalRngRule(Rule):
             )
             return True
         if dotted.startswith("numpy.random."):
-            member = dotted.split(".")[2]
-            if member in ALLOWED_NP_RANDOM:
-                return True
-            findings.append(
-                self.finding(
-                    ctx,
-                    node,
-                    f"numpy.random.{member} touches process-global RNG state; "
-                    "use an explicit Generator from repro.rng.ensure_rng",
+            # Stateless members (the catalog's allowed constructors) are
+            # handled too: their inner ``numpy.random`` is not a reference.
+            if classify_source(dotted, node) is not None:
+                member = dotted.split(".")[2]
+                findings.append(
+                    self.finding(
+                        info,
+                        node,
+                        f"numpy.random.{member} touches process-global RNG state; "
+                        "use an explicit Generator from repro.rng.ensure_rng",
+                    )
                 )
-            )
             return True
         if dotted == "random" or dotted.startswith("random."):
             # The import itself is already flagged; flagging usages too
             # would duplicate noise, but aliased *members* imported via
-            # ``from random import x`` only show up here.
+            # ``from random import x`` only show up here.  Every member
+            # counts (``random.Random`` too): the whole module is banned.
             if "." in dotted:
                 findings.append(
                     self.finding(
-                        ctx,
+                        info,
                         node,
                         f"stdlib {dotted}() draws from process-global RNG state; "
                         "use repro.rng instead",

@@ -5,8 +5,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Optional
 
-from ..analyzer import FileContext
 from ..finding import Finding
+from ..flow.program import ModuleInfo
 from ..registry import Rule, register
 
 __all__ = ["FloatEqualityRule"]
@@ -43,8 +43,8 @@ class FloatEqualityRule(Rule):
     code = "CCS003"
     title = "float literal compared with == / != (use repro.numeric sentinels/tolerances)"
 
-    def check(self, tree: ast.Module, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(tree):
+    def check(self, info: ModuleInfo) -> Iterator[Finding]:
+        for node in ast.walk(info.tree):
             if not isinstance(node, ast.Compare):
                 continue
             operands = [node.left, *node.comparators]
@@ -59,7 +59,7 @@ class FloatEqualityRule(Rule):
                     continue
                 symbol = "==" if isinstance(op, ast.Eq) else "!="
                 yield self.finding(
-                    ctx,
+                    info,
                     node,
                     f"float literal {literal!r} compared with {symbol}; use "
                     "repro.numeric (is_exact_zero / EXACT_* sentinels / isclose)",

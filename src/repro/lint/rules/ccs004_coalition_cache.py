@@ -5,8 +5,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from ..analyzer import FileContext
 from ..finding import Finding
+from ..flow.program import ModuleInfo
 from ..registry import Rule, register
 
 __all__ = ["CoalitionCacheRule"]
@@ -55,14 +55,14 @@ class CoalitionCacheRule(Rule):
     title = "write to coalition cached state outside game/coalition.py"
     allow = ("repro/game/coalition.py",)
 
-    def check(self, tree: ast.Module, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(tree):
+    def check(self, info: ModuleInfo) -> Iterator[Finding]:
+        for node in ast.walk(info.tree):
             if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 for target in targets:
                     if isinstance(target, ast.Attribute) and target.attr in CACHED_FIELDS:
                         yield self.finding(
-                            ctx,
+                            info,
                             node,
                             f"assignment to cached coalition field '.{target.attr}' "
                             "outside the refresh APIs in game/coalition.py",
@@ -76,7 +76,7 @@ class CoalitionCacheRule(Rule):
                     and func.value.attr == "members"
                 ):
                     yield self.finding(
-                        ctx,
+                        info,
                         node,
                         f"in-place mutation '.members.{func.attr}(...)' bypasses the "
                         "coalition refresh discipline (use move/place/remove/retire)",

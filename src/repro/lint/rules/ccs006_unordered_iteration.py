@@ -5,8 +5,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List, Optional, Set, Union
 
-from ..analyzer import FileContext
 from ..finding import Finding
+from ..flow.program import ModuleInfo
 from ..registry import Rule, register
 
 __all__ = ["UnorderedIterationRule"]
@@ -65,9 +65,9 @@ class UnorderedIterationRule(Rule):
     title = "iteration over a set in canonical-fingerprint/golden-feeding code"
     scope = ("repro/experiments/exec/", "repro/service/", "repro/shard/")
 
-    def check(self, tree: ast.Module, ctx: FileContext) -> Iterator[Finding]:
+    def check(self, info: ModuleInfo) -> Iterator[Finding]:
         findings: List[Finding] = []
-        self._check_scope(tree, set(), ctx, findings)
+        self._check_scope(info.tree, set(), info, findings)
         for finding in sorted(findings, key=Finding.sort_key):
             yield finding
 
@@ -78,7 +78,7 @@ class UnorderedIterationRule(Rule):
         self,
         scope_node: Union[ast.Module, ast.FunctionDef, ast.AsyncFunctionDef],
         inherited_sets: Set[str],
-        ctx: FileContext,
+        info: ModuleInfo,
         findings: List[Finding],
     ) -> None:
         """Analyze one function/module scope, then recurse into nested defs."""
@@ -104,12 +104,12 @@ class UnorderedIterationRule(Rule):
 
         # Pass 2: flag unordered observations of those sets.
         for node in body_nodes:
-            self._check_node(node, set_names, ctx, findings)
+            self._check_node(node, set_names, info, findings)
 
         # Recurse into nested scopes.
         for node in body_nodes:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self._check_scope(node, set_names, ctx, findings)
+                self._check_scope(node, set_names, info, findings)
 
     @staticmethod
     def _all_args(args: ast.arguments) -> List[ast.arg]:
@@ -175,23 +175,23 @@ class UnorderedIterationRule(Rule):
         self,
         node: ast.AST,
         set_names: Set[str],
-        ctx: FileContext,
+        info: ModuleInfo,
         findings: List[Finding],
     ) -> None:
         if isinstance(node, (ast.For, ast.AsyncFor)):
             if self._is_set_expr(node.iter, set_names):
-                findings.append(self._flag(ctx, node.iter, "for-loop"))
+                findings.append(self._flag(info, node.iter, "for-loop"))
         elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
             for gen in node.generators:
                 if self._is_set_expr(gen.iter, set_names):
-                    findings.append(self._flag(ctx, gen.iter, "comprehension"))
+                    findings.append(self._flag(info, gen.iter, "comprehension"))
         elif isinstance(node, ast.Call):
             name = self._call_name(node)
             if name in ORDER_SENSITIVE_CALLS and node.args:
                 if self._is_set_expr(node.args[0], set_names):
-                    findings.append(self._flag(ctx, node.args[0], f"{name}(...)"))
+                    findings.append(self._flag(info, node.args[0], f"{name}(...)"))
             elif name == "join" and node.args and self._is_set_expr(node.args[0], set_names):
-                findings.append(self._flag(ctx, node.args[0], "str.join"))
+                findings.append(self._flag(info, node.args[0], "str.join"))
 
     @staticmethod
     def _call_name(node: ast.Call) -> Optional[str]:
@@ -201,9 +201,9 @@ class UnorderedIterationRule(Rule):
             return node.func.attr
         return None
 
-    def _flag(self, ctx: FileContext, node: ast.expr, where: str) -> Finding:
+    def _flag(self, info: ModuleInfo, node: ast.expr, where: str) -> Finding:
         return self.finding(
-            ctx,
+            info,
             node,
             f"set iterated in {where}: iteration order is nondeterministic in "
             "canonical-output code — wrap in sorted(...) (order-free reducers "

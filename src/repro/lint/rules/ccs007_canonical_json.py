@@ -5,8 +5,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from ..analyzer import FileContext
 from ..finding import Finding
+from ..flow.program import ModuleInfo
 from ..registry import Rule, register
 
 __all__ = ["CanonicalJsonRule"]
@@ -41,20 +41,17 @@ class CanonicalJsonRule(Rule):
     title = "json.dumps/json.dump without sort_keys=True in canonical-output code"
     scope = ("repro/experiments/exec/", "repro/service/", "repro/shard/")
 
-    def check(self, tree: ast.Module, ctx: FileContext) -> Iterator[Finding]:
-        from .helpers import collect_import_aliases, resolve_dotted
-
-        aliases = collect_import_aliases(tree)
-        for node in ast.walk(tree):
+    def check(self, info: ModuleInfo) -> Iterator[Finding]:
+        for node in ast.walk(info.tree):
             if not isinstance(node, ast.Call):
                 continue
-            dotted = resolve_dotted(node.func, aliases)
+            dotted = info.resolve_dotted(node.func)
             if dotted not in ("json.dumps", "json.dump"):
                 continue
             if self._sorts_keys(node):
                 continue
             yield self.finding(
-                ctx,
+                info,
                 node,
                 f"{dotted}(...) without sort_keys=True cannot produce canonical "
                 "bytes; use canonical_json(...) or pass sort_keys=True",

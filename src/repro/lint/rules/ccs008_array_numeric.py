@@ -5,8 +5,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from ..analyzer import FileContext
 from ..finding import Finding
+from ..flow.program import ModuleInfo
 from ..registry import Rule, register
 
 __all__ = ["ArrayNumericRule"]
@@ -76,30 +76,27 @@ class ArrayNumericRule(Rule):
     title = "dtype narrowing or unordered float reduction in array-engine code"
     scope = ("repro/game/arraycore.py", "repro/wpt/vector.py")
 
-    def check(self, tree: ast.Module, ctx: FileContext) -> Iterator[Finding]:
-        from .helpers import collect_import_aliases, resolve_dotted
-
-        aliases = collect_import_aliases(tree)
-        for node in ast.walk(tree):
+    def check(self, info: ModuleInfo) -> Iterator[Finding]:
+        for node in ast.walk(info.tree):
             if isinstance(node, (ast.Attribute, ast.Name)):
-                dotted = resolve_dotted(node, aliases)
+                dotted = info.resolve_dotted(node)
                 if (
                     dotted is not None
                     and dotted.startswith("numpy.")
                     and dotted.rsplit(".", 1)[-1] in _NARROW_TYPES
                 ):
                     yield self.finding(
-                        ctx,
+                        info,
                         node,
                         f"{dotted} narrows the array engine's float64/int64 "
                         "discipline; bit-identity with the object engine is lost",
                     )
             if not isinstance(node, ast.Call):
                 continue
-            dotted = resolve_dotted(node.func, aliases)
+            dotted = info.resolve_dotted(node.func)
             if dotted in _UNORDERED_REDUCERS:
                 yield self.finding(
-                    ctx,
+                    info,
                     node,
                     f"{dotted}(...) reduces floats in unspecified order; "
                     "accumulate with an explicit loop (or suppress, naming "
@@ -113,7 +110,7 @@ class ArrayNumericRule(Rule):
             ):
                 # ``<array expr>.sum()`` — numpy's pairwise reduction.
                 yield self.finding(
-                    ctx,
+                    info,
                     node,
                     ".sum() on an array reduces floats in unspecified order; "
                     "accumulate with an explicit loop (or suppress, naming "
@@ -128,7 +125,7 @@ class ArrayNumericRule(Rule):
                     and kw.value.value in _NARROW_TYPES
                 ):
                     yield self.finding(
-                        ctx,
+                        info,
                         kw.value,
                         f"dtype={kw.value.value!r} narrows the array engine's "
                         "float64/int64 discipline",

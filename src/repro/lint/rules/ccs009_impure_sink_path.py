@@ -109,7 +109,7 @@ class ImpureSinkPathRule(FlowRule):
                 seen[key] = True
                 chain = chains[qname]
                 path = " -> ".join(_short(q) for q in chain)
-                yield self.finding_at(
+                yield self.finding(
                     info,
                     node,
                     f"{read.dotted} ({read.kind}) executes on a replay-critical "

@@ -75,7 +75,7 @@ class SharedWorkerStateRule(FlowRule):
                 if key in seen:
                     continue
                 seen[key] = True
-                yield self.finding_at(
+                yield self.finding(
                     info,
                     default,
                     f"mutable default argument on {_tail(qname)} is reachable "
@@ -93,7 +93,7 @@ class SharedWorkerStateRule(FlowRule):
                 if key in seen:
                     continue
                 seen[key] = True
-                yield self.finding_at(
+                yield self.finding(
                     info,
                     write.node,
                     f"module-level mutable '{write.name}' is mutated on a "

@@ -109,7 +109,7 @@ class UnjournaledMutationRule(FlowRule):
                     continue
                 where, attr, chain = mutation
                 path = " -> ".join(_tail(q) for q in chain)
-                yield self.finding_at(
+                yield self.finding(
                     info,
                     method.node,
                     f"public method {_tail(method.qname)} mutates service state "

@@ -66,7 +66,7 @@ class TaintedSeedRule(FlowRule):
             if info is None:
                 continue
             path = " -> ".join(_tail(q) for q in f.chain)
-            yield self.finding_at(
+            yield self.finding(
                 info,
                 f.node,
                 f"value from {f.source} (line {f.source_line}) flows into "
