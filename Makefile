@@ -10,7 +10,7 @@ JOBS ?= 1
 # Task-result cache directory used by run-all (re-runs resume from it).
 CACHE_DIR ?= .ccs-bench-cache
 
-.PHONY: test lint lint-flow typecheck bench bench-smoke bench-hotpath bench-large bench-exec bench-recovery golden golden-experiments run-all serve-smoke chaos-smoke chaos shard-smoke recovery-smoke e2e-smoke
+.PHONY: test lint typecheck bench bench-smoke bench-hotpath bench-large bench-exec bench-recovery golden golden-experiments run-all serve-smoke chaos-smoke chaos shard-smoke recovery-smoke e2e-smoke
 
 # Tier-1 gate: the full unit/property/golden suite.
 test:
@@ -19,14 +19,11 @@ test:
 # Domain-aware static analysis: determinism / numeric / state-discipline
 # invariants (see docs/LINTING.md).  Exit 0 means no unbaselined findings.
 # Runs all rules — per-file (CCS001–CCS008) and whole-program
-# (CCS009–CCS012, docs/DETERMINISM.md) — over the full analyzed scope.
+# (CCS009–CCS012, docs/DETERMINISM.md) — over the full analyzed scope,
+# under the CI wall-time budget: the whole analysis (one parse, call
+# graph, purity, taint; 170+ files) must stay under 10 seconds so it can
+# gate every push.
 lint:
-	$(PYTHON) -m repro.lint src benchmarks examples
-
-# Same analysis with the CI wall-time budget enforced: the whole-program
-# pass (parse + call graph + purity + taint, 170+ files) must stay under
-# 10 seconds so it can gate every push.
-lint-flow:
 	$(PYTHON) -m repro.lint src benchmarks examples --time-budget 10
 
 # Static types.  Permissive by default with a strict core (pyproject

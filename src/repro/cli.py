@@ -410,8 +410,9 @@ def _recover_only(args, chargers, config) -> int:
 
     Exit 0 with a state summary on success; exit 3 with a one-line
     structured error (JSON on stderr) when recovery is impossible —
-    corruption beyond repair, a manifest schema mismatch, or a config
-    that does not match the journal's ``open`` header.
+    corruption beyond repair, a manifest schema mismatch, a missing
+    shard journal, or a config that does not match the journal's
+    ``open`` header.
     """
     service = _recover(args, chargers, config, journal_sync=False)
     if service is None:
