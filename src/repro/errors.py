@@ -122,9 +122,10 @@ class SnapshotError(JournalError):
 class RecoveryError(JournalError):
     """Recovery cannot proceed at all — corruption beyond repair.
 
-    Raised when no recovery path exists: the journal's retained prefix
-    starts past seq 0 (it was compacted) and no valid snapshot covers the
-    gap, or a shard manifest carries an unsupported schema version.
+    Raised when no recovery path exists: the journal does not exist, the
+    journal's retained prefix starts past seq 0 (it was compacted) and no
+    valid snapshot covers the gap, or a shard manifest carries an
+    unsupported schema version.
     Unlike a torn tail (silently dropped) this is not survivable by
     replay; the operator must restore files from elsewhere.  ``ccs-serve``
     turns this into a one-line structured error and a nonzero exit.

@@ -47,19 +47,40 @@ class FileReport:
     suppressed: List[Finding]
 
 
-def normalize_module(path: Union[str, Path]) -> str:
-    """Repo-normalized module path: the part from the last ``repro/`` on.
+#: Files that mark a project root.  A module outside the ``repro``
+#: package is labelled relative to the nearest directory holding one.
+PROJECT_MARKERS = ("pyproject.toml", "setup.py")
 
+
+def _project_root(directory: Path) -> Optional[Path]:
+    """Nearest of *directory* and its ancestors holding a project marker."""
+    for candidate in (directory, *directory.parents):
+        if any((candidate / marker).is_file() for marker in PROJECT_MARKERS):
+            return candidate
+    return None
+
+
+def normalize_module(path: Union[str, Path]) -> str:
+    """Repo-normalized module path, independent of the working directory.
+
+    Package files normalize to the part from the last ``repro/`` on:
     ``src/repro/service/journal.py`` and
-    ``/somewhere/repo/src/repro/service/journal.py`` both normalize to
-    ``repro/service/journal.py``, so rule scoping and baseline keys are
-    independent of the working directory.  Paths outside the package
-    normalize to their POSIX form unchanged.
+    ``/somewhere/repo/src/repro/service/journal.py`` both give
+    ``repro/service/journal.py``.  Other files are labelled relative to
+    their project root (the nearest ancestor holding a
+    :data:`PROJECT_MARKERS` file), so ``benchmarks/e2e/run.py`` gets the
+    same label whether it was named relative to the root or by its
+    absolute path.  Outside any project a path normalizes to its POSIX
+    form unchanged.
     """
     parts = Path(path).as_posix().split("/")
     for k in range(len(parts) - 1, -1, -1):
         if parts[k] == "repro":
             return "/".join(parts[k:])
+    resolved = Path(path).resolve()
+    root = _project_root(resolved.parent)
+    if root is not None:
+        return resolved.relative_to(root).as_posix()
     return "/".join(p for p in parts if p not in (".", ""))
 
 

@@ -63,8 +63,14 @@ class LinearMobility(_EuclideanTravelTime):
         the scalar :meth:`moving_cost` on the same distance (one IEEE
         multiply either way).  ``CCSInstance`` probes for this hook so the
         cost matrix is derived from the shared distance matrix instead of
-        ``n * m`` per-pair model calls.
+        ``n * m`` per-pair model calls.  For one device, *rates* may be its
+        scalar rate and *distances* its row: the service plan's admission
+        quote takes this lean path (no broadcasting, scalar validation).
         """
+        if isinstance(rates, (int, float)):
+            if rates < 0:
+                raise ConfigurationError(f"moving rate must be nonnegative, got {rates}")
+            return rates * np.asarray(distances, dtype=float)
         rates = np.asarray(rates, dtype=float)
         if np.any(rates < 0):
             raise ConfigurationError("moving rates must be nonnegative")

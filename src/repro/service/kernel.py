@@ -75,6 +75,8 @@ from typing import (
     Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, TypeVar, Union,
 )
 
+import numpy as np
+
 from ..core import Device
 from ..core.costsharing import CostSharingScheme, EgalitarianSharing
 from ..errors import ConfigurationError, RecoveryError, ServiceError, SnapshotError
@@ -244,6 +246,12 @@ class ChargingService:
         self.metrics = Metrics()
         self.requests: Dict[str, RequestRecord] = {}
         self._queue: List[str] = []
+        #: Request id -> the admission quote's ``(moving-cost,
+        #: singleton-price)`` rows, while the request waits in the queue:
+        #: the fold reuses them instead of pricing the device again.  Never
+        #: snapshotted — a request still queued after a restore is priced
+        #: again at its fold, bit-identically.
+        self._queued_rows: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
         self._rid_of_index: Dict[int, str] = {}
         self._opened_at: Dict[int, float] = {}
         self._completions: List[tuple] = []
@@ -341,7 +349,8 @@ class ChargingService:
         record = RequestRecord(request)
         self.requests[request.request_id] = record
         try:
-            quote, quote_charger = self.planner.quote(request.device)
+            rows = self.planner.instance.quote_rows(request.device)
+            quote, quote_charger = self.planner.quote(request.device, rows)
         except ServiceError:
             # Every charger is down: nothing can even quote this device.
             record.state = RequestState.REJECTED
@@ -377,6 +386,7 @@ class ChargingService:
         else:
             record.state = RequestState.ADMITTED
             self._queue.append(request.request_id)
+            self._queued_rows[request.request_id] = rows
             self._hold_device(record)
             self._journal(
                 "admit",
@@ -515,6 +525,7 @@ class ChargingService:
             return record.state
         if record.state == RequestState.ADMITTED:
             self._queue.remove(request_id)
+            self._queued_rows.pop(request_id, None)
         elif record.state == RequestState.EVACUATING:
             self._evacuating.remove(request_id)
             if record.device_index is not None:
@@ -744,6 +755,7 @@ class ChargingService:
             record = self.requests[rid]
             deadline = record.request.deadline
             if deadline is not None and deadline <= boundary + _TIME_EPS:
+                self._queued_rows.pop(rid, None)
                 self._expire(record, boundary, where="queue")
             else:
                 still_queued.append(rid)
@@ -791,16 +803,22 @@ class ChargingService:
         self.metrics.counter("expired").inc()
         self.metrics.counter(f"expired.{where}").inc()
 
-    def _requote_holds(self, record: RequestRecord) -> bool:
+    def _requote_holds(
+        self,
+        record: RequestRecord,
+        rows: Optional[Tuple[np.ndarray, np.ndarray]],
+    ) -> bool:
         """Does a fresh quote still fit under the request's original one?
 
         The original quote is the binding price ceiling; a re-quote never
-        replaces it.  False when no available charger can quote at all.
+        replaces it.  *rows* are the device's already-priced rows (only
+        availability changed since), or ``None`` to price it again.  False
+        when no available charger can quote at all.
         """
         if record.quote is None:
             return False
         try:
-            quote, _ = self.planner.quote(record.request.device)
+            quote, _ = self.planner.quote(record.request.device, rows)
         except ServiceError:
             return False
         return quote <= record.quote + self.planner.tol
@@ -822,12 +840,15 @@ class ChargingService:
     def _fold(self, boundary: float) -> None:
         evacuees, self._evacuating = self._evacuating, []
         queued, self._queue = self._queue, []
+        queued_rows, self._queued_rows = self._queued_rows, {}
         #: ``(rid, refold)`` — evacuated requests keep their device index
         #: and ceiling; fresh ones enter the plan instance here.
         batch: List[Tuple[str, bool]] = []
         for rid in evacuees:
             record = self.requests[rid]
-            if self._requote_holds(record):
+            assert record.device_index is not None
+            rows = self.planner.instance.device_rows(record.device_index)
+            if self._requote_holds(record, rows):
                 batch.append((rid, True))
             else:
                 self._reject_charger_failed(record, boundary)
@@ -838,7 +859,7 @@ class ChargingService:
             # Queued quotes only need re-validation when availability
             # shrank since they were issued; recoveries can only make
             # quotes cheaper.
-            if check_queue and not self._requote_holds(record):
+            if check_queue and not self._requote_holds(record, queued_rows.get(rid)):
                 self._reject_charger_failed(record, boundary)
             else:
                 batch.append((rid, False))
@@ -851,7 +872,9 @@ class ChargingService:
                     assert index is not None
                 else:
                     index = self.planner.add(
-                        record.request.device, ceiling=record.quote
+                        record.request.device,
+                        ceiling=record.quote,
+                        rows=queued_rows.get(rid),
                     )
                     record.device_index = index
                 self._rid_of_index[index] = rid
@@ -1060,24 +1083,26 @@ class ChargingService:
 
         Derived structures — matrix rows, coalition aggregates, Zobrist
         hashes — are *recomputed* through the same deterministic paths the
-        live run used (``add_device``, ``_create``); only irreducible
+        live run used (the plan's pricing, ``_create``); only irreducible
         history is copied verbatim, with the structure's accumulated
         ``_total_cost`` overwritten last because ``+=``/``-=`` history
-        makes it bit-different from a fresh recomputation.
+        makes it bit-different from a fresh recomputation.  Every device
+        is priced at once, as one matrix (``PlanInstance.add_devices``).
         """
         planner_state = state["planner"]
         inst = self.planner.instance
         st = self.planner.structure
-        for dev in planner_state["devices"]:
-            index = inst.add_device(
-                Device(
-                    device_id=dev["id"],
-                    position=Point(float(dev["x"]), float(dev["y"])),
-                    demand=float(dev["demand"]),
-                    moving_rate=float(dev["moving_rate"]),
-                    speed=float(dev["speed"]),
-                )
+        devices = [
+            Device(
+                device_id=dev["id"],
+                position=Point(float(dev["x"]), float(dev["y"])),
+                demand=float(dev["demand"]),
+                moving_rate=float(dev["moving_rate"]),
+                speed=float(dev["speed"]),
             )
+            for dev in planner_state["devices"]
+        ]
+        for index in inst.add_devices(devices):
             st.register_device(index)
         for j, up in enumerate(planner_state["up"]):
             inst.set_available(j, bool(up))
@@ -1243,6 +1268,11 @@ class ChargingService:
            seq is past 0) this rung is gone, and a typed
            :class:`~repro.errors.RecoveryError` says so.
 
+        A *journal_path* that does not exist raises
+        :class:`~repro.errors.RecoveryError` before anything is created:
+        an opened service always has a journal, so a missing one means
+        its history is lost, never an empty service.
+
         Whichever path runs, the journal is atomically rewritten to the
         canonical replayed form and the returned service is
         byte-equivalent (journal, metrics snapshot, session log) to one
@@ -1259,6 +1289,11 @@ class ChargingService:
         to keep injected write failures armed across a recovery (record
         numbering is stable because recovery converges byte-identical).
         """
+        if not Path(journal_path).exists():
+            raise RecoveryError(
+                f"no journal at {journal_path}: there is no history to "
+                "recover (a fresh service starts with ChargingService(...))"
+            )
         read = Journal.read(journal_path)
         records = read.records
         end = read.base_seq + len(records)

@@ -8,8 +8,8 @@ ever re-solving from scratch:
 - :class:`PlanInstance` — a *growable* instance facade exposing exactly
   the surface the incremental engine reads (cached demand list, the
   moving-cost matrix, lazy singleton price/cost matrices, tariff fast
-  paths).  Adding a device costs ``O(m)`` (one matrix row); nothing else
-  is recomputed.
+  paths).  Adding a device costs ``O(m)`` (one matrix row, priced once at
+  admission and reused at the fold); nothing else is recomputed.
 - :class:`GrowableCoalitionStructure` — the PR-1
   :class:`~repro.game.coalition.CoalitionStructure` extended with
   ``place`` / ``remove`` / ``retire``, so devices can enter a live
@@ -36,6 +36,7 @@ by the total number of requests ever served.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -63,6 +64,11 @@ class PlanInstance:
     unchanged, while :meth:`add_device` appends one device in ``O(m)``.
     Device indices are append-only and never reused — a retired device's
     row simply stops being referenced.
+
+    A device is priced once per admission: :meth:`quote_rows` builds its
+    moving-cost and singleton-price rows for the quote, and the fold hands
+    the same rows to :meth:`add_device`.  A snapshot restore prices every
+    device it brings back as one matrix (:meth:`add_devices`).
     """
 
     def __init__(
@@ -83,10 +89,20 @@ class PlanInstance:
         self._demand_list: List[float] = []
         self._device_ids: Dict[str, int] = {}
         m = len(self.chargers)
+        self._charger_xy = [(c.position.x, c.position.y) for c in self.chargers]
+        #: The mobility model's whole-matrix pricing hook, if it has one
+        #: (as for :class:`~repro.core.instance.CCSInstance`); without it
+        #: moving costs fall back to one model call per pair.
+        self._moving_cost_hook = getattr(self.mobility, "moving_cost_matrix", None)
         #: Per-charger availability (fault semantics): a down charger is
         #: excluded from quoting, insertion, improvement, and repair, but
         #: its matrix columns stay — recovery is a single flag flip.
         self._up: List[bool] = [True] * m
+        #: Chargers that can quote (up and admitting a lone device), as
+        #: sorted indices; ``None`` while every charger can.  Kept current
+        #: by :meth:`set_available`.
+        self._quotable: Optional[np.ndarray] = None
+        self._refresh_quotable()
         cap = 16
         self._mc_buf = np.empty((cap, m), dtype=float)
         self._sp_buf = np.empty((cap, m), dtype=float)
@@ -102,46 +118,87 @@ class PlanInstance:
         self._singleton_cost = self._sc_buf[:n]
 
     # ------------------------------------------------------------------ #
-    # growth
+    # pricing: where a device's rows come from
+    #
+    # A device is priced once, when it is quoted at admission
+    # (:meth:`quote_rows`).  Those rows travel with the queued request and
+    # become its plan rows at the fold (:meth:`add_device` with ``rows``);
+    # a snapshot restore prices all of its devices as one matrix
+    # (:meth:`add_devices`).  Every path gives the scalar
+    # ``mobility.moving_cost`` / ``Charger.price_for_stored`` values bit
+    # for bit.
+
+    def _distance_row(self, device: Device) -> List[float]:
+        """Per-pair ``math.hypot`` distances, bitwise ``Point.distance_to``."""
+        x, y = device.position.x, device.position.y
+        return [math.hypot(x - cx, y - cy) for cx, cy in self._charger_xy]
+
+    def _moving_cost_row(self, device: Device) -> List[float]:
+        """Hook-less fallback: one mobility-model call per charger."""
+        return [
+            self.mobility.moving_cost(device.position, c.position, device.moving_rate)
+            for c in self.chargers
+        ]
 
     def quote_rows(self, device: Device) -> Tuple[np.ndarray, np.ndarray]:
-        """``(moving-cost row, singleton-price row)`` for a device.
+        """``(moving-cost row, singleton-price row)`` for one device.
 
-        ``O(m)``: one mobility evaluation and one tariff evaluation per
-        charger.  Used both for pre-admission quoting (the device may
-        never enter the plan) and by :meth:`add_device`.
+        The admission-time pricing of a request: array ops over the
+        chargers (the mobility hook, then one ``np.power`` per distinct
+        tariff exponent), with no per-charger tariff or mobility call on
+        the closed-form paths.  The quote (:meth:`best_singleton`) reads
+        these rows, and :meth:`add_device` reuses them at the fold.
         """
-        move = np.array(
-            [
-                self.mobility.moving_cost(device.position, c.position, device.moving_rate)
-                for c in self.chargers
-            ],
-            dtype=float,
-        )
-        price = np.array(
-            [c.price_for_stored(device.demand) for c in self.chargers], dtype=float
-        )
+        if self._moving_cost_hook is not None:
+            move = np.asarray(
+                self._moving_cost_hook(
+                    np.array(self._distance_row(device)), device.moving_rate
+                ),
+                dtype=float,
+            )
+        else:
+            move = np.array(self._moving_cost_row(device), dtype=float)
+        price = self.price_table().singleton_price_row(device.demand)
         return move, price
 
-    def best_singleton(self, device: Device) -> Tuple[float, int]:
+    def best_singleton(
+        self,
+        device: Device,
+        rows: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    ) -> Tuple[float, int]:
         """Cheapest standalone option: ``(cost, charger index)``.
 
         The admission *quote*: what the device would pay charging alone at
-        its best *available* charger.  Ties break toward the lower charger
+        its best *available* charger.  *rows* are the device's
+        :meth:`quote_rows` when the caller already holds them (they are
+        priced here otherwise).  Ties break toward the lower charger
         index.  Raises :class:`~repro.errors.ServiceError` when no
         available charger admits a device (e.g. every charger is down).
         """
-        move, price = self.quote_rows(device)
+        move, price = rows if rows is not None else self.quote_rows(device)
         costs = move + price
-        admitting = [
-            j
-            for j, c in enumerate(self.chargers)
-            if self._up[j] and c.admits(1)
-        ]
-        if not admitting:
+        j = self.cheapest_singleton(costs)
+        if j is None:
             raise ServiceError("no available charger admits even a single device")
-        j = min(admitting, key=lambda j: (float(costs[j]), j))
         return float(costs[j]), j
+
+    def cheapest_singleton(self, costs: np.ndarray) -> Optional[int]:
+        """The quotable charger with the lowest singleton cost in *costs*.
+
+        One masked ``argmin`` over the chargers that are up and admit a
+        lone device; ties go to the lower charger index.  ``None`` when
+        no charger can quote.
+        """
+        quotable = self._quotable
+        if quotable is None:
+            return int(costs.argmin())
+        if not quotable.size:
+            return None
+        return int(quotable[costs[quotable].argmin()])
+
+    def device_rows(self, index: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The plan's ``(moving-cost, singleton-price)`` rows of device *index*."""
+        return self._moving_cost[index], self._singleton_price[index]
 
     # ------------------------------------------------------------------ #
     # charger availability (fault semantics)
@@ -158,37 +215,101 @@ class PlanInstance:
     def set_available(self, charger: int, up: bool) -> None:
         """Flip charger index *charger*'s availability flag."""
         self._up[charger] = bool(up)
+        self._refresh_quotable()
+
+    def _refresh_quotable(self) -> None:
+        quotable = [
+            j for j, c in enumerate(self.chargers) if self._up[j] and c.admits(1)
+        ]
+        self._quotable = (
+            None
+            if len(quotable) == len(self.chargers)
+            else np.array(quotable, dtype=np.int64)
+        )
 
     def available_chargers(self) -> List[int]:
         """Sorted indices of the currently available chargers."""
         return [j for j in range(len(self.chargers)) if self._up[j]]
 
-    def add_device(self, device: Device) -> int:
+    # ------------------------------------------------------------------ #
+    # growth
+
+    def _reserve(self, n: int) -> None:
+        """Grow the row buffers (by doubling) to hold at least *n* devices."""
+        cap = self._mc_buf.shape[0]
+        if n <= cap:
+            return
+        while cap < n:
+            cap *= 2
+        for name in ("_mc_buf", "_sp_buf", "_sc_buf"):
+            buf = getattr(self, name)
+            new = np.empty((cap, buf.shape[1]), dtype=float)
+            new[: self._n] = buf[: self._n]
+            setattr(self, name, new)
+
+    def _register(self, device: Device) -> int:
+        i = len(self.devices)
+        self.devices.append(device)
+        self._demand_list.append(float(device.demand))
+        self._device_ids[device.device_id] = i
+        return i
+
+    def add_device(
+        self,
+        device: Device,
+        rows: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    ) -> int:
         """Append *device*; returns its (permanent) index.  ``O(m)``.
 
-        A device identifier may recur (a device coming back for another
-        charge after finishing an earlier session); ``device_index`` then
-        resolves to the latest index.  Guarding against *concurrently*
-        served duplicates is the kernel's admission job.
+        *rows* are the device's admission :meth:`quote_rows`; without them
+        (a request still queued across a restore) the device is priced
+        again, bit-identically.  A device identifier may recur (a device
+        coming back for another charge after finishing an earlier
+        session); ``device_index`` then resolves to the latest index.
+        Guarding against *concurrently* served duplicates is the kernel's
+        admission job.
         """
-        move, price = self.quote_rows(device)
-        if self._n == self._mc_buf.shape[0]:
-            grown = self._mc_buf.shape[0] * 2
-            for name in ("_mc_buf", "_sp_buf", "_sc_buf"):
-                buf = getattr(self, name)
-                new = np.empty((grown, buf.shape[1]), dtype=float)
-                new[: self._n] = buf[: self._n]
-                setattr(self, name, new)
+        move, price = rows if rows is not None else self.quote_rows(device)
+        self._reserve(self._n + 1)
         i = self._n
         self._mc_buf[i] = move
         self._sp_buf[i] = price
         self._sc_buf[i] = move + price
         self._n += 1
         self._sync_views()
-        self.devices.append(device)
-        self._demand_list.append(float(device.demand))
-        self._device_ids[device.device_id] = i
-        return i
+        return self._register(device)
+
+    def add_devices(self, devices: Sequence[Device]) -> range:
+        """Append *devices* in order, priced as one matrix; returns their indices.
+
+        The snapshot-restore path.  Row ``i`` is bitwise what
+        :meth:`add_device` stores for ``devices[i]`` (the same per-pair
+        distances, mobility hook and tariff groups), but the rows are
+        priced as ``(n, m)`` matrices written straight into the grown
+        buffers, with at most one ``(n, m)`` temporary alive at a time.
+        """
+        lo, hi = self._n, self._n + len(devices)
+        if not devices:
+            return range(lo, hi)
+        self._reserve(hi)
+        move, price, cost = self._mc_buf[lo:hi], self._sp_buf[lo:hi], self._sc_buf[lo:hi]
+        if self._moving_cost_hook is not None:
+            # The cost rows are free until the end: stage distances there.
+            for i, device in enumerate(devices):
+                cost[i] = self._distance_row(device)
+            rates = np.array([d.moving_rate for d in devices], dtype=float)
+            move[:] = self._moving_cost_hook(cost, rates)
+        else:
+            for i, device in enumerate(devices):
+                move[i] = self._moving_cost_row(device)
+        demands = np.array([d.demand for d in devices], dtype=float)
+        price[:] = self.price_table().singleton_price_matrix(demands)
+        np.add(move, price, out=cost)
+        self._n = hi
+        self._sync_views()
+        for device in devices:
+            self._register(device)
+        return range(lo, hi)
 
     # ------------------------------------------------------------------ #
     # the CCSInstance read surface
@@ -433,13 +554,18 @@ class IncrementalPlanner:
     # ------------------------------------------------------------------ #
     # quoting and membership
 
-    def quote(self, device: Device) -> Tuple[float, int]:
+    def quote(
+        self,
+        device: Device,
+        rows: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    ) -> Tuple[float, int]:
         """Standalone quote for a (not yet admitted) device: ``(cost, charger)``.
 
-        Only *available* chargers quote; raises
+        *rows* are the device's :meth:`PlanInstance.quote_rows`, if the
+        caller already priced it.  Only *available* chargers quote; raises
         :class:`~repro.errors.ServiceError` when none can.
         """
-        return self.instance.best_singleton(device)
+        return self.instance.best_singleton(device, rows)
 
     # ------------------------------------------------------------------ #
     # charger availability (fault semantics)
@@ -483,9 +609,18 @@ class IncrementalPlanner:
                 self.structure.retire(cid)
         return sorted(displaced)
 
-    def add(self, device: Device, ceiling: float) -> int:
-        """Register an admitted device (not yet placed); returns its index."""
-        index = self.instance.add_device(device)
+    def add(
+        self,
+        device: Device,
+        ceiling: float,
+        rows: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    ) -> int:
+        """Register an admitted device (not yet placed); returns its index.
+
+        *rows* are the admission quote's :meth:`PlanInstance.quote_rows`;
+        passing them keeps the fold from pricing the device a second time.
+        """
+        index = self.instance.add_device(device, rows)
         self.structure.register_device(index)
         self.ceiling[index] = float(ceiling)
         return index
@@ -648,16 +783,7 @@ class IncrementalPlanner:
                 if st.individual_cost(device) <= self.ceiling[device] + self.tol:
                     continue
                 row = inst.singleton_cost_matrix()[device]
-                candidates = [
-                    j
-                    for j in range(inst.n_chargers)
-                    if inst.charger_available(j) and inst.chargers[j].admits(1)
-                ]
-                j = (
-                    min(candidates, key=lambda j: (float(row[j]), j))
-                    if candidates
-                    else None
-                )
+                j = inst.cheapest_singleton(row)
                 if j is not None and float(row[j]) <= self.ceiling[device] + self.tol:
                     src = st.coalition_of(device)
                     if src.size == 1 and src.charger == j:

@@ -492,7 +492,9 @@ class ShardedService:
         The dead kernel is replaced only when recovery *succeeds* — on a
         crash mid-recovery (``journal_factory`` is the fault harness's
         hook for injecting those) the facade still maps the shard id, so
-        a supervisor can simply retry this call.
+        a supervisor can simply retry this call.  A shard journal deleted
+        under the running service is lost history: the kernel recovery
+        raises :class:`~repro.errors.RecoveryError` and creates nothing.
         """
         if self.journal_dir is None:
             raise ServiceError("cannot recover a journal-less shard")

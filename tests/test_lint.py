@@ -112,6 +112,32 @@ def test_normalize_module():
         == "repro/game/coalition.py"
     )
     assert normalize_module("./tools/script.py") == "tools/script.py"
+    assert normalize_module(REPO / "benchmarks" / "e2e" / "run.py") == (
+        "benchmarks/e2e/run.py"
+    )
+
+
+def test_absolute_and_relative_invocations_agree(tmp_path, monkeypatch):
+    # Module labels outside the package come from the project root, not
+    # the working directory: CCS002's benchmark/example scopes must match
+    # however the files were named.
+    def scan(paths):
+        return [
+            (
+                r.module,
+                [(f.code, f.module, f.line, f.col, f.message) for f in r.findings],
+                [(f.code, f.module, f.line, f.col, f.message) for f in r.suppressed],
+            )
+            for r in analyze_paths(paths)
+        ]
+
+    monkeypatch.chdir(REPO)
+    relative = scan(["benchmarks", "examples"])
+    monkeypatch.chdir(tmp_path)
+    absolute = scan([REPO / "benchmarks", REPO / "examples"])
+    assert absolute == relative
+    assert all(module.startswith(("benchmarks/", "examples/")) for module, _f, _s in relative)
+    assert not any(findings for _m, findings, _s in relative)
 
 
 # --------------------------------------------------------------------- #

@@ -13,7 +13,7 @@ import json
 
 import pytest
 
-from repro.errors import ServiceError
+from repro.errors import RecoveryError, ServiceError
 from repro.geometry import Point
 from repro.service import (
     ChargingService,
@@ -138,6 +138,16 @@ class TestRecovery:
         rec.journal.close()
         assert rec.final_schedule() == svc.final_schedule()
         assert rec.clock.now == svc.clock.now
+
+    def test_recover_of_a_missing_journal_is_a_typed_error(self, tmp_path):
+        # A journal always exists once a service has opened it, so a
+        # missing one means lost history, never an empty service.
+        missing = tmp_path / "gone" / "svc.jsonl"
+        with pytest.raises(RecoveryError) as info:
+            ChargingService.recover(missing, CHARGERS, config=CONFIG)
+        assert str(missing) in str(info.value)
+        assert not missing.exists()
+        assert list(tmp_path.iterdir()) == []
 
     def test_recover_rejects_mismatched_configuration(self, tmp_path, stream):
         run_uninterrupted(tmp_path, stream, tag="cfg")

@@ -418,6 +418,23 @@ class TestFacadeLifecycle:
         assert not lost.exists()
         assert sorted(p.name for p in (tmp_path / "svc").iterdir()) == before
 
+    def test_shard_journal_deleted_under_a_running_service(self, tmp_path):
+        # The supervisor's heal path goes through the single-kernel
+        # recovery, which refuses a missing journal: the loss surfaces as
+        # a typed error instead of healing into an empty shard.
+        svc = make_service(tmp_path / "svc")
+        sup = ShardSupervisor(svc, seed=3)
+        for r in make_stream(20):
+            sup.apply(("submit", r.submitted_at, r))
+        lost = tmp_path / "svc" / "shard-0001.jsonl"
+        lost.unlink()
+        with pytest.raises(RecoveryError) as info:
+            sup.kill_shard(1)
+        assert str(lost) in str(info.value)
+        assert not lost.exists()
+        assert not lost.with_name(lost.name + ".recover").exists()
+        svc.close()
+
 
 def run_supervised_case(tmp_path, stream_seed, chaos_seed, n=25, tag="chaos",
                         extra=()):
