@@ -104,9 +104,10 @@ recovery-smoke:
 		--journal .recovery-smoke --recover-only
 	rm -rf .recovery-smoke
 
-# Sharded-service smoke (tier-1 marker): a 4-shard replay checked against
-# the live facade plus the 1-shard byte-identity spot check, then an
-# end-to-end sharded daemon run recovered from its journal directory.
+# Sharded-service smoke (tier-1 marker): a live 4-shard facade checked
+# against the recovery of its own journal directory plus the 1-shard
+# byte-identity spot check, then an end-to-end sharded daemon run
+# recovered from its journal directory.
 shard-smoke:
 	$(PYTHON) -m pytest -q -m shard_smoke tests/test_shard_smoke.py
 	$(PYTHON) -m repro.service --n 150 --rate 0.5 --seed 7 --chargers 8 \

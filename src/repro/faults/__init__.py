@@ -15,8 +15,10 @@ Layout:
   failures, worker crashes, shard kills, snapshot corruption, crashes
   mid-snapshot-write, and crash-looping recoveries.  Built on
   :func:`repro.rng.derive_seed`; never wall-clock or global RNG.
-- :mod:`.journal` — :class:`FaultyJournal`: a service journal whose
-  appends fail on cue (clean ``ENOSPC`` or a torn mid-record write).
+- :mod:`.storage` — :class:`FaultyStorage`: a storage wrapper whose
+  journal record appends fail on cue (clean ``ENOSPC`` or a torn
+  mid-record write), and the on-disk damage of shard chaos events
+  (torn tails, garbled snapshots, stranded snapshot temps).
 - :mod:`.executor` — :class:`FaultyExecutor`: a parallel executor whose
   workers die (``os._exit``) on scheduled attempts.
 - :mod:`.tasks` — module-qualified chaos task kinds for spawned workers.
@@ -32,16 +34,16 @@ state diagram.
 
 from .driver import apply_event, drive, merge_timeline
 from .executor import FaultyExecutor
-from .journal import FaultyJournal
 from .plan import FAULT_KINDS, SUPERVISOR_KINDS, FaultEvent, FaultPlan
+from .storage import FaultyStorage
 
 __all__ = [
     "FAULT_KINDS",
     "SUPERVISOR_KINDS",
     "FaultEvent",
     "FaultPlan",
-    "FaultyJournal",
     "FaultyExecutor",
+    "FaultyStorage",
     "apply_event",
     "drive",
     "merge_timeline",

@@ -206,7 +206,7 @@ class FaultPlan:
         return [e for e in self.events if e.kind in KERNEL_KINDS]
 
     def journal_faults(self) -> Dict[int, str]:
-        """``{record seq: mode}`` for :class:`~repro.faults.journal.FaultyJournal`."""
+        """``{record seq: mode}`` for :class:`~repro.faults.storage.FaultyStorage`."""
         return {
             int(e.target): str(e.mode)
             for e in self.events
@@ -231,7 +231,8 @@ class FaultPlan:
         """``{shard id: [mode, ...]}`` arming per-shard *recovery* crashes.
 
         A ``recovery_crash`` event with ``count=N`` arms N crashes of that
-        shard's recovery: each recovery attempt fails on the first record
+        shard's recovery (:class:`~repro.faults.storage.FaultyStorage`'s
+        ``crashes``): each recovery attempt fails on the first record
         its replay journal writes, whatever that record's seq (a snapshot
         recovery starts at the compacted journal's base seq), consuming
         one armed mode — so the shard's recovery fails N times and then

@@ -6,8 +6,9 @@ on the testbed.  This module round-trips both through plain JSON with a
 versioned envelope, refusing payloads it cannot faithfully reconstruct
 (unknown tariff or mobility types) rather than guessing.
 
-It also holds :func:`atomic_replace`, the one way a durable file is
-published over its old version.
+It also holds the service's one storage seam, :class:`Storage`, and
+:func:`atomic_replace`, the one way a durable file is published over its
+old version.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Any, Dict, Union
+from typing import Any, BinaryIO, Dict, Iterable, List, Optional, Union
 
 from .core import CCSInstance, Device, Schedule, Session
 from .errors import ConfigurationError
@@ -24,9 +25,9 @@ from .mobility import LinearMobility, ManhattanMobility, QuadraticMobility
 from .wpt import Charger, LinearTariff, PiecewiseConcaveTariff, PowerLawTariff
 
 __all__ = [
+    "POSIX",
+    "Storage",
     "atomic_replace",
-    "charger_to_dict",
-    "charger_from_dict",
     "instance_to_dict",
     "instance_from_dict",
     "schedule_to_dict",
@@ -103,39 +104,6 @@ def _mobility_from_dict(data: Dict[str, Any]):
         )
     kwargs = {k: v for k, v in data.items() if k != "type"}
     return _MOBILITY_TYPES[kind](**kwargs)
-
-
-def charger_to_dict(charger: Charger) -> Dict[str, Any]:
-    """Serialize one charger to a plain-JSON dict.
-
-    Unlike the instance envelope (which predates it and omits the field
-    for compatibility), this round-trips ``service_discipline`` too — the
-    sharded replay tasks ship chargers to worker processes through it and
-    must reconstruct them exactly.
-    """
-    return {
-        "id": charger.charger_id,
-        "x": charger.position.x,
-        "y": charger.position.y,
-        "tariff": _tariff_to_dict(charger.tariff),
-        "efficiency": charger.efficiency,
-        "transmit_power": charger.transmit_power,
-        "capacity": charger.capacity,
-        "service_discipline": charger.service_discipline,
-    }
-
-
-def charger_from_dict(data: Dict[str, Any]) -> Charger:
-    """Reconstruct a charger serialized by :func:`charger_to_dict`."""
-    return Charger(
-        charger_id=data["id"],
-        position=Point(data["x"], data["y"]),
-        tariff=_tariff_from_dict(data["tariff"]),
-        efficiency=data["efficiency"],
-        transmit_power=data["transmit_power"],
-        capacity=data["capacity"],
-        service_discipline=data.get("service_discipline", "sequential"),
-    )
 
 
 def instance_to_dict(instance: CCSInstance) -> Dict[str, Any]:
@@ -296,3 +264,80 @@ def _fsync(path: Union[str, Path]) -> None:
         os.fsync(fd)
     finally:
         os.close(fd)
+
+
+class Storage:
+    """The file operations that make service state durable, on POSIX.
+
+    Journals, snapshots, the shard manifest and the supervision log take
+    them from a storage, so the order in which bytes, fsyncs and renames
+    reach the disk is decided here.  A wrapper (fault injection, a
+    recording shim) passes what it does not change to the one it wraps.
+    """
+
+    def open_append(self, path: Path, truncate: bool) -> BinaryIO:
+        """Open *path* for appending, emptied first when *truncate*."""
+        path.parent.mkdir(parents=True, exist_ok=True)
+        return open(path, "wb" if truncate else "ab")
+
+    def append(self, fh: BinaryIO, data: bytes) -> None:
+        """Write *data* to *fh* and flush it to the operating system."""
+        fh.write(data)
+        fh.flush()
+
+    def barrier(self, fh: BinaryIO) -> None:
+        """fsync *fh*: everything appended so far survives a power cut."""
+        os.fsync(fh.fileno())
+
+    def truncate(self, fh: BinaryIO, size: int) -> None:
+        """Cut *fh*'s file to its first *size* bytes."""
+        fh.seek(size)
+        fh.truncate()
+        fh.flush()
+
+    def publish(
+        self,
+        path: Path,
+        chunks: Optional[Iterable[bytes]] = None,
+        tmp: Optional[Path] = None,
+        durable: bool = True,
+    ) -> None:
+        """Write *chunks* (none: already written) to the sibling *tmp*
+        (default ``<path>.tmp``) and rename it to *path* — durably
+        (:func:`atomic_replace`) unless *durable* is false."""
+        tmp = tmp if tmp is not None else path.with_name(path.name + ".tmp")
+        if chunks is not None:
+            with open(tmp, "wb") as fh:
+                for chunk in chunks:
+                    fh.write(chunk)
+        if durable:
+            atomic_replace(tmp, path)
+        else:
+            os.replace(tmp, path)
+
+    def read(self, path: Path) -> BinaryIO:
+        """Open *path* for reading."""
+        return open(path, "rb")
+
+    def listdir(self, directory: Path) -> List[str]:
+        """The names in *directory*, sorted."""
+        return sorted(p.name for p in directory.iterdir())
+
+    def remove(self, paths: Iterable[Path], durable: bool = False) -> int:
+        """Delete whichever of *paths* exist and return how many; with
+        *durable*, then fsync each directory that lost a file."""
+        touched = []
+        for path in paths:
+            try:
+                path.unlink()
+            except FileNotFoundError:
+                continue
+            touched.append(path.parent)
+        if durable:
+            for directory in sorted(set(touched)):
+                _fsync(directory)
+        return len(touched)
+
+
+#: The storage every journal, snapshot and manifest uses unless given another.
+POSIX = Storage()

@@ -12,8 +12,9 @@ check one module at a time:
   guards via :mod:`repro.numeric`);
 - **CCS004** — coalition cached state is only written by the refresh
   APIs in ``game/coalition.py`` (incremental-cost coherence);
-- **CCS005** — append-mode opens only in ``service/journal.py``
-  (journal durability / longest-valid-prefix recovery);
+- **CCS005** — service and shard files are written, renamed, synced,
+  cut and deleted only through ``repro.io``'s storage (crash-order
+  durability in one place);
 - **CCS006** — no set iteration in canonical-output code
   (fingerprint / golden byte-stability);
 - **CCS007** — ``json.dumps`` sorts keys in canonical-output code;

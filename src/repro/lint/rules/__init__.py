@@ -14,7 +14,7 @@ from . import (  # noqa: F401  (imports register the rules)
     ccs002_wallclock,
     ccs003_float_equality,
     ccs004_coalition_cache,
-    ccs005_journal_append,
+    ccs005_storage_seam,
     ccs006_unordered_iteration,
     ccs007_canonical_json,
     ccs008_array_numeric,
@@ -29,7 +29,7 @@ __all__ = [
     "ccs002_wallclock",
     "ccs003_float_equality",
     "ccs004_coalition_cache",
-    "ccs005_journal_append",
+    "ccs005_storage_seam",
     "ccs006_unordered_iteration",
     "ccs007_canonical_json",
     "ccs008_array_numeric",

@@ -21,6 +21,9 @@ from the first kept record's line (found by counting lines from
 :attr:`Journal.base_seq`) to the end of the file — nothing is parsed or
 re-encoded.
 
+Every file operation goes through the journal's :class:`~repro.io.Storage`;
+fault injection arms a live journal by swapping it.
+
 Recovery discipline (see :meth:`repro.service.kernel.ChargingService.recover`):
 ``submit`` and ``drain`` records are the *inputs*; every other event is a
 deterministic consequence the kernel re-derives by replaying them.  The
@@ -33,17 +36,15 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import os
-import shutil
 from contextlib import contextmanager
 from pathlib import Path
 from typing import (
-    Any, Dict, Iterator, List, NamedTuple, Optional, Sequence, TextIO, Tuple, Union,
+    Any, BinaryIO, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union,
 )
 
 from ..errors import JournalError, JournalWriteError
 from ..experiments.exec.task import canon_json, canonical_json, plain_json
-from ..io import atomic_replace
+from ..io import POSIX, Storage
 
 __all__ = ["Journal", "JournalRead", "record_checksum", "seal_holds", "sealed_json"]
 
@@ -138,11 +139,11 @@ class Journal:
         path: Union[str, Path],
         truncate: bool = True,
         sync: bool = True,
+        storage: Storage = POSIX,
     ) -> None:
         self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        mode = "w" if truncate else "a"
-        self._fh: Optional[TextIO] = open(self.path, mode, encoding="utf-8")
+        self.storage = storage
+        self._fh: Optional[BinaryIO] = storage.open_append(self.path, truncate)
         #: ``fsync`` the journal (power-cut safety).  On for the service
         #: daemon, off for load generators and benchmarks that only need
         #: process-crash safety.  Every record is written and flushed on
@@ -199,10 +200,9 @@ class Journal:
         self.seq += 1
 
     def _write(self, line: str) -> None:
-        """Push one record line to disk (overridden by fault injectors)."""
+        """Hand one record line to the storage."""
         assert self._fh is not None
-        self._fh.write(line)
-        self._fh.flush()
+        self.storage.append(self._fh, line.encode("utf-8"))
         if self.sync:
             self._unsynced = True
             if not self._batch_depth:
@@ -229,16 +229,14 @@ class Journal:
     def barrier(self) -> None:
         """Make every record written so far durable (a no-op if it is)."""
         if self._unsynced and self._fh is not None:
-            os.fsync(self._fh.fileno())
+            self.storage.barrier(self._fh)
         self._unsynced = False
 
     def _restore(self, offset: int) -> None:
         """Drop a partially written record so the file ends at *offset*."""
         assert self._fh is not None
         try:
-            self._fh.seek(offset)
-            self._fh.truncate()
-            self._fh.flush()
+            self.storage.truncate(self._fh, offset)
         except OSError:
             # The file handle itself is broken; close it so further
             # appends fail loudly as "journal closed" rather than
@@ -259,21 +257,18 @@ class Journal:
         """Atomically move this journal's file to *path* and keep appending.
 
         Used by recovery: the replayed journal is written to a sibling
-        temp file and swapped in with :func:`os.replace`, so the on-disk
+        temp file and published over *path*, so the on-disk
         journal is never observable half-rewritten.  With :attr:`sync`
-        the rename is durable too (:func:`~repro.io.atomic_replace`): the
+        the rename is durable too (:meth:`~repro.io.Storage.publish`): the
         temp file is fsynced before it is published and the parent
         directory after, so a power cut leaves either the old journal or
         the complete new one.
         """
         self.close()
-        if self.sync:
-            atomic_replace(self.path, path)
-        else:
-            os.replace(self.path, path)
+        self.storage.publish(Path(path), tmp=self.path, durable=self.sync)
         self._unsynced = False
         self.path = Path(path)
-        self._fh = open(self.path, "a", encoding="utf-8")
+        self._fh = self.storage.open_append(self.path, truncate=False)
 
     def __enter__(self) -> "Journal":
         return self
@@ -311,8 +306,8 @@ class Journal:
 
         A byte-range copy: the bytes from the line of the first kept
         record (found by counting lines from :attr:`base_seq`) to the end
-        of the file go to a sibling temp that is swapped in
-        with :func:`~repro.io.atomic_replace`, so a crash mid-compaction
+        of the file go to a sibling temp that is published
+        (:meth:`~repro.io.Storage.publish`), so a crash mid-compaction
         leaves either the old or the new journal, never a hybrid.  No
         record is parsed, verified or re-encoded: the live file holds
         only lines this journal wrote or seeded, densely numbered from
@@ -328,15 +323,17 @@ class Journal:
         dropped = keep - self.base_seq
         if dropped <= 0 or self._fh.tell() == 0:
             return 0
-        tmp = self.path.with_name(self.path.name + ".compact")
-        with open(self.path, "rb") as src, open(tmp, "wb") as dst:
+        with self.storage.read(self.path) as src:
             for _ in range(dropped):
                 src.readline()
-            shutil.copyfileobj(src, dst)
+            self.storage.publish(
+                self.path,
+                iter(lambda: src.read(1 << 16), b""),
+                tmp=self.path.with_name(self.path.name + ".compact"),
+            )
         self._fh.close()
-        atomic_replace(tmp, self.path)
-        self._fh = open(self.path, "a", encoding="utf-8")
-        # Every kept record just went through atomic_replace's fsync.
+        self._fh = self.storage.open_append(self.path, truncate=False)
+        # Every kept record just went through the publish's fsync.
         self._unsynced = False
         self.base_seq = keep
         return dropped
@@ -345,7 +342,7 @@ class Journal:
     # reading
 
     @staticmethod
-    def read(path: Union[str, Path]) -> JournalRead:
+    def read(path: Union[str, Path], storage: Storage = POSIX) -> JournalRead:
         """Longest valid record prefix plus everything recovery wants to know.
 
         The first record may carry any seq (a compacted journal starts at
@@ -359,7 +356,8 @@ class Journal:
         records: List[Dict[str, Any]] = []
         kept: List[bytes] = []
         try:
-            raw = path.read_bytes()
+            with storage.read(path) as fh:
+                raw = fh.read()
         except FileNotFoundError:
             return JournalRead([], False, 0, 0, [])
 

@@ -81,6 +81,7 @@ from ..core import Device
 from ..core.costsharing import CostSharingScheme, EgalitarianSharing
 from ..errors import ConfigurationError, RecoveryError, ServiceError, SnapshotError
 from ..geometry import Point
+from ..io import POSIX, Storage
 from ..mobility import MobilityModel
 from ..wpt import Charger
 from .admission import REASON_CHARGER_FAILED, AdmissionController
@@ -89,7 +90,7 @@ from .journal import JOURNAL_SCHEMA, Journal
 from .metrics import Metrics
 from .plan import IncrementalPlanner
 from .request import ChargingRequest, RequestRecord, RequestState
-from .snapshot import list_snapshots, load_snapshot, prune_snapshots, write_snapshot
+from .snapshot import list_snapshots, load_snapshot, prune_snapshots, remove_snapshots, write_snapshot
 
 __all__ = ["ServiceConfig", "ChargingService"]
 
@@ -190,16 +191,17 @@ class ChargingService:
         scheme: Optional[CostSharingScheme] = None,
         config: Optional[ServiceConfig] = None,
         journal_path: Optional[Union[str, Path]] = None,
-        journal: Optional[Journal] = None,
+        storage: Storage = POSIX,
         journal_sync: bool = True,
         snapshot_every: Optional[int] = None,
         snapshot_keep: int = 2,
         compact: bool = True,
     ):
-        """``journal_path`` opens a fresh journal there; ``journal`` hands
-        in a pre-built one instead (fault injection / tests).
-        ``journal_sync`` turns on the journal's fsync: an input is durable
-        when its call returns, and its records share one fsync.  It is an
+        """``journal_path`` opens a fresh journal there, first deleting
+        any snapshots an older history left beside it; ``storage`` holds
+        the journal and its snapshots.  ``journal_sync`` turns on the
+        journal's fsync: an input is durable when its call returns, and
+        its records share one fsync.  It is an
         operational knob, deliberately *not* part of :class:`ServiceConfig`
         (which is pinned into the journal header), so a daemon and its
         recovery can differ on it.  ``snapshot_every`` (operational too,
@@ -218,8 +220,6 @@ class ChargingService:
             raise ConfigurationError(
                 f"snapshot_keep must be >= 1, got {snapshot_keep}"
             )
-        if journal is not None and journal_path is not None:
-            raise ConfigurationError("pass journal_path or journal, not both")
         self.config = config if config is not None else ServiceConfig()
         self.scheme: CostSharingScheme = (
             scheme if scheme is not None else EgalitarianSharing()
@@ -272,15 +272,10 @@ class ChargingService:
         #: it; the duplicate-device admission check.  Derived, so it is
         #: rebuilt on restore rather than snapshotted.
         self._live_devices: Dict[str, int] = {}
-        if journal is not None:
-            self.journal: Optional[Journal] = journal
-        else:
-            self.journal = (
-                Journal(journal_path, sync=journal_sync)
-                if journal_path is not None
-                else None
-            )
-        if self.journal is not None:
+        self.journal: Optional[Journal] = None
+        if journal_path is not None:
+            remove_snapshots(journal_path, storage)
+            self.journal = Journal(journal_path, sync=journal_sync, storage=storage)
             self.journal.append("open", 0.0, self._open_payload())
         #: Automatic snapshot cadence (None = off); see :meth:`write_snapshot`.
         self.snapshot_every = snapshot_every
@@ -288,7 +283,9 @@ class ChargingService:
         self.compact = bool(compact)
         self._last_snapshot_seq = 0
         #: Set during recovery replay: the replay journal lives at a temp
-        #: path, so auto-snapshots must wait until it commits home.
+        #: path and a snapshot is named after its journal, so one taken
+        #: mid-replay would never be found; auto-snapshots wait until the
+        #: journal commits home.
         self._snapshots_paused = False
         # Pre-register every metric so empty snapshots are fully shaped.
         for name in (
@@ -1181,12 +1178,13 @@ class ChargingService:
         # a durable snapshot never pins a seq the journal may lose.
         self.journal.barrier()
         seq = self.journal.seq
-        path = write_snapshot(self.journal.path, seq, self.state())
+        storage = self.journal.storage
+        path = write_snapshot(self.journal.path, seq, self.state(), storage)
         self._last_snapshot_seq = seq
         self.metrics.counter("snapshots_written", operational=True).inc()
-        prune_snapshots(self.journal.path, self.snapshot_keep)
+        prune_snapshots(self.journal.path, self.snapshot_keep, storage)
         if self.compact:
-            remaining = list_snapshots(self.journal.path)
+            remaining = list_snapshots(self.journal.path, storage)
             if len(remaining) >= 2:
                 oldest = min(s for s, _p in remaining)
                 dropped = self.journal.truncate_prefix(oldest)
@@ -1242,7 +1240,7 @@ class ChargingService:
         scheme: Optional[CostSharingScheme] = None,
         config: Optional[ServiceConfig] = None,
         journal_sync: bool = True,
-        journal_factory: Optional[Any] = None,
+        storage: Storage = POSIX,
         snapshot_every: Optional[int] = None,
         snapshot_keep: int = 2,
         compact: bool = True,
@@ -1284,37 +1282,28 @@ class ChargingService:
         against them and a :class:`~repro.errors.ServiceError` is raised
         on mismatch.
 
-        ``journal_factory`` (``path -> Journal``), when given, builds the
-        replay journal at the temp path — the hook the fault harness uses
-        to keep injected write failures armed across a recovery (record
-        numbering is stable because recovery converges byte-identical).
+        The recovered journal keeps *storage*, so faults armed on a
+        wrapping storage stay armed across a recovery.
         """
         if not Path(journal_path).exists():
             raise RecoveryError(
                 f"no journal at {journal_path}: there is no history to "
                 "recover (a fresh service starts with ChargingService(...))"
             )
-        read = Journal.read(journal_path)
+        read = Journal.read(journal_path, storage)
         records = read.records
         end = read.base_seq + len(records)
-        tmp_path = str(journal_path) + ".recover"
-
-        def _make_journal() -> Journal:
-            if journal_factory is not None:
-                journal: Journal = journal_factory(tmp_path)
-                return journal
-            return Journal(tmp_path, sync=journal_sync)
 
         chosen: Optional[Tuple[int, Dict[str, Any]]] = None
         fallbacks = 0
-        for sseq, spath in list_snapshots(journal_path):
+        for sseq, spath in list_snapshots(journal_path, storage):
             if sseq > end or sseq < read.base_seq:
                 # Ahead of the surviving prefix (its suffix records are
                 # lost for good) or behind the compaction point (its
                 # suffix is incomplete): unusable regardless of integrity.
                 continue
             try:
-                _seq, sstate = load_snapshot(spath)
+                _seq, sstate = load_snapshot(spath, storage)
             except SnapshotError:
                 fallbacks += 1
                 continue
@@ -1327,30 +1316,38 @@ class ChargingService:
                 "full replay is impossible"
             )
 
+        service = cls(
+            chargers,
+            mobility=mobility,
+            scheme=scheme,
+            config=config,
+            snapshot_every=snapshot_every,
+            snapshot_keep=snapshot_keep,
+            compact=compact,
+        )
+        ours = service._open_payload()
+        if chosen is not None:
+            what, theirs = "snapshot", chosen[1].get("open")
+        elif records and records[0]["event"] == "open":
+            what, theirs = "journal", records[0]["data"]
+        else:
+            what, theirs = "journal", ours
+        if theirs != ours:
+            raise ServiceError(
+                f"{what} was written by a differently configured "
+                f"service: {theirs} != {ours}"
+            )
         # The whole replay journal is one input: seeded and replayed
         # records are flushed one by one and fsynced once, by commit_to.
-        journal = _make_journal()
+        journal = Journal(str(journal_path) + ".recover", sync=journal_sync, storage=storage)
+        service.journal = journal
+        service._snapshots_paused = True
         with journal.batch():
-            if chosen is not None:
+            if chosen is None:
+                journal.append("open", 0.0, ours)
+                replay = Journal.input_records(records)
+            else:
                 sseq, sstate = chosen
-                service = cls(
-                    chargers,
-                    mobility=mobility,
-                    scheme=scheme,
-                    config=config,
-                    snapshot_every=snapshot_every,
-                    snapshot_keep=snapshot_keep,
-                    compact=compact,
-                )
-                ours = service._open_payload()
-                if sstate.get("open") != ours:
-                    journal.close()
-                    raise ServiceError(
-                        "snapshot was written by a differently configured "
-                        f"service: {sstate.get('open')} != {ours}"
-                    )
-                service._snapshots_paused = True
-                service.journal = journal
                 journal.seed(read.lines[: sseq - read.base_seq], read.base_seq)
                 # The seeded prefix can be empty (snapshot at the compaction
                 # point); the next append must continue at the snapshot seq
@@ -1363,27 +1360,6 @@ class ChargingService:
                 service.metrics.counter(
                     "recovery.snapshot_used", operational=True
                 ).inc()
-            else:
-                service = cls(
-                    chargers,
-                    mobility=mobility,
-                    scheme=scheme,
-                    config=config,
-                    journal=journal,
-                    snapshot_every=snapshot_every,
-                    snapshot_keep=snapshot_keep,
-                    compact=compact,
-                )
-                service._snapshots_paused = True
-                if records and records[0]["event"] == "open":
-                    ours = service._open_payload()
-                    if records[0]["data"] != ours:
-                        journal.close()
-                        raise ServiceError(
-                            "journal was written by a differently configured "
-                            f"service: {records[0]['data']} != {ours}"
-                        )
-                replay = Journal.input_records(records)
             for record in replay:
                 service._replay(record)
             journal.commit_to(journal_path)

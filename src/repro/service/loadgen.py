@@ -301,6 +301,8 @@ def write_trace(path: Union[str, Path], requests: List[ChargingRequest]) -> None
     """Write a request stream as JSONL (one ``to_dict`` per line)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    # ccs-lint: ignore[CCS005] -- an input trace for a later run, not
+    # service state: nothing recovers from it, so it needs no storage.
     with open(path, "w", encoding="utf-8") as fh:
         for request in requests:
             fh.write(json.dumps(request.to_dict(), sort_keys=True) + "\n")

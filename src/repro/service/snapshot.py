@@ -16,8 +16,9 @@ spliced in (:func:`~repro.service.journal.sealed_json`), and loading checks it
 with one hash over the raw bytes minus that field, falling back to
 re-canonicalizing the parsed document only when that hash misses.
 
-Write discipline is temp + :func:`~repro.io.atomic_replace` (file fsync,
-rename, directory fsync): a snapshot file either exists completely or
+Every file operation goes through a :class:`~repro.io.Storage` (the
+journal's).  Write discipline is temp + publish (file fsync, rename,
+directory fsync): a snapshot file either exists completely or
 not at all, even across a power cut — a crash mid-write leaves only a
 ``*.tmp`` sibling that readers ignore.  Snapshots live next to their
 journal as ``<journal>.snap-<seq:010d>``; the zero-padded seq makes
@@ -39,7 +40,7 @@ from typing import Any, Dict, List, Tuple, Union
 
 from ..errors import SnapshotError
 from ..experiments.exec.task import canonical_json
-from ..io import atomic_replace
+from ..io import POSIX, Storage
 from .journal import seal_holds, sealed_json
 
 __all__ = [
@@ -49,6 +50,7 @@ __all__ = [
     "write_snapshot",
     "load_snapshot",
     "prune_snapshots",
+    "remove_snapshots",
 ]
 
 #: Snapshot document version; bump on state-layout changes.  A mismatch is
@@ -68,7 +70,9 @@ def snapshot_path(journal_path: Union[str, Path], seq: int) -> Path:
     return base.with_name(f"{base.name}{_SUFFIX}{int(seq):0{_SEQ_DIGITS}d}")
 
 
-def list_snapshots(journal_path: Union[str, Path]) -> List[Tuple[int, Path]]:
+def list_snapshots(
+    journal_path: Union[str, Path], storage: Storage = POSIX
+) -> List[Tuple[int, Path]]:
     """All snapshot files for this journal, newest (highest seq) first.
 
     Purely name-based — no file is opened, so a corrupt snapshot still
@@ -79,7 +83,7 @@ def list_snapshots(journal_path: Union[str, Path]) -> List[Tuple[int, Path]]:
     prefix = base.name + _SUFFIX
     found: List[Tuple[int, Path]] = []
     try:
-        entries = sorted(p.name for p in base.parent.iterdir())
+        entries = storage.listdir(base.parent)
     except FileNotFoundError:
         return []
     for name in entries:
@@ -94,26 +98,21 @@ def list_snapshots(journal_path: Union[str, Path]) -> List[Tuple[int, Path]]:
 
 
 def write_snapshot(
-    journal_path: Union[str, Path], seq: int, state: Dict[str, Any]
+    journal_path: Union[str, Path], seq: int, state: Dict[str, Any], storage: Storage = POSIX
 ) -> Path:
     """Atomically persist *state* pinned to journal seq *seq*.
 
     Returns the snapshot's path.  The document is fully written to a
-    ``*.tmp`` sibling before :func:`~repro.io.atomic_replace` publishes
-    it under its real name, so no reader ever sees a half snapshot.
+    ``*.tmp`` sibling before :meth:`~repro.io.Storage.publish` renames
+    it to its real name, so no reader ever sees a half snapshot.
     """
     doc: Dict[str, Any] = {"schema": SNAPSHOT_SCHEMA, "seq": int(seq), "state": state}
-    text = sealed_json(doc, "state", last=False)
     path = snapshot_path(journal_path, seq)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.write("\n")
-    atomic_replace(tmp, path)
+    storage.publish(path, [sealed_json(doc, "state", last=False).encode("utf-8"), b"\n"])
     return path
 
 
-def load_snapshot(path: Union[str, Path]) -> Tuple[int, Dict[str, Any]]:
+def load_snapshot(path: Union[str, Path], storage: Storage = POSIX) -> Tuple[int, Dict[str, Any]]:
     """Read and verify one snapshot; returns ``(seq, state)``.
 
     Raises :class:`~repro.errors.SnapshotError` on anything short of a
@@ -123,7 +122,8 @@ def load_snapshot(path: Union[str, Path]) -> Tuple[int, Dict[str, Any]]:
     """
     path = Path(path)
     try:
-        raw = path.read_bytes()
+        with storage.read(path) as fh:
+            raw = fh.read()
     except OSError as exc:
         raise SnapshotError(f"snapshot {path}: unreadable: {exc}") from exc
     try:
@@ -153,7 +153,7 @@ def load_snapshot(path: Union[str, Path]) -> Tuple[int, Dict[str, Any]]:
     return seq, state
 
 
-def prune_snapshots(journal_path: Union[str, Path], keep: int) -> int:
+def prune_snapshots(journal_path: Union[str, Path], keep: int, storage: Storage = POSIX) -> int:
     """Delete all but the newest *keep* snapshots; returns the count removed.
 
     Best-effort on the unlink itself (a vanished file is already pruned),
@@ -162,14 +162,22 @@ def prune_snapshots(journal_path: Union[str, Path], keep: int) -> int:
     """
     if keep < 1:
         raise ValueError(f"must keep at least one snapshot, got keep={keep}")
-    removed = 0
-    for _seq, path in list_snapshots(journal_path)[keep:]:
-        try:
-            path.unlink()
-        except FileNotFoundError:
-            continue
-        removed += 1
-    return removed
+    stale = list_snapshots(journal_path, storage)[keep:]
+    return storage.remove([path for _seq, path in stale])
+
+
+def remove_snapshots(journal_path: Union[str, Path], storage: Storage = POSIX) -> int:
+    """Durably delete every snapshot of this journal, ``*.tmp`` leftovers
+    included, and return the count: a fresh journal starts a new history,
+    which an older one's snapshots would outrank in recovery and pruning."""
+    base = Path(journal_path)
+    prefix = base.name + _SUFFIX
+    try:
+        names = storage.listdir(base.parent)
+    except FileNotFoundError:
+        return 0
+    stale = [base.parent / name for name in names if name.startswith(prefix)]
+    return storage.remove(stale, durable=True)
 
 
 def _snapshot_checksum(body: Dict[str, Any]) -> str:

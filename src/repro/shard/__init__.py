@@ -19,8 +19,6 @@ Layout:
   facade (submit/advance/drain/faults), per-shard journals + manifest,
   merged metrics and schedules, whole-service recovery and
   :meth:`~ShardedService.recover_shard` for one shard;
-- :mod:`.tasks` — timeline partitioning and per-shard replay tasks over
-  the task executor (serial == parallel, byte-identical);
 - :mod:`.supervisor` — :class:`ShardSupervisor`: self-healing and the
   only shard-recovery path — automatic failover with seed-derived
   backoff, crash-loop escalation into degraded-mode routing, a
@@ -37,7 +35,6 @@ from .partition import GridPartition, grid_shape
 from .router import SpatialRouter
 from .service import ShardedService, merge_final_schedules, shard_journal_name
 from .supervisor import ShardSupervisor
-from .tasks import SHARD_REPLAY_KIND, partition_timeline, replay_sharded
 
 __all__ = [
     "GridPartition",
@@ -46,8 +43,5 @@ __all__ = [
     "ShardedService",
     "merge_final_schedules",
     "shard_journal_name",
-    "SHARD_REPLAY_KIND",
-    "partition_timeline",
-    "replay_sharded",
     "ShardSupervisor",
 ]

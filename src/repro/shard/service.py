@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Set, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Union
 
 from ..core.costsharing import CostSharingScheme
 from ..errors import (
@@ -49,7 +49,7 @@ from ..errors import (
     ShardUnavailableError,
 )
 from ..geometry import Field
-from ..io import atomic_replace
+from ..io import POSIX, Storage
 from ..mobility import MobilityModel
 from ..service.kernel import ChargingService, ServiceConfig
 from ..service.metrics import Metrics, merge_snapshots
@@ -114,6 +114,10 @@ def _field_for(chargers: Sequence[Charger], field: Optional[Field]) -> Field:
 class ShardedService:
     """N charging-service kernels behind a deterministic spatial router."""
 
+    #: Holds the journals, snapshots, manifest and supervision log; a
+    #: subclass may move the whole service to another storage.
+    storage: Storage = POSIX
+
     def __init__(
         self,
         chargers: Sequence[Charger],
@@ -177,6 +181,7 @@ class ShardedService:
                     scheme=scheme,
                     config=config,
                     journal_path=path,
+                    storage=self.storage,
                     journal_sync=journal_sync,
                     snapshot_every=snapshot_every,
                     snapshot_keep=snapshot_keep,
@@ -235,15 +240,11 @@ class ShardedService:
         }
 
     def _write_manifest(self) -> None:
-        """Publish the manifest durably (:func:`~repro.io.atomic_replace`);
+        """Publish the manifest durably (:meth:`~repro.io.Storage.publish`);
         its directory fsync also makes the shard journals' entries durable."""
         assert self.journal_dir is not None
-        path = self.journal_dir / MANIFEST_NAME
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(self._manifest_payload(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        atomic_replace(tmp, path)
+        text = json.dumps(self._manifest_payload(), indent=2, sort_keys=True)
+        self.storage.publish(self.journal_dir / MANIFEST_NAME, [text.encode() + b"\n"])
 
     # ------------------------------------------------------------------ #
     # the kernel-compatible input API
@@ -474,11 +475,7 @@ class ShardedService:
     # ------------------------------------------------------------------ #
     # durability
 
-    def recover_shard(
-        self,
-        shard: int,
-        journal_factory: Optional[Callable[[str], Any]] = None,
-    ) -> ChargingService:
+    def recover_shard(self, shard: int) -> ChargingService:
         """Abandon shard *shard*'s kernel and rebuild it from its journal.
 
         The in-memory kernel's journal is closed and
@@ -489,10 +486,11 @@ class ShardedService:
         :class:`~repro.shard.supervisor.ShardSupervisor` loop, which is
         this method's only caller.  Returns the recovered kernel.
 
-        The dead kernel is replaced only when recovery *succeeds* — on a
-        crash mid-recovery (``journal_factory`` is the fault harness's
-        hook for injecting those) the facade still maps the shard id, so
-        a supervisor can simply retry this call.  A shard journal deleted
+        Recovery runs on the dead kernel's journal storage, where faults
+        stay armed.  The dead kernel is replaced only when recovery
+        *succeeds* — on a crash mid-recovery the facade still maps the
+        shard id, so a supervisor can simply retry this call.  A shard
+        journal deleted
         under the running service is lost history: the kernel recovery
         raises :class:`~repro.errors.RecoveryError` and creates nothing.
         """
@@ -512,7 +510,7 @@ class ShardedService:
             scheme=self.scheme,
             config=self.config,
             journal_sync=self.journal_sync,
-            journal_factory=journal_factory,
+            storage=kernel.journal.storage,
             snapshot_every=self.snapshot_every,
             snapshot_keep=self.snapshot_keep,
             compact=self.compact,
@@ -562,7 +560,7 @@ class ShardedService:
                 "in this process; close() it before recovering"
             )
         try:
-            with open(journal_dir / MANIFEST_NAME, "r", encoding="utf-8") as fh:
+            with cls.storage.read(journal_dir / MANIFEST_NAME) as fh:
                 manifest = json.load(fh)
         except FileNotFoundError as exc:
             raise RecoveryError(
@@ -611,6 +609,7 @@ class ShardedService:
                 scheme=scheme,
                 config=config,
                 journal_sync=journal_sync,
+                storage=cls.storage,
                 snapshot_every=snapshot_every,
                 snapshot_keep=snapshot_keep,
                 compact=compact,

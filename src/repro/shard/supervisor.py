@@ -46,7 +46,6 @@ byte-identical to a fault-free run with zero operator calls.
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional
 
 from ..errors import (
@@ -57,11 +56,10 @@ from ..errors import (
     ShardFailedError,
 )
 from ..faults.driver import TimelineItem, apply_event
-from ..faults.journal import FaultyJournal
 from ..faults.plan import SUPERVISOR_KINDS, FaultEvent, FaultPlan
+from ..faults.storage import FaultyStorage, corrupt_newest_snapshot, litter_snapshot_tmp, tear_tail
 from ..rng import derive_seed, ensure_rng
 from ..service.journal import Journal
-from ..service.snapshot import list_snapshots, snapshot_path
 from .service import ShardedService, shard_journal_name
 
 __all__ = ["SUPERVISOR_JOURNAL_NAME", "ShardSupervisor"]
@@ -104,10 +102,8 @@ class ShardSupervisor:
         self.backoff_base = float(backoff_base)
         self.backoff_factor = float(backoff_factor)
         self.backoff_cap = float(backoff_cap)
-        #: Faults :meth:`arm` put on each shard's *recovery* journals,
-        #: consumed in place: ``journal_write`` seqs (shared with the live
-        #: journal) and ``recovery_crash`` modes (one per attempt).
-        self._journal_faults: Dict[int, Dict[int, str]] = {}
+        #: ``recovery_crash`` modes :meth:`arm` put on each shard's
+        #: storage, consumed in place (one per recovery attempt).
         self.recovery_crashes: Dict[int, List[str]] = {}
         #: Timeline items successfully applied, in order — the re-feed
         #: source after a recovery.
@@ -130,8 +126,8 @@ class ShardSupervisor:
         if service.journal_dir is not None:
             self.journal = Journal(
                 service.journal_dir / SUPERVISOR_JOURNAL_NAME,
-                truncate=True,
                 sync=journal_sync,
+                storage=service.storage,
             )
 
     # ------------------------------------------------------------------ #
@@ -177,9 +173,7 @@ class ShardSupervisor:
                 "shard": sid, "attempt": attempt, "backoff": pause,
             })
             try:
-                self.service.recover_shard(
-                    sid, journal_factory=self._factory_for(sid)
-                )
+                self.service.recover_shard(sid)
             except _RETRYABLE as retry_exc:
                 self._log("restart_failed", exc.at, {
                     "shard": sid,
@@ -214,10 +208,9 @@ class ShardSupervisor:
             raise ServiceError(f"no kernel for shard {shard}") from None
         at = kernel.clock.now
         if kernel.journal is not None:
-            path = Path(kernel.journal.path)
             kernel.journal.close()
             if torn:
-                _tear_tail(path)
+                tear_tail(self.service.storage, kernel.journal.path)
         return self.handle_failure(
             ShardFailedError(shard, at, InjectedFaultError("shard killed"))
         )
@@ -290,15 +283,13 @@ class ShardSupervisor:
     def arm(self, plan: FaultPlan) -> None:
         """Arm *plan*'s journal-keyed faults: the crash → recover → re-feed loop.
 
-        ``journal_write`` faults go on the one kernel's live journal
-        (:meth:`~repro.faults.journal.FaultyJournal.adopt`) and on every
-        recovery journal of its shard, sharing one ``fail_at`` dict, so
-        fired entries stay popped and later ones stay armed.
-        ``recovery_crash`` faults go on the named shard's recovery
-        journals: each recovery attempt crashes on the first record it
-        writes, whatever its seq, until :attr:`recovery_crashes` for that
-        shard is used up.  A plan without one kind leaves that kind's
-        armed faults as they are.
+        Both kinds go on the shard's journal storage, wrapped from then on
+        in a :class:`~repro.faults.storage.FaultyStorage` that the live
+        journal and every recovery of the shard write through.
+        ``recovery_crash`` faults crash each recovery attempt on its first
+        record until :attr:`recovery_crashes` for that shard is used up.
+        A plan without one kind leaves that kind's armed faults as they
+        are.
 
         Raises :class:`~repro.errors.ConfigurationError` for
         ``journal_write`` faults on a facade with more than one kernel
@@ -329,10 +320,11 @@ class ShardSupervisor:
                     f"journal_write faults at seqs {written} target records "
                     "already written"
                 )
-            kernel.journal = FaultyJournal.adopt(kernel.journal, fail_at)
-            self._journal_faults = {sid: fail_at}
-        if crashes:
-            self.recovery_crashes = crashes
+            self._faulty(sid).fail_at = fail_at
+        for sid, modes in crashes.items():
+            self.recovery_crashes[sid] = modes
+            if self.service.journal_dir is not None and sid in self.service.kernels:
+                self._faulty(sid).crashes = modes
 
     def _inject(self, kind: str, event: FaultEvent) -> None:
         """Land one shard chaos event: damage the shard's files, then kill.
@@ -348,14 +340,15 @@ class ShardSupervisor:
         if sid not in self.service.kernels or self.service.journal_dir is None:
             self.stats["skipped_kills"] += 1
             return
+        storage = self.service.storage
         journal_path = self.service.journal_dir / shard_journal_name(sid)
         if kind == "snapshot_corrupt":
-            if _corrupt_newest_snapshot(journal_path):
+            if corrupt_newest_snapshot(storage, journal_path):
                 self.stats["snapshot_corruptions"] += 1
             return
         if kind == "crash_in_snapshot":
-            _litter_snapshot_tmp(
-                journal_path, self.service.kernels[sid].journal.seq  # type: ignore[union-attr]
+            litter_snapshot_tmp(
+                storage, journal_path, self.service.kernels[sid].journal.seq  # type: ignore[union-attr]
             )
             self.stats["snapshot_crashes"] += 1
         torn = event.mode == "torn"
@@ -367,16 +360,13 @@ class ShardSupervisor:
     # ------------------------------------------------------------------ #
     # plumbing
 
-    def _factory_for(self, shard: int) -> Optional[Callable[[str], Journal]]:
-        """The ``path -> Journal`` factory for *shard*'s recovery journals
-        — faulty when :meth:`arm` armed the shard, else ``None`` (plain)."""
-        fail_at = self._journal_faults.get(shard)
-        crashes = self.recovery_crashes.get(shard)
-        if fail_at is None and crashes is None:
-            return None
-        return lambda path: FaultyJournal(
-            path, truncate=True, sync=False, fail_at=fail_at, crashes=crashes
-        )
+    def _faulty(self, shard: int) -> FaultyStorage:
+        """*shard*'s journal storage, wrapped for fault injection once."""
+        journal = self.service.kernels[shard].journal
+        assert journal is not None
+        if not isinstance(journal.storage, FaultyStorage):
+            journal.storage = FaultyStorage(journal.storage)
+        return journal.storage
 
     def _log(self, event: str, t: float, data: Dict[str, Any]) -> None:
         if self.journal is not None:
@@ -392,50 +382,3 @@ class ShardSupervisor:
 
     def __exit__(self, *exc: object) -> None:
         self.close()
-
-
-# ---------------------------------------------------------------------- #
-# on-disk damage
-
-
-def _tear_tail(path: Path, nbytes: int = 10) -> None:
-    """Chop *nbytes* off the journal file, tearing its final record.
-
-    Never removes the whole file: at least one byte survives, and a file
-    shorter than *nbytes* loses all but its first byte — the torn-tail
-    shape :meth:`Journal.read_records` is built to survive.
-    """
-    size = path.stat().st_size
-    keep = max(1, size - int(nbytes))
-    with open(path, "r+b") as fh:
-        fh.truncate(keep)
-
-
-def _corrupt_newest_snapshot(journal_path: Path) -> bool:
-    """Garble the newest snapshot file in place; ``False`` if none exists.
-
-    Truncates to half, simulating bitrot / a torn copy: the checksum no
-    longer verifies, so recovery must skip it — the fallback chain under
-    test.
-    """
-    snaps = list_snapshots(journal_path)
-    if not snaps:
-        return False
-    _seq, path = snaps[0]
-    size = path.stat().st_size
-    with open(path, "r+b") as fh:
-        fh.truncate(max(1, size // 2))
-    return True
-
-
-def _litter_snapshot_tmp(journal_path: Path, seq: int) -> Path:
-    """Leave the half-written ``*.tmp`` a crash mid-snapshot-write leaves.
-
-    The temp+rename discipline means a real crash can only strand a tmp
-    sibling, never a half file under the final name; recovery must step
-    over it (``list_snapshots`` ignores tmps).
-    """
-    final = snapshot_path(journal_path, seq)
-    tmp = final.with_name(final.name + ".tmp")
-    tmp.write_text('{"schema":1,"seq":', encoding="utf-8")
-    return tmp

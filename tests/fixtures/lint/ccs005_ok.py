@@ -1,9 +1,14 @@
-"""CCS005 negatives: whole-file writes and reads."""
+"""CCS005 negatives: reads, and durable operations through a storage."""
 from pathlib import Path
 
 
-def rewrite(path, text):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    with Path(path).open("r", encoding="utf-8") as fh:
+def rewrite(storage, path, text):
+    storage.publish(path, [text.encode("utf-8")])
+    with storage.read(path) as fh:
         return fh.read()
+
+
+def cut(journal, size):
+    journal.storage.truncate(journal.handle, size)
+    with Path(journal.path).open("r", encoding="utf-8") as fh:
+        return fh.read().replace("\n", " ")

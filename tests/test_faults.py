@@ -32,7 +32,7 @@ from repro.errors import (
     TaskFailedError,
 )
 from repro.experiments.exec import ParallelExecutor, ResultCache, SerialExecutor, Task
-from repro.faults import FaultEvent, FaultPlan, FaultyExecutor, FaultyJournal
+from repro.faults import FaultEvent, FaultPlan, FaultyExecutor, FaultyStorage
 from repro.service.journal import Journal
 from repro.service.loadgen import generate_requests
 
@@ -154,7 +154,8 @@ class TestJournalSync:
 
     def test_failed_append_truncates_and_does_not_consume_seq(self, tmp_path):
         path = tmp_path / "svc.journal"
-        journal = FaultyJournal(path, fail_at={1: "enospc"})
+        storage = FaultyStorage(fail_at={1: "enospc"})
+        journal = Journal(path, sync=False, storage=storage)
         journal.append("open", 0.0, {})
         with pytest.raises(JournalWriteError):
             journal.append("submit", 1.0, {"id": "r1"})
@@ -166,12 +167,12 @@ class TestJournalSync:
         assert journal.append("submit", 1.0, {"id": "r1"}) == 1
         records, torn = Journal.read_records(path)
         assert [r["event"] for r in records] == ["open", "submit"] and not torn
-        assert journal.fired == [(1, "enospc")] and journal.fail_at == {}
+        assert storage.fired == [(1, "enospc")] and storage.fail_at == {}
         journal.close()
 
     def test_torn_write_leaves_an_invalid_tail(self, tmp_path):
         path = tmp_path / "svc.journal"
-        journal = FaultyJournal(path, fail_at={1: "torn"})
+        journal = Journal(path, sync=False, storage=FaultyStorage(fail_at={1: "torn"}))
         journal.append("open", 0.0, {})
         with pytest.raises(InjectedFaultError):
             journal.append("submit", 1.0, {"id": "r1"})

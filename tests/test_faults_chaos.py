@@ -180,7 +180,7 @@ def assert_crash_loop_converges(tmp_path, requests, plan):
     drive(svc, requests, plan, supervisor=sup)
     sup.close()
     (kernel,) = svc.kernels.values()
-    unfired = len(kernel.journal.fail_at)  # the shared dict, popped as faults fire
+    unfired = len(kernel.journal.storage.fail_at)  # popped as faults fire
     svc.close()
     ref_path = tmp_path / "ref.jsonl"
     ref = ChargingService(make_chargers(), config=CONFIG,

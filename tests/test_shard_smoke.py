@@ -1,10 +1,10 @@
 """Fast sharded-service smoke: the ``make shard-smoke`` gate.
 
-Two checks, sized for CI seconds rather than minutes: a 4-shard replay
-that must agree with the live facade, and the 1-shard byte-identity
-spot check.  The full-depth versions live in test_shard_parallel.py and
-test_shard_identity.py; this marker exists so the sharding subsystem has
-a dedicated quick gate (satellite 5).
+Two checks, sized for CI seconds rather than minutes: a live 4-shard
+facade that its own journal directory must recover exactly, and the
+1-shard byte-identity spot check.  The full-depth versions live in
+test_shard_service.py and test_shard_identity.py; this marker exists so
+the sharding subsystem has a dedicated quick gate.
 """
 
 from __future__ import annotations
@@ -13,11 +13,7 @@ import pytest
 
 from repro.geometry import Field, Point
 from repro.service import ChargingService, ServiceConfig, generate_requests
-from repro.shard import (
-    ShardedService,
-    replay_sharded,
-    shard_journal_name,
-)
+from repro.shard import ShardedService, shard_journal_name
 from repro.wpt import Charger
 
 FIELD = Field(100.0, 100.0)
@@ -34,23 +30,26 @@ def quad_chargers():
 
 
 @pytest.mark.shard_smoke
-def test_four_shard_replay_matches_live():
+def test_four_shard_replay_matches_live(tmp_path):
     stream = generate_requests(
         12, rate=0.2, deadline_slack=900.0, max_price_factor=1.3, rng=31
     )
     svc = ShardedService(
-        quad_chargers(), n_shards=4, field=FIELD, halo=10.0, config=CONFIG
+        quad_chargers(), n_shards=4, field=FIELD, halo=10.0, config=CONFIG,
+        journal_dir=tmp_path / "sharded", journal_sync=False,
     )
     for r in stream:
         svc.submit(r)
     svc.drain()
-    replayed = replay_sharded(
-        quad_chargers(), stream, n_shards=4, field=FIELD, halo=10.0,
-        config=CONFIG,
+    svc.close()
+    recovered = ShardedService.recover(
+        tmp_path / "sharded", quad_chargers(), config=CONFIG, journal_sync=False
     )
-    assert replayed["counts"] == svc.counts()
-    assert replayed["schedule"] == svc.final_schedule()
-    assert replayed["metrics"] == svc.metrics_snapshot()
+    assert len(recovered.kernels) == 4
+    assert recovered.counts() == svc.counts()
+    assert recovered.final_schedule() == svc.final_schedule()
+    assert recovered.metrics_snapshot() == svc.metrics_snapshot()
+    recovered.close()
 
 
 @pytest.mark.shard_smoke

@@ -38,7 +38,7 @@ from repro.errors import (
     ServiceError,
     ShardUnavailableError,
 )
-from repro.faults import FaultPlan, FaultyJournal, drive
+from repro.faults import FaultPlan, FaultyStorage, drive
 from repro.faults.plan import SUPERVISOR_KINDS, FaultEvent
 from repro.geometry import Field, Point
 from repro.service import RequestState, ServiceConfig, generate_requests
@@ -147,11 +147,11 @@ class TestArmJournalFaults:
         svc = make_service(tmp_path / "svc", n_shards=1, journal_sync=False)
         (kernel,) = svc.kernels.values()
         seq = kernel.journal.seq
-        kernel.journal = FaultyJournal.adopt(kernel.journal, {seq + 1: "enospc"})
+        kernel.journal.storage = FaultyStorage(kernel.journal.storage, {seq + 1: "enospc"})
         kernel.journal.append("drain", 0.0, {})
         with pytest.raises(JournalWriteError):
             kernel.journal.append("drain", 0.0, {})
-        assert kernel.journal.fired == [(seq + 1, "enospc")]
+        assert kernel.journal.storage.fired == [(seq + 1, "enospc")]
         svc.close()
         lines = (tmp_path / "svc" / "shard-0000.jsonl").read_bytes().splitlines()
         assert [json.loads(line)["seq"] for line in lines] == list(range(seq + 1))
