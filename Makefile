@@ -94,9 +94,12 @@ chaos-smoke:
 # Self-healing smoke (tier-1 marker, <5 s): supervised chaos — shard
 # kills, snapshot corruption, crash-looping recoveries — converging
 # byte-identical with zero operator calls, then an end-to-end supervised
-# daemon run recovered via --recover-only (see docs/RECOVERY.md).
+# daemon run recovered via --recover-only (see docs/RECOVERY.md).  A file
+# handle a recovery leaks fails the run: its ResourceWarning becomes an
+# error raised during collection, reported as an unraisable exception.
 recovery-smoke:
-	$(PYTHON) -m pytest -q -m recovery_smoke tests/test_shard_supervisor.py
+	$(PYTHON) -m pytest -q -m recovery_smoke tests/test_shard_supervisor.py \
+		-W error::ResourceWarning -W error::pytest.PytestUnraisableExceptionWarning
 	$(PYTHON) -m repro.service --n 100 --rate 0.5 --seed 7 --chargers 8 \
 		--shards 4 --halo 12 --journal .recovery-smoke \
 		--snapshot-every 20 --fault-plan seed:3

@@ -23,6 +23,7 @@ __all__ = [
     "JournalWriteError",
     "SnapshotError",
     "RecoveryError",
+    "ReplayDivergenceError",
     "LiveJournalError",
     "ShardFailedError",
     "ShardUnavailableError",
@@ -92,7 +93,7 @@ class JournalError(ServiceError):
 
     Note that *reading* a damaged journal is not an error: recovery
     silently keeps the longest valid record prefix (see
-    :meth:`repro.service.journal.Journal.read_records`).
+    :meth:`repro.service.journal.Journal.read`).
     """
 
 
@@ -129,6 +130,15 @@ class RecoveryError(JournalError):
     Unlike a torn tail (silently dropped) this is not survivable by
     replay; the operator must restore files from elsewhere.  ``ccs-serve``
     turns this into a one-line structured error and a nonzero exit.
+    """
+
+
+class ReplayDivergenceError(RecoveryError):
+    """Recovery's replay disagrees with the valid journal on disk.
+
+    The journal was not written by this kernel from its inputs, or was
+    edited under valid checksums.  Nothing is rewritten: the file stays
+    as it was found, for the operator to inspect.
     """
 
 

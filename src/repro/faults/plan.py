@@ -34,10 +34,10 @@ Event kinds:
                         next to the journal and the shard is killed;
                         recovery must ignore the litter
 ``recovery_crash``      shard *target*'s *recovery itself* crashes on its
-                        first ``count`` attempts (each attempt's first
-                        replay-journal write fails, whatever its seq);
-                        ``mode`` picks ``enospc``/``torn`` — the
-                        supervisor's crash-loop backoff/escalation path
+                        first ``count`` attempts (each attempt's tail cut,
+                        made before it replays, fails); ``mode`` picks
+                        ``enospc``/``torn`` — the supervisor's crash-loop
+                        backoff/escalation path
 ======================  ================================================
 
 Kernel events land at logical-clock times; journal faults key on the
@@ -232,12 +232,12 @@ class FaultPlan:
 
         A ``recovery_crash`` event with ``count=N`` arms N crashes of that
         shard's recovery (:class:`~repro.faults.storage.FaultyStorage`'s
-        ``crashes``): each recovery attempt fails on the first record
-        its replay journal writes, whatever that record's seq (a snapshot
-        recovery starts at the compacted journal's base seq), consuming
-        one armed mode — so the shard's recovery fails N times and then
-        succeeds, the crash-loop shape the supervisor's backoff and
-        escalation are built against.  Mode defaults to ``"enospc"``.
+        ``crashes``): each recovery attempt fails at the cut of its
+        journal's torn tail, which every attempt makes before it replays
+        (compacted or not, torn or not), consuming one armed mode — so
+        the shard's recovery fails N times and then succeeds, the
+        crash-loop shape the supervisor's backoff and escalation are
+        built against.  Mode defaults to ``"enospc"``.
         """
         armed: Dict[int, List[str]] = {}
         for e in self.events:

@@ -7,9 +7,9 @@ seq to ``"enospc"`` — ``OSError(ENOSPC)`` before any byte lands, the
 clean :class:`~repro.errors.JournalWriteError` path — or ``"torn"`` —
 half the record lands, then :class:`~repro.errors.InjectedFaultError`
 (not an ``OSError``, so no cleanup runs), modelling ``kill -9``
-mid-write.  ``crashes`` keys on recovery attempts instead: the first
-record written to each file the storage opens fresh (each attempt's
-replay journal) pops one mode.  Recovery keeps the dead journal's
+mid-write.  ``crashes`` keys on recovery attempts instead: the tail
+cut each attempt makes before it replays (:meth:`truncate`) pops one
+mode and fails without cutting.  Recovery keeps the dead journal's
 storage, so both are consumed in place across recoveries: fired faults
 stay fired, later ones stay armed (record numbering is stable because
 replay is byte-identical).  See ``docs/FAULTS.md``.
@@ -20,7 +20,6 @@ from __future__ import annotations
 import errno
 import json
 import os
-import weakref
 from pathlib import Path
 from typing import Any, BinaryIO, Callable, Dict, List, Optional, Tuple
 
@@ -32,7 +31,7 @@ __all__ = ["FaultyStorage", "corrupt_newest_snapshot", "litter_snapshot_tmp", "t
 
 
 class FaultyStorage:
-    """A storage that fails scheduled record appends (see module docstring)."""
+    """A storage that fails scheduled appends and tail cuts (module docstring)."""
 
     def __init__(
         self, inner: Storage = POSIX, fail_at: Optional[Dict[int, str]] = None,
@@ -41,27 +40,25 @@ class FaultyStorage:
         self.inner = inner
         #: ``{seq: "enospc" | "torn"}`` — consumed in place.
         self.fail_at: Dict[int, str] = fail_at if fail_at is not None else {}
-        #: Modes for first-write crashes — consumed in place.
+        #: Modes for recovery crashes, one per tail cut — consumed in place.
         self.crashes: List[str] = crashes if crashes is not None else []
-        #: Faults that actually fired, as ``(seq, mode)``.
+        #: Record appends that actually failed, as ``(seq, mode)``.
         self.fired: List[Tuple[int, str]] = []
-        #: Files opened fresh whose first record is not written yet.
-        self._fresh: "weakref.WeakSet[BinaryIO]" = weakref.WeakSet()
 
     def __getattr__(self, name: str) -> Any:
         return getattr(self.inner, name)
 
-    def open_append(self, path: Path, truncate: bool) -> BinaryIO:
-        fh = self.inner.open_append(path, truncate)
-        if truncate:
-            self._fresh.add(fh)
-        return fh
+    def truncate(self, fh: BinaryIO, size: int) -> None:
+        if not self.crashes:
+            self.inner.truncate(fh, size)
+        elif self.crashes.pop(0) == "enospc":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), fh.name)
+        else:
+            raise InjectedFaultError(f"journal {fh.name}: recovery killed at its tail cut")
 
     def append(self, fh: BinaryIO, data: bytes) -> None:
-        crash = fh in self._fresh and bool(self.crashes)
-        self._fresh.discard(fh)
-        seq = int(json.loads(data)["seq"]) if self.fail_at or crash else -1
-        mode = self.fail_at.pop(seq, None) or (self.crashes.pop(0) if crash else None)
+        seq = int(json.loads(data)["seq"]) if self.fail_at else -1
+        mode = self.fail_at.pop(seq, None)
         if mode is None:
             self.inner.append(fh, data)
             return

@@ -296,24 +296,15 @@ class Storage:
         fh.flush()
 
     def publish(
-        self,
-        path: Path,
-        chunks: Optional[Iterable[bytes]] = None,
-        tmp: Optional[Path] = None,
-        durable: bool = True,
+        self, path: Path, chunks: Iterable[bytes], tmp: Optional[Path] = None
     ) -> None:
-        """Write *chunks* (none: already written) to the sibling *tmp*
-        (default ``<path>.tmp``) and rename it to *path* — durably
-        (:func:`atomic_replace`) unless *durable* is false."""
+        """Write *chunks* to the sibling *tmp* (default ``<path>.tmp``)
+        and rename it to *path* durably (:func:`atomic_replace`)."""
         tmp = tmp if tmp is not None else path.with_name(path.name + ".tmp")
-        if chunks is not None:
-            with open(tmp, "wb") as fh:
-                for chunk in chunks:
-                    fh.write(chunk)
-        if durable:
-            atomic_replace(tmp, path)
-        else:
-            os.replace(tmp, path)
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        atomic_replace(tmp, path)
 
     def read(self, path: Path) -> BinaryIO:
         """Open *path* for reading."""

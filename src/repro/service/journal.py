@@ -7,8 +7,8 @@ One JSON object per line, written append-only::
 ``sha`` is a truncated SHA-256 over the record's canonical JSON (the same
 canonicalization as the experiment result cache), and ``seq`` is a dense
 counter — so a reader can tell exactly where a ``kill -9`` tore the file:
-:func:`Journal.read_records` returns the longest valid prefix and stops at
-the first unparsable, checksum-failing, or out-of-sequence line.
+:func:`Journal.read` returns the longest valid prefix and stops at
+the first unparsable, checksum-failing, out-of-sequence or unterminated line.
 
 Serialize once, verify the bytes: a record costs one JSON encoding.  When
 that encoding is canonical (:func:`~repro.experiments.exec.task.plain_json`:
@@ -16,10 +16,10 @@ no ``-0.0``, only ``str`` keys) the line *is* the hashed body with the
 ``"sha"`` field spliced in (:func:`sealed_json`), so a reader checks a line with one hash over
 its raw bytes minus that field, and re-canonicalizes the parsed record
 only when that hash misses (a legacy line holding ``-0.0``, say).
-Recovery seeds retained lines verbatim, and compaction copies the bytes
-from the first kept record's line (found by counting lines from
-:attr:`Journal.base_seq`) to the end of the file — nothing is parsed or
-re-encoded.
+Recovery checks its replay against the retained lines in place, and
+compaction copies the bytes from the first kept record's line (found by
+counting lines from :attr:`Journal.base_seq`) to the end of the file —
+nothing on disk is re-encoded.
 
 Every file operation goes through the journal's :class:`~repro.io.Storage`;
 fault injection arms a live journal by swapping it.
@@ -39,10 +39,10 @@ import logging
 from contextlib import contextmanager
 from pathlib import Path
 from typing import (
-    Any, BinaryIO, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union,
+    Any, BinaryIO, Dict, Iterator, List, NamedTuple, Optional, Sequence, Union,
 )
 
-from ..errors import JournalError, JournalWriteError
+from ..errors import JournalError, JournalWriteError, ReplayDivergenceError
 from ..experiments.exec.task import canon_json, canonical_json, plain_json
 from ..io import POSIX, Storage
 
@@ -158,6 +158,9 @@ class Journal:
         self._batch_depth = 0
         #: Records flushed but not yet fsynced (with :attr:`sync` only).
         self._unsynced = False
+        #: Lines :meth:`seed` adopted from the file, records
+        #: :attr:`base_seq` on, until :meth:`replay` has re-derived them.
+        self._disk: Sequence[bytes] = ()
 
     def append(self, event: str, t: float, data: Dict[str, Any]) -> int:
         """Write one record and flush it; returns the record's ``seq``.
@@ -168,36 +171,36 @@ class Journal:
         is raised — the journal on disk stays a valid record prefix, and
         ``seq`` is not consumed, so a caller that frees space can retry
         the same append.
+
+        At a seq whose line :meth:`seed` adopted nothing is written: the
+        record must equal that line, or
+        :class:`~repro.errors.ReplayDivergenceError` is raised.
         """
         if self._fh is None:
             raise JournalError(f"journal {self.path} is closed")
         seq = self.seq
         doc: Dict[str, Any] = {"data": data, "event": event, "seq": seq, "t": float(t)}
-        self._put(
-            sealed_json(doc, "t", last=True) + "\n",
-            f"append of record seq={seq} event={event!r}",
-        )
-        return seq
-
-    def _put(self, line: str, what: str) -> None:
-        """Write the line of record :attr:`seq` and consume the seq.
-
-        The file offset is captured first; on ``OSError`` the file is
-        truncated back to it and the error retyped as
-        :class:`~repro.errors.JournalWriteError` naming *what* failed.
-        """
-        assert self._fh is not None
-        offset = self._fh.tell()
-        try:
-            self._write(line)
-        except OSError as exc:
-            self._restore(offset)
-            raise JournalWriteError(
-                f"journal {self.path}: {what} failed: {exc}"
-            ) from exc
-        if offset == 0:
-            self.base_seq = self.seq
+        line = sealed_json(doc, "t", last=True) + "\n"
+        ahead = seq - self.base_seq
+        if ahead < len(self._disk):
+            if line[:-1].encode("utf-8") != self._disk[ahead]:
+                raise ReplayDivergenceError(
+                    f"journal {self.path}: replayed record seq={seq} differs from the disk"
+                )
+        else:
+            offset = self._fh.tell()
+            try:
+                self._write(line)
+            except OSError as exc:
+                self._restore(offset)
+                raise JournalWriteError(
+                    f"journal {self.path}: append of record seq={seq} "
+                    f"event={event!r} failed: {exc}"
+                ) from exc
+            if offset == 0:
+                self.base_seq = seq
         self.seq += 1
+        return seq
 
     def _write(self, line: str) -> None:
         """Hand one record line to the storage."""
@@ -253,23 +256,6 @@ class Journal:
             self._fh.close()
             self._fh = None
 
-    def commit_to(self, path: Union[str, Path]) -> None:
-        """Atomically move this journal's file to *path* and keep appending.
-
-        Used by recovery: the replayed journal is written to a sibling
-        temp file and published over *path*, so the on-disk
-        journal is never observable half-rewritten.  With :attr:`sync`
-        the rename is durable too (:meth:`~repro.io.Storage.publish`): the
-        temp file is fsynced before it is published and the parent
-        directory after, so a power cut leaves either the old journal or
-        the complete new one.
-        """
-        self.close()
-        self.storage.publish(Path(path), tmp=self.path, durable=self.sync)
-        self._unsynced = False
-        self.path = Path(path)
-        self._fh = self.storage.open_append(self.path, truncate=False)
-
     def __enter__(self) -> "Journal":
         return self
 
@@ -280,26 +266,49 @@ class Journal:
     # compaction and recovery seeding
 
     def seed(self, lines: Sequence[bytes], first_seq: int) -> None:
-        """Write verified record lines verbatim into an empty journal.
+        """Adopt the records already in this journal's file; writes nothing.
 
-        Recovery's snapshot fast path uses this to carry the retained
-        journal prefix (:attr:`JournalRead.lines`, records *first_seq*
-        on) into the replay journal byte for byte, without re-deriving or
-        re-encoding it; appends then continue from the last seeded seq.
-        Goes through :meth:`_write` one record at a time with ``self.seq``
-        set to the record being written, so fault injectors see seeded
-        records exactly like appended ones.
+        Recovery opens the journal without truncating it and seeds it,
+        once, with the valid prefix :meth:`read` found there
+        (:attr:`JournalRead.lines`, records *first_seq* on), which
+        :meth:`replay` then re-derives.
         """
-        if self._fh is None:
-            raise JournalError(f"journal {self.path} is closed")
-        if self.seq != 0 or self._fh.tell() != 0:
-            raise JournalError(
-                f"journal {self.path}: can only seed an empty journal "
-                f"(seq={self.seq})"
-            )
-        self.seq = int(first_seq)
-        for line in lines:
-            self._put(line.decode("utf-8") + "\n", f"seeding record seq={self.seq}")
+        self._disk = lines
+        self.base_seq = int(first_seq)
+        self.seq = self.base_seq + len(lines)
+
+    @contextmanager
+    def replay(self, start: int) -> Iterator["Journal"]:
+        """Re-derive the seeded records from seq *start*, in place.
+
+        The file is first cut after the seeded lines, dropping a torn
+        tail.  In the block, :meth:`append` checks each record at a
+        seeded seq against its line and writes only those past them;
+        seeded records the block does not reach are cut when it ends
+        (the caller vouches for them, see
+        :meth:`~repro.service.kernel.ChargingService.recover`).  The block
+        is one input (:meth:`batch`) whose barrier runs even if nothing
+        was appended: one fsync covers the cuts and every record.
+        """
+        self._cut(len(self._disk))
+        self._unsynced = self.sync
+        self.seq = int(start)
+        with self.batch():
+            yield self
+            if self.seq - self.base_seq < len(self._disk):
+                self._cut(self.seq - self.base_seq)
+        self._disk = ()
+
+    def _cut(self, lines: int) -> None:
+        """Cut the file to its first *lines* seeded lines."""
+        assert self._fh is not None
+        size = sum(map(len, self._disk[:lines])) + lines
+        try:
+            self.storage.truncate(self._fh, size)
+        except OSError as exc:
+            raise JournalWriteError(
+                f"journal {self.path}: cutting the file at byte {size} failed: {exc}"
+            ) from exc
 
     def truncate_prefix(self, min_seq: int) -> int:
         """Compact: drop records with ``seq < min_seq``; returns the count.
@@ -310,9 +319,9 @@ class Journal:
         (:meth:`~repro.io.Storage.publish`), so a crash mid-compaction
         leaves either the old or the new journal, never a hybrid.  No
         record is parsed, verified or re-encoded: the live file holds
-        only lines this journal wrote or seeded, densely numbered from
-        :attr:`base_seq`.  Always keeps at least one record — the first
-        retained seq is how a reader learns where a compacted journal
+        only lines this journal wrote or seeded and replayed, densely
+        numbered from :attr:`base_seq`.  Always keeps at least one
+        record — the first retained seq is how a reader learns where a compacted journal
         starts, so the file must never go empty.  ``seq`` (the next
         append) is unaffected.
         """
@@ -347,10 +356,10 @@ class Journal:
 
         The first record may carry any seq (a compacted journal starts at
         its compaction point); records after it must be dense.  Anything
-        past the valid prefix — truncated line, bad checksum, seq gap —
-        is discarded, counted in ``dropped_bytes``, and logged as a
-        structured warning so torn tails are observable rather than
-        silent.  A missing file reads as an empty journal.
+        past the valid prefix — truncated or unterminated line, bad
+        checksum, seq gap — is discarded, counted in ``dropped_bytes``,
+        and logged as a structured warning so torn tails are observable
+        rather than silent.  A missing file reads as an empty journal.
         """
         path = Path(path)
         records: List[Dict[str, Any]] = []
@@ -361,60 +370,47 @@ class Journal:
         except FileNotFoundError:
             return JournalRead([], False, 0, 0, [])
 
-        torn = False
         consumed = 0
         expected_seq: Optional[int] = None
-        lines = raw.split(b"\n")
-        for k, line in enumerate(lines):
+        # Every record is written with its newline: text after the last
+        # newline is a torn record, and an empty line is damage.
+        *lines, tail = raw.split(b"\n")
+        torn = True
+        for line in lines:
             if line == b"":
-                # The final newline leaves one empty tail element; anything
-                # else empty mid-file is damage.
-                torn = k != len(lines) - 1
                 break
             try:
                 doc = json.loads(line)
             except (json.JSONDecodeError, UnicodeDecodeError):
-                torn = True
                 break
             if not isinstance(doc, dict):
-                torn = True
                 break
             try:
                 seq, t, event, data, sha = (
                     doc["seq"], doc["t"], doc["event"], doc["data"], doc["sha"],
                 )
             except KeyError:
-                torn = True
                 break
             if not isinstance(seq, int) or isinstance(seq, bool):
-                torn = True
                 break
-            if expected_seq is None:
-                if seq < 0:
-                    torn = True
-                    break
-            elif seq != expected_seq:
-                torn = True
+            if seq < 0 or (expected_seq is not None and seq != expected_seq):
                 break
             if not seal_holds(line, sha, last=True):
                 try:
                     want = record_checksum(seq, t, event, data)
                 except (TypeError, ValueError):
-                    torn = True
                     break
                 if sha != want:
-                    torn = True
                     break
             records.append(doc)
             kept.append(line)
             consumed += len(line) + 1
             expected_seq = seq + 1
-        # ``max`` guards the no-final-newline edge: a last record whose
-        # newline (and nothing else) was chopped still parses, and its
-        # ``consumed`` accounting assumes the newline was there.
-        dropped = max(0, len(raw) - consumed)
+        else:
+            torn = tail != b""
+        dropped = len(raw) - consumed
         base_seq = int(records[0]["seq"]) if records else 0
-        if torn and dropped > 0:
+        if torn:
             _LOG.warning(
                 "journal.torn_tail %s",
                 json.dumps(
@@ -427,15 +423,4 @@ class Journal:
                 ),
             )
         return JournalRead(records, torn, dropped, base_seq, kept)
-
-    @staticmethod
-    def read_records(path: Union[str, Path]) -> Tuple[List[Dict[str, Any]], bool]:
-        """Compatibility wrapper over :meth:`read`: ``(records, torn)``."""
-        read = Journal.read(path)
-        return read.records, read.torn
-
-    @staticmethod
-    def input_records(records: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
-        """Filter a record list down to the replayable input events."""
-        return [r for r in records if r["event"] in INPUT_EVENTS]
 

@@ -79,14 +79,14 @@ import numpy as np
 
 from ..core import Device
 from ..core.costsharing import CostSharingScheme, EgalitarianSharing
-from ..errors import ConfigurationError, RecoveryError, ServiceError, SnapshotError
+from ..errors import ConfigurationError, RecoveryError, ReplayDivergenceError, ServiceError, SnapshotError
 from ..geometry import Point
 from ..io import POSIX, Storage
 from ..mobility import MobilityModel
 from ..wpt import Charger
 from .admission import REASON_CHARGER_FAILED, AdmissionController
 from .clock import ServiceClock
-from .journal import JOURNAL_SCHEMA, Journal
+from .journal import INPUT_EVENTS, JOURNAL_SCHEMA, Journal
 from .metrics import Metrics
 from .plan import IncrementalPlanner
 from .request import ChargingRequest, RequestRecord, RequestState
@@ -282,10 +282,9 @@ class ChargingService:
         self.snapshot_keep = int(snapshot_keep)
         self.compact = bool(compact)
         self._last_snapshot_seq = 0
-        #: Set during recovery replay: the replay journal lives at a temp
-        #: path and a snapshot is named after its journal, so one taken
-        #: mid-replay would never be found; auto-snapshots wait until the
-        #: journal commits home.
+        #: Set during recovery replay: a snapshot taken mid-replay would
+        #: compact the very file the replay is being checked against, so
+        #: auto-snapshots wait until the replay ends.
         self._snapshots_paused = False
         # Pre-register every metric so empty snapshots are fully shaped.
         for name in (
@@ -1254,9 +1253,8 @@ class ChargingService:
 
         1. **Snapshot fast path** — the newest valid snapshot whose seq
            falls inside the surviving prefix restores the kernel state
-           directly; the prefix records below it are carried into the
-           replay journal verbatim and only the *suffix* inputs are
-           replayed.  Recovery cost is O(events since that snapshot).
+           directly, and only the *suffix* inputs are replayed.  Recovery
+           cost is O(events since that snapshot).
         2. **Fallback chain** — a snapshot that fails its checksum,
            schema, or range check is skipped (never trusted, never
            repaired) and the next older one is tried.
@@ -1271,10 +1269,12 @@ class ChargingService:
         an opened service always has a journal, so a missing one means
         its history is lost, never an empty service.
 
-        Whichever path runs, the journal is atomically rewritten to the
-        canonical replayed form and the returned service is
-        byte-equivalent (journal, metrics snapshot, session log) to one
-        that processed the same inputs without interruption.
+        Whichever path runs, the journal is recovered in place
+        (:meth:`~repro.service.journal.Journal.replay`): a disagreement
+        with the disk raises :class:`~repro.errors.ReplayDivergenceError`,
+        and the returned service is byte-equivalent (journal, metrics
+        snapshot, session log) to one that processed the same inputs
+        without interruption.  A failed attempt closes its journal.
 
         Construction arguments are code, not data: pass the same chargers
         and configuration the dead daemon ran with.  The journal's
@@ -1337,34 +1337,37 @@ class ChargingService:
                 f"{what} was written by a differently configured "
                 f"service: {theirs} != {ours}"
             )
-        # The whole replay journal is one input: seeded and replayed
-        # records are flushed one by one and fsynced once, by commit_to.
-        journal = Journal(str(journal_path) + ".recover", sync=journal_sync, storage=storage)
+        start = chosen[0] if chosen is not None else 0
+        replay = [r for r in records if r["event"] in INPUT_EVENTS and r["seq"] >= start]
+        journal = Journal(journal_path, truncate=False, sync=journal_sync, storage=storage)
         service.journal = journal
         service._snapshots_paused = True
-        with journal.batch():
-            if chosen is None:
-                journal.append("open", 0.0, ours)
-                replay = Journal.input_records(records)
-            else:
-                sseq, sstate = chosen
-                journal.seed(read.lines[: sseq - read.base_seq], read.base_seq)
-                # The seeded prefix can be empty (snapshot at the compaction
-                # point); the next append must continue at the snapshot seq
-                # either way.
-                journal.seq = sseq
-                service._restore_state(sstate)
-                replay = [
-                    r for r in Journal.input_records(records) if r["seq"] >= sseq
-                ]
-                service.metrics.counter(
-                    "recovery.snapshot_used", operational=True
-                ).inc()
-            for record in replay:
-                service._replay(record)
-            journal.commit_to(journal_path)
+        try:
+            journal.seed(read.lines, read.base_seq)
+            with journal.replay(start):
+                if chosen is None:
+                    journal.append("open", 0.0, ours)
+                else:
+                    service._restore_state(chosen[1])
+                    service.metrics.counter(
+                        "recovery.snapshot_used", operational=True
+                    ).inc()
+                for record in replay:
+                    service._replay(record)
+                # Records past the replay are the boundaries an input
+                # journals before its own record, which was lost: they
+                # lie after the replayed clock and are cut with the tail.
+                for r in records[journal.seq - read.base_seq:]:
+                    if r["t"] <= service.clock.now:
+                        raise ReplayDivergenceError(
+                            f"journal {journal_path}: record seq={r['seq']} lies "
+                            f"past the replay, not after its clock"
+                        )
+        except BaseException:
+            journal.close()
+            raise
         service._snapshots_paused = False
-        service._last_snapshot_seq = chosen[0] if chosen is not None else 0
+        service._last_snapshot_seq = start
         if read.dropped_bytes:
             service.metrics.counter(
                 "journal.recovered_bytes_dropped", operational=True

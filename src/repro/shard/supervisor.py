@@ -286,8 +286,8 @@ class ShardSupervisor:
         Both kinds go on the shard's journal storage, wrapped from then on
         in a :class:`~repro.faults.storage.FaultyStorage` that the live
         journal and every recovery of the shard write through.
-        ``recovery_crash`` faults crash each recovery attempt on its first
-        record until :attr:`recovery_crashes` for that shard is used up.
+        ``recovery_crash`` faults crash each recovery attempt at its tail
+        cut until :attr:`recovery_crashes` for that shard is used up.
         A plan without one kind leaves that kind's armed faults as they
         are.
 

@@ -8,7 +8,7 @@ Three contracts under test:
    append never leaves a half-written record behind a success path —
    a clean ``OSError`` truncates back and raises the typed
    :class:`~repro.errors.JournalWriteError` without consuming ``seq``;
-   a torn write leaves garbage that ``read_records`` drops as an
+   a torn write leaves garbage that ``Journal.read`` drops as an
    invalid tail.
 3. **Executor failure semantics**: one task failing (exception, worker
    crash, or hang) never takes down the run — every other task
@@ -160,12 +160,12 @@ class TestJournalSync:
         with pytest.raises(JournalWriteError):
             journal.append("submit", 1.0, {"id": "r1"})
         # The journal on disk is still a valid one-record prefix...
-        records, torn = Journal.read_records(path)
+        records, torn, *_ = Journal.read(path)
         assert [r["event"] for r in records] == ["open"] and not torn
         # ...and the retry reuses the same seq and succeeds.
         assert journal.seq == 1
         assert journal.append("submit", 1.0, {"id": "r1"}) == 1
-        records, torn = Journal.read_records(path)
+        records, torn, *_ = Journal.read(path)
         assert [r["event"] for r in records] == ["open", "submit"] and not torn
         assert storage.fired == [(1, "enospc")] and storage.fail_at == {}
         journal.close()
@@ -179,7 +179,7 @@ class TestJournalSync:
         # Half a record reached disk — the "process" is gone, no cleanup.
         raw = path.read_bytes()
         assert not raw.endswith(b"\n")
-        records, torn = Journal.read_records(path)
+        records, torn, *_ = Journal.read(path)
         assert [r["event"] for r in records] == ["open"]
         assert torn
         journal.close()

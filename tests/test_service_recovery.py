@@ -13,7 +13,7 @@ import json
 
 import pytest
 
-from repro.errors import RecoveryError, ServiceError
+from repro.errors import RecoveryError, ReplayDivergenceError, ServiceError
 from repro.geometry import Point
 from repro.service import (
     ChargingService,
@@ -51,7 +51,7 @@ def stream():
 class TestJournalFormat:
     def test_records_are_checksummed_and_dense(self, tmp_path, stream):
         _, raw = run_uninterrupted(tmp_path, stream)
-        records, torn = Journal.read_records(tmp_path / "full.jsonl")
+        records, torn, *_ = Journal.read(tmp_path / "full.jsonl")
         assert not torn
         assert [r["seq"] for r in records] == list(range(len(records)))
         for r in records:
@@ -60,7 +60,7 @@ class TestJournalFormat:
         assert records[-1]["event"] == "complete"
 
     def test_missing_file_reads_empty(self, tmp_path):
-        records, torn = Journal.read_records(tmp_path / "nope.jsonl")
+        records, torn, *_ = Journal.read(tmp_path / "nope.jsonl")
         assert (records, torn) == ([], False)
 
     def test_corrupt_checksum_truncates_prefix(self, tmp_path, stream):
@@ -70,7 +70,7 @@ class TestJournalFormat:
         doc["sha"] = "0" * 16
         lines[4] = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
         (tmp_path / "c.jsonl").write_text("".join(lines))
-        records, torn = Journal.read_records(tmp_path / "c.jsonl")
+        records, torn, *_ = Journal.read(tmp_path / "c.jsonl")
         assert torn
         assert len(records) == 4
 
@@ -174,3 +174,76 @@ class TestRecovery:
         assert sum(counts.values()) == len(stream) + len(extra)
         assert counts["admitted"] == counts["grouped"] == counts["charging"] == 0
         assert len(rec.final_schedule()) > len(svc.final_schedule())
+
+
+def sealed(seq, t, event, data):
+    """A journal line for the record, with a valid checksum."""
+    sha = record_checksum(seq, t, event, data)
+    doc = {"data": data, "event": event, "seq": seq, "sha": sha, "t": t}
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+class TestInPlaceRecovery:
+    """Recovery checks its replay against the journal it reads and
+    rewrites nothing that is valid."""
+
+    def test_rewritten_derived_record_is_a_divergence(self, tmp_path, stream):
+        _, raw = run_uninterrupted(tmp_path, stream, tag="edit")
+        path = tmp_path / "edit.jsonl"
+        lines = raw.decode().splitlines(keepends=True)
+        docs = [json.loads(line) for line in lines]
+        k = next(k for k, doc in enumerate(docs) if doc["event"] == "admit")
+        doc = docs[k]
+        data = {**doc["data"], "quote": doc["data"]["quote"] * 2.0}
+        lines[k] = sealed(doc["seq"], doc["t"], doc["event"], data)
+        path.write_text("".join(lines))
+        edited = path.read_bytes()
+        read = Journal.read(path)
+        assert not read.torn and len(read.records) == len(lines)
+        with pytest.raises(ReplayDivergenceError, match=f"seq={doc['seq']}"):
+            ChargingService.recover(path, CHARGERS, config=CONFIG)
+        assert path.read_bytes() == edited
+
+    def test_extra_record_past_the_replay_is_a_divergence(self, tmp_path, stream):
+        _, raw = run_uninterrupted(tmp_path, stream, tag="extra")
+        path = tmp_path / "extra.jsonl"
+        last = json.loads(raw.decode().splitlines()[-1])
+        with path.open("a") as fh:
+            fh.write(sealed(last["seq"] + 1, last["t"], last["event"], last["data"]))
+        extended = path.read_bytes()
+        assert not Journal.read(path).torn
+        with pytest.raises(ReplayDivergenceError, match=f"seq={last['seq'] + 1}"):
+            ChargingService.recover(path, CHARGERS, config=CONFIG)
+        assert path.read_bytes() == extended
+
+    def test_records_of_an_input_that_never_landed_are_cut(self, tmp_path, stream):
+        # A submit journals the epoch boundaries it advances over before
+        # its own record; killed in between, those records have no input
+        # to replay.  Recovery cuts them, and the re-feed writes them again.
+        svc, raw = run_uninterrupted(tmp_path, stream, tag="ref")
+        lines = raw.decode().splitlines(keepends=True)
+        events = [json.loads(line)["event"] for line in lines]
+        first_plan = events.index("plan")
+        path = tmp_path / "cut.jsonl"
+        path.write_text("".join(lines[: first_plan + 3]))
+        rec = ChargingService.recover(path, CHARGERS, config=CONFIG)
+        assert path.read_bytes() == "".join(lines[:first_plan]).encode()
+        for r in stream:
+            rec.submit(r)
+        rec.advance(stream[-1].submitted_at + 300.0)
+        rec.drain()
+        rec.journal.close()
+        assert path.read_bytes() == raw
+        assert rec.metrics_snapshot() == svc.metrics_snapshot()
+
+    def test_unterminated_last_record_is_torn_and_rewritten(self, tmp_path, stream):
+        # Records are written with their newline; appending after a line
+        # that lost it would glue two records together.
+        _, raw = run_uninterrupted(tmp_path, stream, tag="nl")
+        path = tmp_path / "nl.jsonl"
+        path.write_bytes(raw[:-1])
+        read = Journal.read(path)
+        assert read.torn and read.dropped_bytes == len(raw.splitlines()[-1])
+        rec = ChargingService.recover(path, CHARGERS, config=CONFIG)
+        rec.journal.close()
+        assert path.read_bytes() == raw

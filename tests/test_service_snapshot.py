@@ -149,7 +149,7 @@ class TestSnapshotRecovery:
         rec.journal.close()
         counters = rec.observability_snapshot()["counters"]
         assert counters["recovery.snapshot_used"] == 1
-        total = len(Journal.read_records(snap_path)[0])
+        total = len(Journal.read(snap_path).records)
         assert counters["recovery.records_replayed"] < total
         assert rec.final_schedule() == ref.final_schedule()
         assert rec.metrics_snapshot() == ref.metrics_snapshot()
@@ -192,7 +192,7 @@ class TestCompaction:
     def test_compacted_journal_recovers_byte_identical(self, tmp_path, stream):
         ref, _ref_path = run(tmp_path, stream, "ref")
         _svc, path = run(tmp_path, stream, "c", snapshot_every=10)
-        records, torn = Journal.read_records(path)
+        records, torn, *_ = Journal.read(path)
         assert not torn
         assert records[0]["seq"] > 0  # prefix actually truncated
         rec = recover(path, snapshot_every=10)
@@ -206,7 +206,7 @@ class TestCompaction:
         _svc, path = run(
             tmp_path, stream, "k1", snapshot_every=10, snapshot_keep=1
         )
-        records, _torn = Journal.read_records(path)
+        records = Journal.read(path).records
         assert records[0]["seq"] == 0
         assert len(list_snapshots(path)) == 1
 
@@ -214,7 +214,7 @@ class TestCompaction:
         self, tmp_path, stream
     ):
         _svc, path = run(tmp_path, stream, "dead", snapshot_every=10)
-        records, _torn = Journal.read_records(path)
+        records = Journal.read(path).records
         assert records[0]["seq"] > 0
         for _seq, spath in list_snapshots(path):
             corrupt_half(spath)

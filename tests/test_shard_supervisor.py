@@ -24,6 +24,7 @@ The contract under test (docs/RECOVERY.md):
 
 from __future__ import annotations
 
+import gc
 import json
 
 import pytest
@@ -219,6 +220,26 @@ class TestFailover:
         ref = reference_run(requests)
         assert svc.final_schedule() == ref.final_schedule()
         assert svc.metrics_snapshot() == ref.metrics_snapshot()
+        sup.close()
+        svc.close()
+
+    @pytest.mark.recovery_smoke
+    @pytest.mark.filterwarnings("error::ResourceWarning")
+    @pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
+    @pytest.mark.parametrize("mode", ["enospc", "torn"])
+    def test_crashed_recovery_attempts_close_their_journal(self, tmp_path, mode):
+        # Each crashed attempt opened the shard journal; an unclosed file
+        # found by the collector below would fail the test.
+        svc = make_service(tmp_path / "svc")
+        sup = ShardSupervisor(svc, seed=5)
+        sup.arm(FaultPlan([
+            FaultEvent(t=0.0, kind="recovery_crash", target="1", count=2, mode=mode),
+        ]))
+        for r in make_stream(20):
+            sup.call("submit", r)
+        assert sup.kill_shard(1) is True
+        assert sup.stats["restarts"] == 2 + 1
+        gc.collect()
         sup.close()
         svc.close()
 
@@ -428,11 +449,12 @@ class TestFacadeLifecycle:
             sup.apply(("submit", r.submitted_at, r))
         lost = tmp_path / "svc" / "shard-0001.jsonl"
         lost.unlink()
+        before = sorted(p.name for p in lost.parent.iterdir())
         with pytest.raises(RecoveryError) as info:
             sup.kill_shard(1)
         assert str(lost) in str(info.value)
         assert not lost.exists()
-        assert not lost.with_name(lost.name + ".recover").exists()
+        assert sorted(p.name for p in lost.parent.iterdir()) == before
         svc.close()
 
 

@@ -22,6 +22,7 @@ from pathlib import Path
 
 from repro.cli import serve_main
 from repro.faults import FaultPlan, merge_timeline
+from repro.faults.storage import tear_tail
 from repro.geometry import Field, Point
 from repro.io import POSIX
 from repro.service import (
@@ -144,10 +145,10 @@ class RecordingStorage:
         self.log.append(("truncate", Path(fh.name)))
         self.inner.truncate(fh, size)
 
-    def publish(self, path, chunks=None, tmp=None, durable=True):
+    def publish(self, path, chunks, tmp=None):
         self.log.append(("publish", Path(path)))
-        self.os_calls.extend(PUBLISH if durable else ["replace"])
-        self.inner.publish(path, chunks, tmp=tmp, durable=durable)
+        self.os_calls.extend(PUBLISH)
+        self.inner.publish(path, chunks, tmp=tmp)
 
     def read(self, path):
         self.log.append(("read", Path(path)))
@@ -189,6 +190,21 @@ def os_log(monkeypatch):
 
 
 class TestRecordingStorage:
+    def test_recovery_without_journal_sync_fsyncs_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "svc.jsonl"
+        serve(path, stream(36))
+        tear_tail(POSIX, path)
+        calls = os_log(monkeypatch)
+        storage = RecordingStorage()
+        rec = ChargingService.recover(
+            path, CHARGERS, config=CONFIG, journal_sync=False, storage=storage
+        )
+        rec.journal.close()
+        assert calls == storage.os_calls == []
+        assert ("truncate", path) in storage.log
+
     def test_one_shard_life_goes_through_the_storage(self, tmp_path, monkeypatch):
         calls = os_log(monkeypatch)
         storage = RecordingStorage()
@@ -228,16 +244,29 @@ class TestRecordingStorage:
                 compacted += 1
         assert compacted >= 1 and kernel.journal.base_seq > 0
 
-        # Kill with a torn tail, then supervised recovery: the tail is cut
-        # through the storage; the replay journal is one input, fsynced
-        # once by its durable publish over the journal.
+        # Kill with a torn tail, then supervised recovery in place: the
+        # recovery reopens the journal for append, cuts the torn tail
+        # through the storage, appends what the replay re-derives past
+        # the valid prefix and fsyncs once.  Nothing is renamed, unlinked
+        # or published, and no directory is fsynced.
         path = kernel.journal.path
+        recoveries = []
+        recover_shard = svc.recover_shard
+
+        def recorded_recover_shard(sid):
+            done = []
+            recoveries.append(phase(lambda: done.append(recover_shard(sid))))
+            return done[0]
+
+        monkeypatch.setattr(svc, "recover_shard", recorded_recover_shard)
         made, ops = phase(lambda: sup.kill_shard(0, torn=True))
         assert ops[:2] == [("open_append", path), ("truncate", path)]
-        commit = ops.index(("publish", path))
-        assert ("open_append", path.with_name(path.name + ".recover")) in ops[:commit]
-        assert not [op for op in ops[:commit] if op[0] == "barrier"]
-        assert made[:3] == PUBLISH and made.count("replace") == made.count("dir")
+        ((made, ops),) = recoveries
+        assert made == INPUT
+        writes = [op for op in ops if op[0] not in ("read", "listdir")]
+        assert writes[:2] == [("open_append", path), ("truncate", path)]
+        assert writes[-1] == ("barrier", path)
+        assert set(writes[2:-1]) <= {("append", path)}
         assert sup.stats["recoveries"] == 1
 
         for item in timeline[30:]:
