@@ -88,12 +88,12 @@ class _CountingScheme:
         self.count += 1
         return self.inner.share_of(instance, device, size, total_demand, price)
 
-    def _share_of_vector(self, instance, device, sizes, total_demands, prices):
+    def _share_of_vector(self, instance, demands, sizes, total_demands, prices):
         # One evaluation per candidate in the batch; ``sizes`` may be a
         # broadcast scalar, so the prices vector carries the batch length.
         self.count += int(np.size(prices))
         return self.inner.share_of_vector(
-            instance, device, sizes, total_demands, prices
+            instance, demands, sizes, total_demands, prices
         )
 
 

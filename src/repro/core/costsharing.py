@@ -98,15 +98,17 @@ class EgalitarianSharing:
     def share_of_vector(
         self,
         instance: CCSInstance,
-        device: int,
+        demands: "np.ndarray",
         sizes: "np.ndarray",
         total_demands: "np.ndarray",
         prices: "np.ndarray",
     ) -> "np.ndarray":
         """Vectorized :meth:`share_of` over candidate-session aggregates.
 
-        Elementwise bitwise-identical to the scalar fast path — the array
-        engine prices a whole candidate scan with one call.
+        *demands* are the sharing devices' own demands, broadcast against
+        the aggregates (unused by the equal split).  Elementwise
+        bitwise-identical to the scalar fast path — the array engine
+        prices whole candidate scans with one call.
         """
         return prices / sizes
 
@@ -144,17 +146,18 @@ class ProportionalSharing:
     def share_of_vector(
         self,
         instance: CCSInstance,
-        device: int,
+        demands: "np.ndarray",
         sizes: "np.ndarray",
         total_demands: "np.ndarray",
         prices: "np.ndarray",
     ) -> "np.ndarray":
         """Vectorized :meth:`share_of` over candidate-session aggregates.
 
-        Same multiply-then-divide order as the scalar fast path, so each
-        element is bitwise identical to it.
+        *demands* are the sharing devices' own demands, broadcast against
+        the aggregates.  Same multiply-then-divide order as the scalar
+        fast path, so each element is bitwise identical to it.
         """
-        return prices * instance.devices[device].demand / total_demands
+        return prices * demands / total_demands
 
 
 @dataclass(frozen=True)

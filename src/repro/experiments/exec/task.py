@@ -124,6 +124,11 @@ def _str_keyed(value: Any) -> bool:
     return True
 
 
+#: The one encoder behind every canonical dump: ``json.dumps`` with
+#: these options would build an equal encoder on every call.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
 def plain_json(value: Any) -> Optional[str]:
     """*value*'s canonical JSON from one plain dump, or ``None``.
 
@@ -139,7 +144,7 @@ def plain_json(value: Any) -> Optional[str]:
     try:
         if not _str_keyed(value):
             return None
-        text = json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=False)
+        text = _CANONICAL.encode(value)
     except (TypeError, ValueError, RecursionError):
         return None
     return None if _NEG_ZERO.search(text) is not None else text
@@ -152,7 +157,7 @@ def canon_json(value: Any) -> str:
     already know :func:`plain_json` refused *value*; raises the typed
     errors for non-JSON input.
     """
-    return json.dumps(_canon(value), sort_keys=True, separators=(",", ":"), allow_nan=False)
+    return _CANONICAL.encode(_canon(value))
 
 
 def canonical_json(value: Any) -> str:

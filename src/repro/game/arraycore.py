@@ -42,10 +42,13 @@ total cost *to the last bit*, and the same Zobrist hash.  That is why
   argmin chain instead of a first-strictly-smaller scan (the key is
   unique per candidate, so both find the same winner).
 
-:class:`StructureArrayView` applies the same vectorized kernel to a live
-*object* ``CoalitionStructure`` — the service's incremental planner uses
-it so improvement/repair sweeps scan in numpy while placements and
-journaling keep the object representation.
+The kernel scores a whole list of devices at once (``first_move``: one
+row per device) and reports the first row with a permitted move; the
+one-device ``best_move`` is its one-row case.
+:class:`StructureArrayView` applies the same kernel to a live *object*
+``CoalitionStructure`` — the service's incremental planner uses it so
+improvement/repair sweeps scan a segment of devices per numpy pass while
+placements and journaling keep the object representation.
 
 dtype discipline: everything float64 / int64; narrowing dtypes and
 unordered reductions in this module are rejected by ccs-lint rule
@@ -58,7 +61,7 @@ from typing import Dict, FrozenSet, List, Optional, Protocol, Sequence, Set, Tup
 
 import numpy as np
 
-from ..core.costsharing import CostSharingScheme, share_from_aggregates
+from ..core.costsharing import CostSharingScheme
 from ..core.schedule import Schedule, Session
 from ..errors import ConfigurationError
 from ..numeric import CACHE_REL_TOL, TOTAL_COST_REL_TOL
@@ -125,138 +128,226 @@ def _capacity_vector(chargers: Sequence[Charger]) -> np.ndarray:
     )
 
 
-def _availability_mask(instance: object, m: int) -> Optional[np.ndarray]:
-    """Gathered ``charger_available`` flags, or ``None`` without the hook.
+def _availability_mask(instance: object) -> Optional[np.ndarray]:
+    """The instance's cached per-charger up flags, or ``None`` to mask nothing.
 
-    Mirrors the ``getattr`` probe in ``switching._scan_deltas``: frozen
-    batch instances have no availability notion and skip the mask.
+    A live service plan (:class:`~repro.service.plan.PlanInstance`) keeps
+    the mask current as chargers fail and recover, and holds ``None``
+    while every charger is up; a frozen batch instance has no
+    availability notion at all.  Either way ``None`` skips the mask.
     """
-    probe = getattr(instance, "charger_available", None)
-    if probe is None:
-        return None
-    return np.fromiter((bool(probe(j)) for j in range(m)), dtype=bool, count=m)
+    return getattr(instance, "availability_mask", None)
 
 
-def _kernel_best_move(
+class _Candidates:
+    """The live coalitions' aggregates, one entry per packed row.
+
+    Built once per structure version.  An insert scan reads the rows as
+    they are; a move scan also needs :meth:`joins`, derived on the
+    version's first move scan.
+    """
+
+    __slots__ = ("k", "cids", "chargers", "sizes", "demands", "prices", "moves", "cap",
+                 "_joins")
+
+    def __init__(
+        self,
+        cids: np.ndarray,
+        chargers: np.ndarray,
+        sizes: np.ndarray,
+        demands: np.ndarray,
+        prices: np.ndarray,
+        moves: np.ndarray,
+        cap: np.ndarray,
+    ):
+        self.k = cids.shape[0]
+        self.cids = cids
+        self.chargers = chargers
+        self.sizes = sizes
+        self.demands = demands
+        self.prices = prices
+        self.moves = moves
+        self.cap = cap
+        self._joins: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, int]] = None
+
+    def joins(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """``(joined, cost, fits, count)``: per row the member count after
+        a join, the session's cost now and whether the join fits the
+        charger; and how many rows fit."""
+        if self._joins is None:
+            joined = self.sizes + 1
+            fits = joined <= self.cap[self.chargers]
+            self._joins = (
+                joined, self.prices + self.moves, fits, int(np.count_nonzero(fits))
+            )
+        return self._joins
+
+
+def _kernel_first_move(
     *,
-    device: int,
+    devices: np.ndarray,
+    src: np.ndarray,
     rule: SwitchRule,
     scheme: CostSharingScheme,
     instance: _EngineInstance,
-    demand_i: float,
-    own_now: float,
     total_now: float,
-    leave: float,
-    src_charger: int,
-    src_is_singleton: bool,
-    exclude_cid: int,
-    cand_cid: np.ndarray,
-    cand_charger: np.ndarray,
-    cand_size: np.ndarray,
-    cand_demand: np.ndarray,
-    cand_price: np.ndarray,
-    cand_move_sum: np.ndarray,
-    cap: np.ndarray,
+    cand: _Candidates,
     avail: Optional[np.ndarray],
-    mv_row: np.ndarray,
-    sp_row: np.ndarray,
-    sc_row: np.ndarray,
-) -> Optional[SwitchMove]:
-    """Vectorized mirror of ``_scan_deltas`` + ``SwitchRule.best_move``.
+    moving: np.ndarray,
+    sp: np.ndarray,
+    sc: np.ndarray,
+    demands: np.ndarray,
+) -> Optional[Tuple[int, SwitchMove]]:
+    """Vectorized ``SwitchRule.best_move`` over a list of devices.
 
-    Evaluates every join candidate (rows of the ``cand_*`` arrays) and
-    every found-a-singleton candidate at once, applies the rule's permit
-    predicate as a boolean mask, and selects the winner by the object
-    engine's exact lexicographic key.  Candidate rows that the object
-    scan would *skip* (the source coalition, full coalitions, down
-    chargers) are still computed but masked out of selection — cheaper
-    than compressing six arrays, and numerically inert.
+    Scores every candidate move of every listed device at once: one row
+    per device (``devices[r]``, whose own coalition is packed row
+    ``src[r]``), one column per live coalition to join and one per
+    charger to found a singleton at.  Every element is computed with the
+    object scan's formula and operation order (``_scan_deltas``), so
+    each row holds bitwise the deltas a one-device scan would.  Returns
+    ``(r, move)`` for the first row with a permitted move and that
+    device's winner under ``SwitchRule.best_move``'s key
+    ``(own_delta, is_singleton, charger, cid)``, or ``None`` when no
+    listed device may move.
+
+    Candidates the object scan *skips* (the source coalition, the
+    device's own singleton, full coalitions, down chargers) are computed
+    but masked out of selection — cheaper than compressing the arrays,
+    and numerically inert.  Tariff calls are made only for what can
+    matter: none when no row has a coalition it could join and every
+    device sits alone.
     """
-    social = isinstance(rule, SociallyAwareSwitch)
+    n = devices.shape[0]
+    dem = demands[devices]
+    dcol = dem[:, None]
+    s_ch = cand.chargers[src]
+    s_size = cand.sizes[src]
+    s_dem = cand.demands[src]
+    s_price = cand.prices[src]
+    s_move = cand.moves[src]
+    rows = np.arange(n)
+    mv = moving.take(devices, axis=0)
+    mv_src = moving[devices, s_ch]
+    own_now = scheme.share_of_vector(  # type: ignore[attr-defined]
+        instance, dem, s_size, s_dem, s_price
+    ) + mv_src
+    own_col = own_now[:, None]
+    single = s_size == 1
+    n_single = np.count_nonzero(single)
+
+    # A device may join any coalition but its own that has a free slot
+    # on an available charger.
+    joined, cost, fits, n_fits = cand.joins()
+    if avail is not None:
+        fits = fits & avail[cand.chargers]
+        n_fits = np.count_nonzero(fits)
+    joinable = n_fits > 1 or (n_fits == 1 and np.count_nonzero(fits[src]) < n)
+    # Leaving a singleton empties its session, so the leave delta is
+    # ``-cost``; otherwise the source session is priced without the
+    # device, in the same tariff call as the joins when there are any.
+    stays = n_single < n
+    if joinable:
+        k = cand.k
+        totals = np.empty((n, k + stays), dtype=float)
+        chargers = np.empty((n, k + stays), dtype=np.int64)
+        np.add(cand.demands, dcol, out=totals[:, :k])
+        chargers[:, :k] = cand.chargers
+        if stays:
+            np.subtract(s_dem, dem, out=totals[:, k])
+            chargers[:, k] = s_ch
+        prices = instance.price_for_demand_vector(totals, chargers)
+        stay = prices[:, -1]
+    elif stays:
+        stay = instance.price_for_demand_vector(s_dem - dem, s_ch)
+    if stays:
+        # A singleton row prices an empty session (exactly 0.0) and
+        # drops a move sum equal to its own moving cost: bitwise
+        # ``-cost`` again, as in the object scan.
+        leave = (stay + (s_move - mv_src)) - (s_price + s_move)
+    else:
+        leave = -(s_price + s_move)
+    base = (total_now + leave)[:, None]
+
     neg = -rule.tol
+    social = isinstance(rule, SociallyAwareSwitch)
+    if joinable:
+        new_total = totals[:, :k]
+        new_price = prices[:, :k]
+        move_ij = mv[:, cand.chargers]
+        share = scheme.share_of_vector(  # type: ignore[attr-defined]
+            instance, dcol, joined, new_total, new_price
+        )
+        own_delta = (share + move_ij) - own_col
+        total_delta = (base + ((new_price + (cand.moves + move_ij)) - cost)) - total_now
+        permit = own_delta < neg
+        if social:
+            permit &= total_delta < neg
+        permit &= fits
+        permit[rows, src] = False
+
+    share_s = scheme.share_of_vector(  # type: ignore[attr-defined]
+        instance, dcol, 1, dcol, sp.take(devices, axis=0)
+    )
+    own_delta_s = (share_s + mv) - own_col
+    total_delta_s = (base + sc.take(devices, axis=0)) - total_now
+    permit_s = own_delta_s < neg
+    if social:
+        permit_s &= total_delta_s < neg
+    if avail is not None:
+        permit_s &= avail
+    # Re-founding its own singleton is not a move.
+    if n_single == n:
+        permit_s[rows, s_ch] = False
+    elif n_single:
+        permit_s[rows[single], s_ch[single]] = False
+
+    # The first row with a permitted move: bool argmax finds each
+    # block's first True in row-major order.
+    m = mv.shape[1]
+    hit = int(permit_s.argmax())
+    r = hit // m if permit_s.flat[hit] else n
+    if joinable:
+        hit = int(permit.argmax())
+        if permit.flat[hit]:
+            r = min(r, hit // k)
+    if r == n:
+        return None
+
     best_key: Optional[Tuple[float, bool, int, int]] = None
     best: Optional[Tuple[Optional[int], int, float, float]] = None
-
-    if cand_cid.shape[0]:
-        ok = cand_cid != exclude_cid
-        ok &= (cand_size + 1) <= cap[cand_charger]
-        if avail is not None:
-            ok &= avail[cand_charger]
-        if ok.any():
-            new_total = cand_demand + demand_i
-            new_price = instance.price_for_demand_vector(new_total, cand_charger)
-            move_ij = mv_row[cand_charger]
-            share = scheme.share_of_vector(  # type: ignore[attr-defined]
-                instance, device, cand_size + 1, new_total, new_price
-            )
-            own_delta = (share + move_ij) - own_now
-            join = (new_price + (cand_move_sum + move_ij)) - (
-                cand_price + cand_move_sum
-            )
-            total_delta = ((total_now + leave) + join) - total_now
-            permit = own_delta < neg
-            if social:
-                permit &= total_delta < neg
-            permit &= ok
-            hits = np.flatnonzero(permit)
-            if hits.size:
-                od = own_delta[hits]
-                sel = hits[od == od.min()]
-                if sel.size > 1:
-                    ch = cand_charger[sel]
-                    sel = sel[ch == ch.min()]
-                    if sel.size > 1:
-                        cids = cand_cid[sel]
-                        sel = sel[cids == cids.min()]
-                win = int(sel[0])
-                best_key = (
-                    float(own_delta[win]),
-                    False,
-                    int(cand_charger[win]),
-                    int(cand_cid[win]),
-                )
-                best = (
-                    int(cand_cid[win]),
-                    int(cand_charger[win]),
-                    float(own_delta[win]),
-                    float(total_delta[win]),
-                )
-
-    m = mv_row.shape[0]
-    smask = np.ones(m, dtype=bool)
-    if src_is_singleton:
-        smask[src_charger] = False
-    if avail is not None:
-        smask &= avail
-    js = np.flatnonzero(smask)
-    if js.size:
-        share_s = scheme.share_of_vector(  # type: ignore[attr-defined]
-            instance, device, 1, demand_i, sp_row[js]
-        )
-        own_delta_s = (share_s + mv_row[js]) - own_now
-        total_delta_s = ((total_now + leave) + sc_row[js]) - total_now
-        permit_s = own_delta_s < neg
-        if social:
-            permit_s &= total_delta_s < neg
-        hits = np.flatnonzero(permit_s)
+    if joinable:
+        hits = np.flatnonzero(permit[r])
         if hits.size:
-            od = own_delta_s[hits]
-            # flatnonzero yields ascending charger order, so the first
-            # minimum is the lowest-charger tie-break winner.
-            win = int(hits[od == od.min()][0])
-            key = (float(od.min()), True, int(js[win]), -1)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (
-                    None,
-                    int(js[win]),
-                    float(own_delta_s[win]),
-                    float(total_delta_s[win]),
-                )
-
-    if best is None:
-        return None
-    return SwitchMove(device, best[0], best[1], best[2], best[3])
+            od = own_delta[r, hits]
+            sel = hits[od == od.min()]
+            if sel.size > 1:
+                ch = cand.chargers[sel]
+                sel = sel[ch == ch.min()]
+                if sel.size > 1:
+                    cids = cand.cids[sel]
+                    sel = sel[cids == cids.min()]
+            win = int(sel[0])
+            best_key = (
+                float(own_delta[r, win]), False, int(cand.chargers[win]), int(cand.cids[win])
+            )
+            best = (
+                int(cand.cids[win]),
+                int(cand.chargers[win]),
+                float(own_delta[r, win]),
+                float(total_delta[r, win]),
+            )
+    hits = np.flatnonzero(permit_s[r])
+    if hits.size:
+        od = own_delta_s[r, hits]
+        # flatnonzero yields ascending charger order, so the first
+        # minimum is the lowest-charger tie-break winner.
+        win = int(hits[od == od.min()][0])
+        key = (float(own_delta_s[r, win]), True, win, -1)
+        if best_key is None or key < best_key:
+            best = (None, win, float(own_delta_s[r, win]), float(total_delta_s[r, win]))
+    assert best is not None
+    return r, SwitchMove(int(devices[r]), best[0], best[1], best[2], best[3])
 
 
 def _kernel_best_insert(
@@ -294,7 +385,7 @@ def _kernel_best_insert(
             new_total = cand_demand[idx] + demand_i
             new_price = instance.price_for_demand_vector(new_total, sub_ch)
             share = scheme.share_of_vector(  # type: ignore[attr-defined]
-                instance, device, cand_size[idx] + 1, new_total, new_price
+                instance, demand_i, cand_size[idx] + 1, new_total, new_price
             )
             cost = share + mv_row[sub_ch]
             sel = idx[cost == cost.min()]
@@ -337,13 +428,18 @@ class ArrayState:
     :class:`~repro.game.coalition.CoalitionStructure` (cached per-
     coalition aggregates, Python-float running total cost, Zobrist hash,
     monotone coalition ids) in packed numpy rows, with
-    :meth:`best_move` evaluating a device's whole candidate scan
-    vectorized.  Bit-identical to the object engine by construction;
+    :meth:`first_move` evaluating whole candidate scans vectorized.
+    Bit-identical to the object engine by construction;
     ``tests/test_game_array.py`` proves it on every golden fixture and
     under hypothesis fuzz.
     """
 
     def __init__(self, instance: _EngineInstance, scheme: CostSharingScheme):
+        if getattr(scheme, "share_of_vector", None) is None:
+            raise ConfigurationError(
+                "array engine requires a cost-sharing scheme with the "
+                "share_of_vector aggregate fast path"
+            )
         self.instance = instance
         self.scheme = scheme
         n = instance.n_devices
@@ -371,6 +467,8 @@ class ArrayState:
         self._next_cid = 0
         self._total_cost = 0.0
         self._zhash = 0
+        #: Scan view of the current rows; dropped on every mutation.
+        self._cand: Optional[_Candidates] = None
 
     # ------------------------------------------------------------------ #
     # construction
@@ -486,6 +584,7 @@ class ArrayState:
         self._size[row] = len(ordered)
 
     def _create(self, charger: int, members: Set[int]) -> int:
+        self._cand = None
         row = self._new_row(charger)
         fingerprint = 0
         for i in members:
@@ -524,64 +623,52 @@ class ArrayState:
             for r in range(self._k)
         )
 
-    def best_move(self, device: int, rule: SwitchRule) -> Optional[SwitchMove]:
-        """The permitted move minimizing *device*'s own cost, vectorized.
+    def first_move(
+        self, devices: Sequence[int], rule: SwitchRule
+    ) -> Optional[Tuple[int, SwitchMove]]:
+        """The first of *devices* with a permitted move, and that move.
 
-        Returns exactly what ``rule.best_move(structure, device)`` would
-        on the equivalent object structure — same move, same deltas, or
-        ``None``.
+        Returns ``(position in devices, move)``, where the move is exactly
+        what ``rule.best_move(structure, device)`` would return on the
+        equivalent object structure; ``None`` when no listed device may
+        move.  All rows are scored in one array pass.
         """
-        src = int(self._dev_row[device])
-        src_ch = int(self._charger[src])
-        src_size = int(self._size[src])
-        src_price = float(self._price[src])
-        src_move = float(self._move[src])
-        src_demand = float(self._demand[src])
-        demand_i = self._demand_list[device]
-
-        share_now = share_from_aggregates(
-            self.scheme, self.instance, device, src_size, src_demand, src_price  # type: ignore[arg-type]
-        )
-        if share_now is None:
-            raise ConfigurationError(
-                "array engine requires a cost-sharing scheme with the "
-                "share_of aggregate fast path"
+        if self._cand is None:
+            k = self._k
+            self._cand = _Candidates(
+                self._cid[:k],
+                self._charger[:k],
+                self._size[:k],
+                self._demand[:k],
+                self._price[:k],
+                self._move[:k],
+                self._cap,
             )
-        own_now = share_now + float(self._moving[device, src_ch])
-
-        if src_size == 1:
-            leave = -(src_price + src_move)
-        else:
-            new_total = src_demand - demand_i
-            new_price = self.instance.charging_price_for_demand(new_total, src_ch)
-            new_move = src_move - float(self._moving[device, src_ch])
-            leave = (new_price + new_move) - (src_price + src_move)
-
-        k = self._k
-        return _kernel_best_move(
-            device=device,
+        dev = np.array(devices, dtype=np.int64)
+        return _kernel_first_move(
+            devices=dev,
+            src=self._dev_row[dev],
             rule=rule,
             scheme=self.scheme,
             instance=self.instance,
-            demand_i=demand_i,
-            own_now=own_now,
             total_now=self._total_cost,
-            leave=leave,
-            src_charger=src_ch,
-            src_is_singleton=(src_size == 1),
-            exclude_cid=int(self._cid[src]),
-            cand_cid=self._cid[:k],
-            cand_charger=self._charger[:k],
-            cand_size=self._size[:k],
-            cand_demand=self._demand[:k],
-            cand_price=self._price[:k],
-            cand_move_sum=self._move[:k],
-            cap=self._cap,
-            avail=_availability_mask(self.instance, self._moving.shape[1]),
-            mv_row=self._moving[device],
-            sp_row=self._sp[device],
-            sc_row=self._sc[device],
+            cand=self._cand,
+            avail=_availability_mask(self.instance),
+            moving=self._moving,
+            sp=self._sp,
+            sc=self._sc,
+            demands=self.instance._demands,  # type: ignore[attr-defined]
         )
+
+    def best_move(self, device: int, rule: SwitchRule) -> Optional[SwitchMove]:
+        """The permitted move minimizing *device*'s own cost, vectorized.
+
+        The one-row case of :meth:`first_move`: exactly what
+        ``rule.best_move(structure, device)`` returns on the equivalent
+        object structure — same move, same deltas, or ``None``.
+        """
+        hit = self.first_move((device,), rule)
+        return None if hit is None else hit[1]
 
     def is_nash(self, rule: SwitchRule) -> bool:
         """True iff no device has a permitted deviation (vectorized audit)."""
@@ -611,6 +698,7 @@ class ArrayState:
                 )
             charger = dest_ch
 
+        self._cand = None
         token = self._dev_token[device]
         self._zhash ^= self._key_row(src)
         self._total_cost -= self._group_cost(src)
@@ -742,74 +830,78 @@ class StructureArrayView:
         self.structure = structure
         self._built_version = -1
         self._cap = _capacity_vector(structure.instance.chargers)
-        self._cid = np.zeros(0, dtype=np.int64)
-        self._charger = np.zeros(0, dtype=np.int64)
-        self._size = np.zeros(0, dtype=np.int64)
-        self._demand = np.zeros(0, dtype=float)
-        self._price = np.zeros(0, dtype=float)
-        self._move = np.zeros(0, dtype=float)
+        self._cand: Optional[_Candidates] = None
+        self._row_of_cid: Dict[int, int] = {}
 
-    def _ensure(self) -> None:
+    def _ensure(self) -> _Candidates:
         st = self.structure
-        if st._version == self._built_version:
-            return
-        coals = list(st.coalitions())
-        count = len(coals)
-        self._cid = np.fromiter((c.cid for c in coals), np.int64, count)
-        self._charger = np.fromiter((c.charger for c in coals), np.int64, count)
-        self._size = np.fromiter((len(c.members) for c in coals), np.int64, count)
-        self._demand = np.fromiter((c.total_demand for c in coals), float, count)
-        self._price = np.fromiter((c.price for c in coals), float, count)
-        self._move = np.fromiter((c.move_sum for c in coals), float, count)
-        self._built_version = st._version
+        if self._cand is None or st._version != self._built_version:
+            coals = list(st.coalitions())
+            self._cand = _Candidates(
+                np.array([c.cid for c in coals], dtype=np.int64),
+                np.array([c.charger for c in coals], dtype=np.int64),
+                np.array([len(c.members) for c in coals], dtype=np.int64),
+                np.array([c.total_demand for c in coals], dtype=float),
+                np.array([c.price for c in coals], dtype=float),
+                np.array([c.move_sum for c in coals], dtype=float),
+                self._cap,
+            )
+            self._row_of_cid = {c.cid: row for row, c in enumerate(coals)}
+            self._built_version = st._version
+        return self._cand
 
-    def best_move(self, device: int, rule: SwitchRule) -> Optional[SwitchMove]:
-        """Vectorized ``rule.best_move(structure, device)`` (bit-identical)."""
-        self._ensure()
+    def first_move(
+        self, devices: Sequence[int], rule: SwitchRule
+    ) -> Optional[Tuple[int, SwitchMove]]:
+        """The first of *devices* with a permitted move, and that move.
+
+        Returns ``(position in devices, move)`` with the move bitwise
+        equal to ``rule.best_move(structure, devices[position])``, or
+        ``None`` when no listed device may move.  The devices must be
+        placed; all of them are scored in one array pass.
+        """
+        cand = self._ensure()
         st = self.structure
         instance = st.instance
-        src = st.coalition_of(device)
-        return _kernel_best_move(
-            device=device,
+        of_device, row_of_cid = st._of_device, self._row_of_cid
+        return _kernel_first_move(
+            devices=np.array(devices, dtype=np.int64),
+            src=np.array([row_of_cid[of_device[d]] for d in devices], dtype=np.int64),
             rule=rule,
             scheme=st.scheme,
             instance=instance,  # type: ignore[arg-type]
-            demand_i=instance._demand_list[device],  # type: ignore[attr-defined]
-            own_now=st.individual_cost(device),
             total_now=st.total_cost,
-            leave=st.leave_delta(device),
-            src_charger=src.charger,
-            src_is_singleton=(src.size == 1),
-            exclude_cid=src.cid,
-            cand_cid=self._cid,
-            cand_charger=self._charger,
-            cand_size=self._size,
-            cand_demand=self._demand,
-            cand_price=self._price,
-            cand_move_sum=self._move,
-            cap=self._cap,
-            avail=_availability_mask(instance, instance.n_chargers),
-            mv_row=instance._moving_cost[device],  # type: ignore[attr-defined]
-            sp_row=instance.singleton_price_matrix()[device],
-            sc_row=instance.singleton_cost_matrix()[device],
+            cand=cand,
+            avail=_availability_mask(instance),
+            moving=instance._moving_cost,  # type: ignore[attr-defined]
+            sp=instance.singleton_price_matrix(),
+            sc=instance.singleton_cost_matrix(),
+            demands=instance._demands,  # type: ignore[attr-defined]
         )
+
+    def best_move(self, device: int, rule: SwitchRule) -> Optional[SwitchMove]:
+        """Vectorized ``rule.best_move(structure, device)`` (bit-identical).
+
+        The one-row case of :meth:`first_move`.
+        """
+        hit = self.first_move((device,), rule)
+        return None if hit is None else hit[1]
 
     def best_insert(self, device: int) -> Optional[Tuple[Optional[int], int]]:
         """Vectorized planner insert scan: cheapest placement for *device*."""
-        self._ensure()
-        st = self.structure
-        instance = st.instance
+        cand = self._ensure()
+        instance = self.structure.instance
         return _kernel_best_insert(
             device=device,
-            scheme=st.scheme,
+            scheme=self.structure.scheme,
             instance=instance,  # type: ignore[arg-type]
             demand_i=instance._demand_list[device],  # type: ignore[attr-defined]
-            cand_cid=self._cid,
-            cand_charger=self._charger,
-            cand_size=self._size,
-            cand_demand=self._demand,
+            cand_cid=cand.cids,
+            cand_charger=cand.chargers,
+            cand_size=cand.sizes,
+            cand_demand=cand.demands,
             cap=self._cap,
-            avail=_availability_mask(instance, instance.n_chargers),
+            avail=_availability_mask(instance),
             mv_row=instance._moving_cost[device],  # type: ignore[attr-defined]
             sc_row=instance.singleton_cost_matrix()[device],
         )

@@ -327,12 +327,19 @@ class ChargingService:
     # input events
 
     @_durable_input
-    def submit(self, request: ChargingRequest) -> str:
+    def submit(
+        self,
+        request: ChargingRequest,
+        rows: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    ) -> str:
         """Process one submission; returns the request's resulting state.
 
         Idempotent per ``request_id``: resubmitting a known id is a no-op
         returning the current state (this is what makes re-feeding an
-        event stream after crash recovery safe).
+        event stream after crash recovery safe).  *rows* are the device's
+        ``PlanInstance.quote_rows`` on this kernel's planner when the
+        caller already priced it (a sharded router quoting a border
+        device); the kernel prices it otherwise.
         """
         known = self.requests.get(request.request_id)
         if known is not None:
@@ -345,7 +352,8 @@ class ChargingService:
         record = RequestRecord(request)
         self.requests[request.request_id] = record
         try:
-            rows = self.planner.instance.quote_rows(request.device)
+            if rows is None:
+                rows = self.planner.instance.quote_rows(request.device)
             quote, quote_charger = self.planner.quote(request.device, rows)
         except ServiceError:
             # Every charger is down: nothing can even quote this device.

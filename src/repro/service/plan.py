@@ -37,7 +37,7 @@ by the total number of requests ever served.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -102,11 +102,16 @@ class PlanInstance:
         #: sorted indices; ``None`` while every charger can.  Kept current
         #: by :meth:`set_available`.
         self._quotable: Optional[np.ndarray] = None
+        #: Per-charger up flags as a bool array, read by the array
+        #: engine's candidate scans; ``None`` while every charger is up
+        #: (nothing to mask).  Kept current by :meth:`set_available`.
+        self.availability_mask: Optional[np.ndarray] = None
         self._refresh_quotable()
         cap = 16
         self._mc_buf = np.empty((cap, m), dtype=float)
         self._sp_buf = np.empty((cap, m), dtype=float)
         self._sc_buf = np.empty((cap, m), dtype=float)
+        self._dem_buf = np.empty(cap, dtype=float)
         self._n = 0
         self._price_table: Optional[ChargerPriceTable] = None
         self._sync_views()
@@ -116,6 +121,8 @@ class PlanInstance:
         self._moving_cost = self._mc_buf[:n]
         self._singleton_price = self._sp_buf[:n]
         self._singleton_cost = self._sc_buf[:n]
+        #: ``_demand_list`` as an array, for the array engine's gathers.
+        self._demands = self._dem_buf[:n]
 
     # ------------------------------------------------------------------ #
     # pricing: where a device's rows come from
@@ -226,6 +233,9 @@ class PlanInstance:
             if len(quotable) == len(self.chargers)
             else np.array(quotable, dtype=np.int64)
         )
+        self.availability_mask = (
+            None if all(self._up) else np.array(self._up, dtype=bool)
+        )
 
     def available_chargers(self) -> List[int]:
         """Sorted indices of the currently available chargers."""
@@ -241,9 +251,9 @@ class PlanInstance:
             return
         while cap < n:
             cap *= 2
-        for name in ("_mc_buf", "_sp_buf", "_sc_buf"):
+        for name in ("_mc_buf", "_sp_buf", "_sc_buf", "_dem_buf"):
             buf = getattr(self, name)
-            new = np.empty((cap, buf.shape[1]), dtype=float)
+            new = np.empty((cap,) + buf.shape[1:], dtype=float)
             new[: self._n] = buf[: self._n]
             setattr(self, name, new)
 
@@ -251,6 +261,7 @@ class PlanInstance:
         i = len(self.devices)
         self.devices.append(device)
         self._demand_list.append(float(device.demand))
+        self._dem_buf[i] = self._demand_list[i]
         self._device_ids[device.device_id] = i
         return i
 
@@ -683,11 +694,52 @@ class IncrementalPlanner:
         self.ops["moves"] += 1
         return coalition.cid
 
-    def _best_move(self, rule: SwitchRule, device: int) -> Optional[SwitchMove]:
-        """Best permitted move via the active engine (bit-identical either way)."""
+    def _first_move(
+        self, rule: SwitchRule, devices: Sequence[int]
+    ) -> Optional[Tuple[int, SwitchMove]]:
+        """First of *devices* with a permitted move, via the active engine.
+
+        Returns ``(position, move)`` or ``None``.  The array engine scores
+        all the devices in one pass; the object engine scans them one by
+        one.  Either way the move is bitwise ``rule.best_move``'s.
+        """
         if self._view is not None:
-            return self._view.best_move(device, rule)
-        return rule.best_move(self.structure, device)
+            return self._view.first_move(devices, rule)
+        for at, device in enumerate(devices):
+            move = rule.best_move(self.structure, device)
+            if move is not None:
+                return at, move
+        return None
+
+    def _sweep(self, rule: SwitchRule, order: List[int], tally: str) -> Iterator[int]:
+        """One best-response pass over *order*; yields each device it moves.
+
+        Equivalent to scanning the devices one at a time and applying
+        each permitted best move as it is found, but scored a segment at
+        a time: one :meth:`_first_move` over the rest of the list, apply
+        the hit, resume after it.  Nothing changes the structure between
+        the devices of one segment, so every scan sees exactly the
+        structure the one-at-a-time loop would, and the
+        ``scan_candidates`` tally (one per coalition and charger per
+        scanned device) is counted per segment.  The caller sees each
+        move right after it is applied.
+        """
+        st = self.structure
+        per_scan = self.instance.n_chargers
+        pos = 0
+        while pos < len(order):
+            hit = self._first_move(rule, order[pos:])
+            if hit is None:
+                self.ops["scan_candidates"] += (len(order) - pos) * (
+                    st.n_coalitions + per_scan
+                )
+                return
+            at, move = hit
+            self.ops["scan_candidates"] += (at + 1) * (st.n_coalitions + per_scan)
+            st.move(move.device, move.target, move.charger)
+            self.ops[tally] += 1
+            yield move.device
+            pos += at + 1
 
     def fold(self, indices: Sequence[int]) -> Tuple[Dict[int, int], List[int]]:
         """Fold a batch of registered devices into the live structure.
@@ -721,15 +773,8 @@ class IncrementalPlanner:
         st = self.structure
         for _ in range(self.improvement_sweeps):
             moved = False
-            for device in sorted(touched):
-                if not st.is_placed(device):
-                    continue
-                self.ops["scan_candidates"] += st.n_coalitions + self.instance.n_chargers
-                move = self._best_move(self._social, device)
-                if move is None:
-                    continue
-                st.move(device, move.target, move.charger)
-                self.ops["moves"] += 1
+            order = [d for d in sorted(touched) if st.is_placed(d)]
+            for device in self._sweep(self._social, order, "moves"):
                 moved = True
                 touched |= st.coalition_of(device).members
             if not moved:
@@ -762,13 +807,12 @@ class IncrementalPlanner:
             ]
             if not violators:
                 return evicted
+            # Nearly every violator has a selfish move, so the pass scans
+            # them one at a time: a segment over the rest of the list
+            # would be rescored after almost every device.
             for device in violators:
-                self.ops["scan_candidates"] += st.n_coalitions + inst.n_chargers
-                move = self._best_move(self._selfish, device)
-                if move is None:
-                    continue
-                st.move(device, move.target, move.charger)
-                self.ops["repair_moves"] += 1
+                for _ in self._sweep(self._selfish, [device], "repair_moves"):
+                    pass
         while True:
             violators = [
                 d for d in self.active_indices()

@@ -35,17 +35,22 @@ shard's journal and nowhere else.  The down set is explicit input, not
 discovered state, so routing stays a pure function of ``(request,
 partition, availability, down set)`` and replay stays byte-identical.
 
-The router quotes through each shard's ``planner`` — any object with
-``quote(device) -> (cost, charger_index)`` raising
-:class:`~repro.errors.ServiceError` when no charger is available.  The
-live facade passes its kernels' planners (so availability stays in one
-place); the offline timeline partitioner passes standalone
-:class:`~repro.service.plan.IncrementalPlanner` objects.
+The router quotes through each shard's ``planner`` — an
+:class:`~repro.service.plan.IncrementalPlanner`, whose ``quote(device,
+rows)`` raises :class:`~repro.errors.ServiceError` when no charger is
+available.  It prices a border device once per live candidate
+(``planner.instance.quote_rows``) and can hand the chosen shard's rows
+back to the caller (:meth:`SpatialRouter.route`'s *priced*), so that
+shard's kernel admits the device without pricing it again.  The live
+facade passes its kernels' planners (so availability stays in one
+place); the offline timeline partitioner passes standalone planners.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Set
+from typing import Dict, List, Mapping, Optional, Set, Tuple
+
+import numpy as np
 
 from ..errors import ServiceError, ShardUnavailableError
 from ..service.request import ChargingRequest
@@ -103,7 +108,11 @@ class SpatialRouter:
         ]
         return cands if cands else self.shards()
 
-    def route(self, request: ChargingRequest) -> int:
+    def route(
+        self,
+        request: ChargingRequest,
+        priced: Optional[Dict[int, Tuple[np.ndarray, np.ndarray]]] = None,
+    ) -> int:
         """The shard serving *request*; records the sticky assignment.
 
         A border device is admitted to the candidate with the cheapest
@@ -112,6 +121,11 @@ class SpatialRouter:
         the request routes to the lowest candidate so that kernel rejects
         it with ``charger_failed`` — the same terminal answer the
         unsharded service gives when nothing can quote.
+
+        When *priced* is given, the device's quote rows
+        (``PlanInstance.quote_rows``) are stored in it by shard id for
+        every candidate the router priced; an interior or already routed
+        request prices nothing and leaves it empty.
 
         Degraded mode: shards in :attr:`down` are excluded before any
         quoting; when nothing live survives — or the sticky shard is down
@@ -133,8 +147,12 @@ class SpatialRouter:
         else:
             best: Optional[tuple] = None
             for s in live:
+                planner = self.planners[s]
+                rows = planner.instance.quote_rows(request.device)  # type: ignore[attr-defined]
+                if priced is not None:
+                    priced[s] = rows
                 try:
-                    quote, _ = self.planners[s].quote(request.device)  # type: ignore[attr-defined]
+                    quote, _ = planner.quote(request.device, rows)  # type: ignore[attr-defined]
                 except ServiceError:
                     continue
                 key = (float(quote), s)

@@ -35,7 +35,9 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
+
+import numpy as np
 
 from ..core.costsharing import CostSharingScheme
 from ..errors import (
@@ -286,8 +288,9 @@ class ShardedService:
         rid = request.request_id
         if rid in self._unrouted:
             return RequestState.REJECTED
+        priced: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         try:
-            sid = self.router.route(request)
+            sid = self.router.route(request, priced)
         except ShardUnavailableError:
             reason = (
                 "sticky" if self.router.shard_of(rid) is not None else "unrouted"
@@ -298,7 +301,7 @@ class ShardedService:
                 f"rejected.shard_unavailable.{reason}", operational=True
             ).inc()
             return RequestState.REJECTED
-        return self._call_shard(sid, "submit", request)
+        return self._call_shard(sid, "submit", request, priced.get(sid))
 
     def advance(self, to: float) -> None:
         """Advance every *live* shard's logical clock to *to*, in shard

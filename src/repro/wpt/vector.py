@@ -94,7 +94,9 @@ class ChargerPriceTable:
         """
         totals = np.asarray(totals, dtype=float)
         chargers_idx = np.asarray(chargers_idx, dtype=np.int64)
-        if np.any(totals < 0):
+        # One reduction settles both guards in the common all-positive case.
+        positive = np.count_nonzero(totals > EXACT_ZERO) == totals.size
+        if not positive and np.count_nonzero(totals < 0):
             raise ValueError("demands must be nonnegative")
         emitted = totals / self._efficiency[chargers_idx]
         if self._uniform is not None:
@@ -114,9 +116,8 @@ class ChargerPriceTable:
             for j in np.unique(chargers_idx[group < 0]):
                 mask = chargers_idx == int(j)
                 out[mask] = self._prices_one_charger(int(j), emitted[mask])
-        zero = totals == EXACT_ZERO
-        if zero.any():
-            out[zero] = 0.0
+        if not positive:
+            out[totals == EXACT_ZERO] = 0.0
         return out
 
     def _prices_one_charger(self, charger: int, emitted: np.ndarray) -> np.ndarray:

@@ -51,3 +51,74 @@ def test_ccsga_smoke_within_walltime_budget():
         "the hot path has regressed — or, after an intentional change, "
         "regenerate benchmarks/BENCH_ccsga.json"
     )
+
+
+@pytest.mark.bench_smoke
+def test_fold_sweep_scores_a_segment_per_kernel_call(monkeypatch):
+    """The array engine scores a best-response sweep a segment at a time.
+
+    One 40-device fold over 16 chargers: each improvement sweep calls the
+    batched kernel (``StructureArrayView.first_move``) once per segment
+    — once per move, plus once for the rest of the sweep after its last
+    move when devices remain — so at most ``sweeps + moves`` calls, not
+    one per scanned device.  A silent fallback to per-device scans
+    multiplies the count without any wall-time signal; this pins it.
+    """
+    import numpy as np
+
+    from repro.core import Device
+    from repro.game import SociallyAwareSwitch, StructureArrayView
+    from repro.geometry import Point
+    from repro.service import IncrementalPlanner
+    from repro.wpt import Charger
+
+    chargers = [
+        Charger(
+            charger_id=f"c{4 * r + c:02d}",
+            position=Point(100.0 * (c + 0.5), 100.0 * (r + 0.5)),
+            capacity=10,
+        )
+        for r in range(4)
+        for c in range(4)
+    ]
+    planner = IncrementalPlanner(chargers, engine="array")
+    rng = np.random.default_rng(0)
+    indices = []
+    for k in range(40):
+        device = Device(
+            f"d{k}",
+            Point(float(rng.uniform(0, 400)), float(rng.uniform(0, 400))),
+            demand=float(rng.uniform(10e3, 40e3)),
+            moving_rate=0.05,
+        )
+        quote, _ = planner.quote(device)
+        indices.append(planner.add(device, quote))
+
+    calls = []
+    first_move = StructureArrayView.first_move
+
+    def counted(view, devices, rule):
+        hit = first_move(view, devices, rule)
+        if isinstance(rule, SociallyAwareSwitch):
+            calls.append(len(devices) if hit is None else hit[0] + 1)
+        return hit
+
+    sweeps = []
+    sweep = IncrementalPlanner._sweep
+
+    def counted_sweep(self, rule, order, tally):
+        sweeps.append([tally, 0])
+        for device in sweep(self, rule, order, tally):
+            sweeps[-1][1] += 1
+            yield device
+
+    monkeypatch.setattr(StructureArrayView, "first_move", counted)
+    monkeypatch.setattr(IncrementalPlanner, "_sweep", counted_sweep)
+    planner.fold(indices)
+
+    improve = [moves for tally, moves in sweeps if tally == "moves"]
+    assert improve == [10, 4]
+    assert sum(calls) == 80  # two full sweeps scan 80 devices...
+    # ...in 15 calls: one per move, plus the second sweep's tail (the
+    # first sweep's last move is on its last device).
+    assert len(calls) == 15 <= len(improve) + sum(improve)

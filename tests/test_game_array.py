@@ -24,8 +24,10 @@ cost to the last bit, the same Zobrist hash.  Four layers enforce it:
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -44,7 +46,8 @@ from repro.geometry import Point
 from repro.io import instance_from_dict
 from repro.service import IncrementalPlanner
 from repro.workloads import quick_instance
-from repro.wpt import Charger
+from repro.wpt import Charger, PowerLawTariff
+from repro.wpt.pricing import _TariffBase
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -284,6 +287,11 @@ class TestEngineKnob:
         with pytest.raises(ConfigurationError):
             ccsga(instance, scheme=ShapleySharing(), engine="array")
 
+    def test_array_state_rejects_scheme_without_vector_shares(self):
+        instance = quick_instance(n_devices=5, n_chargers=2, seed=1)
+        with pytest.raises(ConfigurationError):
+            ArrayState.singletons(instance, ShapleySharing())
+
     def test_unknown_engine_rejected(self):
         instance = quick_instance(n_devices=4, n_chargers=2, seed=0)
         with pytest.raises(ConfigurationError):
@@ -374,6 +382,153 @@ class TestPlannerParity:
         )
         # Identical decisions imply identical work tallies.
         assert arr_planner.ops == obj_planner.ops
+
+
+@dataclass(frozen=True)
+class _SquareTariff(_TariffBase):
+    """``base + unit * E**2``: a convex power law.
+
+    :class:`~repro.wpt.PowerLawTariff` only admits concave exponents, so
+    alpha = 2 comes from this test-local tariff, which the vectorized
+    price table evaluates through its generic per-charger fallback.
+    """
+
+    base: float
+    unit: float
+
+    def volume_charge(self, energy: float) -> float:
+        return self.unit * float(np.power(energy, 2.0))
+
+    def volume_charge_vector(self, energy: np.ndarray) -> np.ndarray:
+        return self.unit * np.power(energy, 2.0)
+
+
+def _tariff(alpha, base, unit):
+    if alpha == 2.0:
+        return _SquareTariff(base=base, unit=unit * 1e-6)
+    return PowerLawTariff(base=base, unit=unit, exponent=alpha)
+
+
+def _planner_digest(planner):
+    st_ = planner.structure
+    return (
+        {c.cid: (c.charger, frozenset(c.members)) for c in st_.coalitions()},
+        st_.total_cost.hex(),
+        st_.zobrist_hash(),
+        dict(planner.ops),
+        sorted(planner.ceiling.items()),
+    )
+
+
+_STEP = st.one_of(
+    st.tuples(st.just("fold"), st.integers(1, 8)),
+    st.tuples(st.just("remove"), st.integers(0, 10**6)),
+    st.tuples(st.just("retire"), st.integers(0, 10**6)),
+    st.tuples(st.just("down"), st.integers(0, 10**6)),
+    st.tuples(st.just("up"), st.integers(0, 10**6)),
+)
+
+
+class TestPlannerLockstep:
+    """Object and array ``IncrementalPlanner`` driven through the same
+    random fold / remove / retire / charger down-up sequence must agree
+    exactly after every step: partition, total-cost bits, Zobrist hash,
+    work tallies.  Each device's ``first_move`` row flag must match
+    ``rule.best_move`` on the object structure, move for move."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        scheme=st.sampled_from(sorted(SCHEMES)),
+        alphas=st.sampled_from([(0.5,), (1.0,), (2.0,), (0.5, 1.0, 2.0)]),
+        capacity=st.sampled_from([None, 1, 2, 3]),
+        n_chargers=st.integers(2, 4),
+        seed=st.integers(0, 2**16),
+        steps=st.lists(_STEP, min_size=1, max_size=10),
+    )
+    def test_object_and_array_planners_in_lockstep(
+        self, scheme, alphas, capacity, n_chargers, seed, steps
+    ):
+        rng = np.random.default_rng(seed)
+        chargers = [
+            Charger(
+                charger_id=f"c{j}",
+                position=Point(float(rng.uniform(0, 100)), float(rng.uniform(0, 100))),
+                tariff=_tariff(
+                    alphas[j % len(alphas)],
+                    float(rng.uniform(5.0, 20.0)),
+                    float(rng.uniform(0.5, 2.0)),
+                ),
+                capacity=capacity,
+            )
+            for j in range(n_chargers)
+        ]
+        planners = [
+            IncrementalPlanner(chargers, scheme=SCHEMES[scheme], engine=engine)
+            for engine in ("object", "array")
+        ]
+        obj, arr = planners
+        assert (obj.engine, arr.engine) == ("object", "array")
+        pending = []
+        for step, arg in steps:
+            if step == "fold":
+                batch = list(pending)
+                for _ in range(arg):
+                    dev = Device(
+                        device_id=f"d{rng.integers(10**9)}",
+                        position=Point(
+                            float(rng.uniform(0, 100)), float(rng.uniform(0, 100))
+                        ),
+                        demand=float(rng.uniform(5e3, 60e3)),
+                        moving_rate=float(rng.uniform(0.01, 0.2)),
+                    )
+                    cost, _ = obj.quote(dev)
+                    indices = {p.add(dev, cost) for p in planners}
+                    assert len(indices) == 1
+                    batch.extend(indices)
+                results = [p.fold(batch) for p in planners]
+                assert results[0] == results[1]
+                pending = list(results[0][1])
+            elif step == "remove":
+                placed = obj.active_indices()
+                if not placed:
+                    continue
+                device = placed[arg % len(placed)]
+                evicted = [p.remove(device) for p in planners]
+                assert evicted[0] == evicted[1]
+                pending = [d for d in pending if d != device] + evicted[0]
+            elif step == "retire":
+                cids = obj.live_cids()
+                if not cids:
+                    continue
+                cid = cids[arg % len(cids)]
+                assert obj.retire(cid) == arr.retire(cid)
+            elif step == "down":
+                up = obj.available_chargers()
+                if len(up) < 2:
+                    continue
+                j = up[arg % len(up)]
+                for p in planners:
+                    p.fail_charger(j)
+                displaced = [p.evacuate_charger(j) for p in planners]
+                assert displaced[0] == displaced[1]
+                pending += displaced[0]
+            else:
+                j = arg % n_chargers
+                for p in planners:
+                    p.restore_charger(j)
+            assert _planner_digest(arr) == _planner_digest(obj)
+            arr.structure.check_invariants()
+            placed = obj.active_indices()
+            for rule in (obj._social, obj._selfish):
+                expected = [rule.best_move(obj.structure, d) for d in placed]
+                for device, move in zip(placed, expected):
+                    hit = arr._view.first_move([device], rule)
+                    assert (hit is not None) == (move is not None)
+                    assert hit is None or hit == (0, move)
+                first = next(
+                    ((at, m) for at, m in enumerate(expected) if m is not None), None
+                )
+                assert (arr._view.first_move(placed, rule) if placed else None) == first
 
 
 # --------------------------------------------------------------------- #

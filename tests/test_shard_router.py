@@ -22,6 +22,7 @@ from repro.core import Device
 from repro.errors import ServiceError
 from repro.geometry import Field, Point
 from repro.service import IncrementalPlanner, ServiceConfig, generate_requests
+from repro.service.plan import PlanInstance
 from repro.service.request import ChargingRequest, RequestState
 from repro.shard import GridPartition, ShardedService, SpatialRouter
 from repro.wpt import Charger
@@ -170,3 +171,87 @@ class TestQuoteCeilingAcrossShards:
                     cross_shard += 1
         # The wide halo must actually have exercised cross-shard admission.
         assert cross_shard > 0
+
+
+class TestPricedOnce:
+    """A device is priced once per shard that quotes it, never again at
+    admission: the router hands the chosen shard's quote rows to that
+    shard's kernel."""
+
+    @staticmethod
+    def _chargers():
+        return [
+            Charger(charger_id=f"c{sid}", position=Point(x, y))
+            for sid, (x, y) in enumerate(
+                ((25.0, 25.0), (75.0, 25.0), (25.0, 75.0), (75.0, 75.0))
+            )
+        ]
+
+    def _service(self):
+        return ShardedService(
+            self._chargers(), n_shards=4, field=FIELD, halo=10.0,
+            config=ServiceConfig(epoch=60.0, window=120.0),
+        )
+
+    def _count_quote_rows(self, monkeypatch):
+        calls = []
+        raw = PlanInstance.quote_rows
+
+        def counted(instance, device):
+            calls.append(device.device_id)
+            return raw(instance, device)
+
+        monkeypatch.setattr(PlanInstance, "quote_rows", counted)
+        return calls
+
+    def test_border_request_priced_once_per_live_candidate(self, monkeypatch):
+        svc = self._service()
+        calls = self._count_quote_rows(monkeypatch)
+        corner = make_request("corner", 49.0, 51.0)
+        assert len(svc.partition.candidate_shards(corner.device.position)) == 4
+        assert svc.submit(corner) == RequestState.ADMITTED
+        assert calls == ["dev-corner"] * 4
+
+        svc.mark_shard_down(3)
+        edge = make_request("edge", 45.0, 30.0)  # candidates 0 and 1
+        assert svc.partition.candidate_shards(edge.device.position) == [0, 1]
+        del calls[:]
+        svc.submit(edge)
+        assert calls == ["dev-edge"] * 2
+        del calls[:]
+        down_corner = make_request("corner2", 51.0, 49.0)
+        svc.submit(down_corner)
+        assert calls == ["dev-corner2"] * 3  # shard 3 is down: not quoted
+
+    def test_interior_request_priced_once(self, monkeypatch):
+        svc = self._service()
+        calls = self._count_quote_rows(monkeypatch)
+        inner = make_request("inner", 20.0, 20.0)
+        assert svc.partition.is_interior(inner.device.position)
+        assert svc.submit(inner) == RequestState.ADMITTED
+        assert calls == ["dev-inner"]
+        # An idempotent re-submit routes by the sticky map and prices nothing.
+        svc.submit(inner)
+        assert calls == ["dev-inner"]
+
+    def test_handed_rows_keep_the_journal(self, tmp_path):
+        # Border-heavy stream: the journals must match a service whose
+        # kernels price every admission themselves.
+        reqs = generate_requests(40, rate=0.2, rng=3)
+
+        def run(root, hand_rows):
+            svc = ShardedService(
+                self._chargers(), n_shards=4, field=FIELD, halo=30.0,
+                config=ServiceConfig(epoch=60.0, window=120.0), journal_dir=root,
+            )
+            for req in reqs:
+                if hand_rows:
+                    svc.submit(req)
+                else:
+                    sid = svc.router.route(req)
+                    svc.kernels[sid].submit(req)
+            svc.drain()
+            svc.close()
+            return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
+
+        assert run(tmp_path / "handed", True) == run(tmp_path / "own", False)
