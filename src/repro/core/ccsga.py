@@ -27,15 +27,17 @@ Per-sweep work is ``O(n * (sessions + chargers))`` share evaluations —
 no submodular minimization — which is why CCSGA is the fast, large-scale
 algorithm in the paper's comparison (reproduced by the Fig 9 benchmark).
 
-**Engines.**  The dynamics above can run on two interchangeable state
-representations selected by the ``engine`` parameter (or the
-``CCS_ENGINE`` environment variable):
+**Engines.**  The dynamics always walk one
+:class:`~repro.game.coalition.CoalitionStructure`; the ``engine``
+parameter (or the ``CCS_ENGINE`` environment variable) picks how each
+device's best move is found:
 
-- ``"object"`` — :class:`~repro.game.coalition.CoalitionStructure`, one
-  Python object per coalition; the reference implementation.
-- ``"array"`` — :class:`~repro.game.arraycore.ArrayState`, struct-of-
-  arrays state whose candidate scans are vectorized numpy ops; ~10-40x
-  more share evaluations per second at n >= 5,000.
+- ``"object"`` — ``rule.best_move``, a Python loop over the candidates;
+  the reference implementation, and the only one for Shapley sharing
+  and custom rules.
+- ``"array"`` — :class:`~repro.game.arraycore.StructureArrayView`, which
+  scores every candidate with numpy ops over the structure's packed
+  rows; ~10-40x more share evaluations per second at n >= 5,000.
 - ``"auto"`` (default) — array when the scheme/rule/instance support it
   (the two paper schemes with the two built-in rules), object otherwise.
 
@@ -48,15 +50,15 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from ..errors import ConfigurationError, ConvergenceError
 from ..rng import RandomState, ensure_rng
 from ..game import (
-    ArrayState,
     CoalitionStructure,
     PotentialTrace,
     SociallyAwareSwitch,
+    StructureArrayView,
     SwitchRule,
     engine_supported,
     is_nash_equilibrium,
@@ -169,16 +171,11 @@ def ccsga(
     rule = rule if rule is not None else SociallyAwareSwitch()
     resolved = resolve_engine(engine, instance, scheme, rule)
 
-    structure: Union[CoalitionStructure, ArrayState]
-    if resolved == "array":
-        if warm_start is not None:
-            structure = ArrayState.from_schedule(instance, scheme, warm_start)
-        else:
-            structure = ArrayState.singletons(instance, scheme)
-    elif warm_start is not None:
+    if warm_start is not None:
         structure = CoalitionStructure.from_schedule(instance, scheme, warm_start)
     else:
         structure = CoalitionStructure.singletons(instance, scheme)
+    view = StructureArrayView(structure) if resolved == "array" else None
 
     trace = PotentialTrace()
     trace.record(structure.total_cost)
@@ -202,10 +199,10 @@ def ccsga(
         else:
             order = list(range(instance.n_devices))
         for device in order:
-            if isinstance(structure, ArrayState):
-                move = structure.best_move(device, rule)
-            else:
+            if view is None:
                 move = rule.best_move(structure, device)
+            else:
+                move = view.best_move(device, rule)
             if move is None:
                 continue
             structure.move(device, move.target, move.charger)
@@ -233,10 +230,13 @@ def ccsga(
 
     if not certify:
         certified = False
-    elif isinstance(structure, ArrayState):
+    elif view is not None:
         # Same predicate as is_nash_equilibrium: no device has a
         # permitted deviation — evaluated with the vectorized scan.
-        certified = structure.is_nash(rule)
+        certified = all(
+            view.best_move(device, rule) is None
+            for device in range(instance.n_devices)
+        )
     else:
         certified = is_nash_equilibrium(structure, rule)
     schedule = structure.to_schedule(

@@ -1,6 +1,6 @@
 """Coalition-formation-game toolkit backing CCSGA."""
 
-from .arraycore import ArrayState, StructureArrayView, engine_supported
+from .arraycore import StructureArrayView, engine_supported
 from .coalition import Coalition, CoalitionStructure
 from .equilibrium import blocking_moves, is_nash_equilibrium
 from .incentives import (
@@ -21,7 +21,6 @@ from .switching import (
 )
 
 __all__ = [
-    "ArrayState",
     "StructureArrayView",
     "engine_supported",
     "Coalition",

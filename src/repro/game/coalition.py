@@ -22,6 +22,15 @@ Structures also maintain a Zobrist-style 64-bit hash of the partition
 per-charger tokens, updated in ``O(1)`` per move — the cycle detector for
 non-potential switch rules no longer rehashes an ``O(n)`` frozenset per
 switch.
+
+**Packed rows.**  The same aggregates are also kept struct-of-arrays, one
+*packed* row per live coalition (:meth:`CoalitionStructure.packed_rows`:
+cid, charger, size, Σ demand, price, Σ moving cost), written by the same
+``_create`` / ``_refresh`` calls that write the :class:`Coalition` and
+swap-removed when a coalition dies, so rows ``[0:k]`` are always the
+live coalitions in no particular order.  The vectorized candidate scans
+of :mod:`.arraycore` slice these rows directly; there is no second
+coalition state to keep in step.
 """
 
 from __future__ import annotations
@@ -40,6 +49,10 @@ __all__ = ["Coalition", "CoalitionStructure"]
 
 
 _MASK64 = (1 << 64) - 1
+
+#: The packed-row columns of a :class:`CoalitionStructure`, in
+#: :meth:`~CoalitionStructure.packed_rows` order.
+_ROW_COLUMNS = ("_cids", "_chargers", "_sizes", "_demands", "_prices", "_moves")
 
 
 def _splitmix64(x: int) -> int:
@@ -76,6 +89,8 @@ class Coalition:
     price: float = 0.0
     move_sum: float = 0.0
     fingerprint: int = field(default=0, repr=False)
+    #: Index of this coalition's packed row in the owning structure.
+    row: int = field(default=-1, repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -111,10 +126,23 @@ class CoalitionStructure:
         self._next_cid = 0
         self._total_cost = 0.0
         self._zhash = 0
-        # Mutation counter: bumped on every membership change.  Lets the
-        # array engine's ``StructureArrayView`` cache its packed candidate
-        # arrays and rebuild only when the structure actually moved.
+        # Mutation counter: bumped once per public mutation (``move`` and
+        # the service plan's ``place`` / ``remove`` / ``retire``).  No
+        # scan reads it; it stays because the service kernel's ``state()``
+        # pins it into every snapshot, which must stay byte-identical.
         self._version = 0
+        # Packed rows ``[0:_k]``, one per live coalition (see module docs).
+        alloc = max(16, instance.n_devices)
+        self._k = 0
+        self._cids = np.zeros(alloc, dtype=np.int64)
+        self._chargers = np.zeros(alloc, dtype=np.int64)
+        self._sizes = np.zeros(alloc, dtype=np.int64)
+        self._demands = np.zeros(alloc, dtype=float)
+        self._prices = np.zeros(alloc, dtype=float)
+        self._moves = np.zeros(alloc, dtype=float)
+        #: What the array scans (:mod:`.arraycore`) derive from the packed
+        #: rows, kept until the next row write drops it.
+        self.scan_cache: Optional[object] = None
         self._dev_token: List[int] = [
             _device_token(i) for i in range(instance.n_devices)
         ]
@@ -157,7 +185,8 @@ class CoalitionStructure:
         ``O(|S|)``, called only when membership changes.  Summation runs
         over the sorted member list so the cached scalars match what a
         from-scratch ``scheme.shares(...)`` / ``group_cost`` evaluation
-        would produce.
+        would produce.  Writes the coalition's packed row from the same
+        values.
         """
         ordered = sorted(coalition.members)
         demands = self.instance._demand_list
@@ -171,15 +200,29 @@ class CoalitionStructure:
         coalition.move_sum = float(
             self.instance._moving_cost[ordered, coalition.charger].sum()
         )
+        row = coalition.row
+        self._sizes[row] = len(ordered)
+        self._demands[row] = total
+        self._prices[row] = coalition.price
+        self._moves[row] = coalition.move_sum
+        self.scan_cache = None
 
     def _key(self, coalition: Coalition) -> int:
         """Zobrist key of one coalition: mixed member fingerprint × charger."""
         return _splitmix64(coalition.fingerprint ^ self._ch_token[coalition.charger])
 
     def _create(self, charger: int, members: Set[int]) -> Coalition:
-        coalition = Coalition(self._next_cid, charger, set(members))
+        """Found a coalition of unplaced *members* at *charger*, with its row."""
+        coalition = Coalition(self._next_cid, charger, set(members), row=self._k)
         self._next_cid += 1
         self._coalitions[coalition.cid] = coalition
+        if self._k == self._cids.shape[0]:
+            for name in _ROW_COLUMNS:
+                col = getattr(self, name)
+                setattr(self, name, np.concatenate((col, np.zeros_like(col))))
+        self._k += 1
+        self._cids[coalition.row] = coalition.cid
+        self._chargers[coalition.row] = charger
         fingerprint = 0
         for i in members:
             if i in self._of_device:
@@ -190,8 +233,61 @@ class CoalitionStructure:
         self._refresh(coalition)
         self._total_cost += coalition.group_cost
         self._zhash ^= self._key(coalition)
-        self._version += 1
         return coalition
+
+    def _delete(self, coalition: Coalition) -> None:
+        """Drop a coalition and swap-remove its packed row."""
+        del self._coalitions[coalition.cid]
+        row, last = coalition.row, self._k - 1
+        if row != last:
+            for name in _ROW_COLUMNS:
+                col = getattr(self, name)
+                col[row] = col[last]
+            self._coalitions[int(self._cids[row])].row = row
+        self._k = last
+        self.scan_cache = None
+
+    def _leave(self, src: Coalition, device: int) -> None:
+        """Take *device* out of *src*; deletes the coalition if it empties.
+
+        The first half of :meth:`move`: drops *src*'s cost and Zobrist key,
+        updates its membership and re-adds both (unless it died).  The
+        device is left unplaced.
+        """
+        self._zhash ^= self._key(src)
+        self._total_cost -= src.group_cost
+        src.members.discard(device)
+        src.fingerprint ^= self._dev_token[device]
+        del self._of_device[device]
+        if src.members:
+            self._refresh(src)
+            self._total_cost += src.group_cost
+            self._zhash ^= self._key(src)
+        else:
+            self._delete(src)
+
+    def _join(self, dest: Coalition, device: int) -> None:
+        """Put unplaced *device* into live coalition *dest* (no checks).
+
+        The second half of :meth:`move` when it targets a coalition.
+        """
+        self._zhash ^= self._key(dest)
+        self._total_cost -= dest.group_cost
+        dest.members.add(device)
+        dest.fingerprint ^= self._dev_token[device]
+        self._refresh(dest)
+        self._total_cost += dest.group_cost
+        self._zhash ^= self._key(dest)
+        self._of_device[device] = dest.cid
+
+    def _admitting(self, target: int) -> Coalition:
+        """Coalition *target*, which must have a free slot on its charger."""
+        dest = self._coalitions[target]
+        if not self.instance.chargers[dest.charger].admits(dest.size + 1):
+            raise ValueError(
+                f"coalition {target} is at capacity on charger {dest.charger}"
+            )
+        return dest
 
     # ------------------------------------------------------------------ #
     # queries
@@ -213,6 +309,21 @@ class CoalitionStructure:
     def coalition_of(self, device: int) -> Coalition:
         """The coalition currently containing *device*."""
         return self._coalitions[self._of_device[device]]
+
+    def packed_rows(self) -> Tuple[np.ndarray, ...]:
+        """The live coalitions' packed rows, as ``[0:k]`` views.
+
+        ``(cids, chargers, sizes, demands, prices, moves)``: int64 cid,
+        charger and member count, float64 Σ demand, session price and Σ
+        moving cost, bitwise the :class:`Coalition` fields.  Row order is
+        arbitrary (creation order until a coalition dies, then
+        swap-removed); the views are valid until the next mutation.
+        """
+        k = self._k
+        return (
+            self._cids[:k], self._chargers[:k], self._sizes[:k],
+            self._demands[:k], self._prices[:k], self._moves[:k],
+        )
 
     def _share_in(self, device: int, coalition: Coalition) -> float:
         """*device*'s price share inside *coalition* (fast path when possible)."""
@@ -334,44 +445,14 @@ class CoalitionStructure:
         :meth:`cost_if_joined` first.
         """
         src = self.coalition_of(device)
-        if target is not None:
-            dest = self._coalitions[target]
-            if dest is src:
-                raise ValueError(f"device {device} is already in coalition {target}")
-            if not self.instance.chargers[dest.charger].admits(dest.size + 1):
-                raise ValueError(
-                    f"coalition {target} is at capacity on charger {dest.charger}"
-                )
-            charger = dest.charger
-        else:
-            dest = None
-
-        token = self._dev_token[device]
-
-        self._zhash ^= self._key(src)
-        self._total_cost -= src.group_cost
-        src.members.discard(device)
-        src.fingerprint ^= token
-        if src.members:
-            self._refresh(src)
-            self._total_cost += src.group_cost
-            self._zhash ^= self._key(src)
-        else:
-            del self._coalitions[src.cid]
-
+        if target is not None and target == src.cid:
+            raise ValueError(f"device {device} is already in coalition {target}")
+        dest = None if target is None else self._admitting(target)
+        self._leave(src, device)
         if dest is None:
-            dest = Coalition(self._next_cid, charger, set())
-            self._next_cid += 1
-            self._coalitions[dest.cid] = dest
+            self._create(charger, {device})
         else:
-            self._zhash ^= self._key(dest)
-            self._total_cost -= dest.group_cost
-        dest.members.add(device)
-        dest.fingerprint ^= token
-        self._refresh(dest)
-        self._total_cost += dest.group_cost
-        self._zhash ^= self._key(dest)
-        self._of_device[device] = dest.cid
+            self._join(dest, device)
         self._version += 1
 
     # ------------------------------------------------------------------ #
@@ -429,13 +510,25 @@ class CoalitionStructure:
 
         Cache coherence covers the cached total cost, every coalition's
         cached aggregates (total demand, session price, moving-cost sum),
-        the member fingerprints, and the Zobrist hash.
+        the member fingerprints, the Zobrist hash, and the packed rows:
+        exactly one row per live coalition, bitwise equal to its fields.
         """
+        if self._k != len(self._coalitions):
+            raise AssertionError(
+                f"{self._k} packed rows for {len(self._coalitions)} coalitions"
+            )
         seen: Set[int] = set()
         recomputed = 0.0
         for c in self._coalitions.values():
             if not c.members:
                 raise AssertionError(f"coalition {c.cid} is empty")
+            if not 0 <= c.row < self._k or int(self._cids[c.row]) != c.cid:
+                raise AssertionError(f"coalition {c.cid}: row {c.row} maps elsewhere")
+            packed = tuple(getattr(self, name)[c.row].item() for name in _ROW_COLUMNS)
+            fields = (c.cid, c.charger, c.size, c.total_demand, c.price, c.move_sum)
+            # repr round-trips every float exactly, so this is bitwise.
+            if repr(packed) != repr(fields):
+                raise AssertionError(f"coalition {c.cid}: packed row {packed} drifted")
             cap = self.instance.capacity_of(c.charger)
             if cap is not None and c.size > cap:
                 raise AssertionError(f"coalition {c.cid} exceeds capacity {cap}")

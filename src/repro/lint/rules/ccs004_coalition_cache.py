@@ -29,9 +29,10 @@ class CoalitionCacheRule(Rule):
     **Invariant.** ``Coalition.total_demand`` / ``.price`` / ``.move_sum``
     / ``.fingerprint`` — and the ``members`` set they are derived from —
     are written only by the refresh APIs in
-    :mod:`repro.game.coalition` (``_refresh`` / ``_create`` / ``move``),
-    which keep the cached aggregates, the structure's running total cost,
-    and the Zobrist hash coherent on every membership change.
+    :mod:`repro.game.coalition` (``_refresh`` / ``_create`` / ``_leave``
+    / ``_join`` / ``_delete``), which keep the cached aggregates, the
+    packed rows, the structure's running total cost, and the Zobrist
+    hash coherent on every membership change.
 
     **Why.** The PR-1 incremental-cost engine prices every candidate move
     from these cached scalars instead of re-walking member lists; the
@@ -43,10 +44,11 @@ class CoalitionCacheRule(Rule):
 
     **Approved fix.** Mutate through ``CoalitionStructure.move`` (batch
     dynamics) or the ``place`` / ``remove`` / ``retire`` extensions of
-    ``GrowableCoalitionStructure`` (live service plans).  Code that
-    legitimately *extends* the refresh discipline — and re-establishes
-    every cached aggregate before returning — carries an inline
-    suppression with its justification.
+    ``GrowableCoalitionStructure`` (live service plans).  A new kind of
+    mutation is built from the helpers in ``game/coalition.py`` —
+    ``_create``, ``_leave`` and ``_join`` (the halves of ``move``) and
+    ``_delete`` — as ``place`` and ``remove`` are, never by writing the
+    fields or ``members`` itself.
 
     **Allowlisted.** ``repro/game/coalition.py`` — the refresh APIs.
     """

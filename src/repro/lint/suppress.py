@@ -2,7 +2,7 @@
 
 Two forms, parsed from real comment tokens (never from string literals)::
 
-    x.fingerprint ^= token  # ccs-lint: ignore[CCS004] -- extension keeps caches coherent
+    fh = open(path, "w")  # ccs-lint: ignore[CCS005] -- an input trace, not service state
     # ccs-lint: ignore[CCS003, CCS006] -- reason applies to the next line
     value = compute()
 

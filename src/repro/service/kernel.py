@@ -1085,12 +1085,14 @@ class ChargingService:
     def _restore_state(self, state: Dict[str, Any]) -> None:
         """Overwrite this (freshly constructed) kernel from a :meth:`state`.
 
-        Derived structures — matrix rows, coalition aggregates, Zobrist
-        hashes — are *recomputed* through the same deterministic paths the
-        live run used (the plan's pricing, ``_create``); only irreducible
-        history is copied verbatim, with the structure's accumulated
-        ``_total_cost`` overwritten last because ``+=``/``-=`` history
-        makes it bit-different from a fresh recomputation.  Every device
+        Derived structures — matrix rows, coalition aggregates and packed
+        rows, Zobrist hashes — are *recomputed* through the same
+        deterministic paths the live run used (the plan's pricing,
+        ``_create``, which lays the packed rows out in cid order where the
+        live run had swap-remove order: no scan depends on row order);
+        only irreducible history is copied verbatim, with the structure's
+        accumulated ``_total_cost`` overwritten last because ``+=``/``-=``
+        history makes it bit-different from a fresh recomputation.  Every device
         is priced at once, as one matrix (``PlanInstance.add_devices``).
         """
         planner_state = state["planner"]

@@ -430,56 +430,32 @@ class GrowableCoalitionStructure(CoalitionStructure):
     def place(self, device: int, target: Optional[int], charger: int):
         """Insert an unplaced *device* (``target=None`` founds a singleton).
 
-        Returns the receiving :class:`~repro.game.coalition.Coalition`.
+        The join half of ``move``.  Returns the receiving
+        :class:`~repro.game.coalition.Coalition`.
         """
         if device in self._of_device:
             raise ValueError(f"device {device} already placed")
         if target is None:
-            return self._create(charger, {device})
-        dest = self._coalitions[target]
-        if dest.charger != charger:
-            raise ValueError("target coalition is bound to a different charger")
-        if not self.instance.chargers[dest.charger].admits(dest.size + 1):
-            raise ValueError(
-                f"coalition {target} is at capacity on charger {dest.charger}"
-            )
-        token = self._dev_token[device]
-        self._zhash ^= self._key(dest)
-        self._total_cost -= dest.group_cost
-        # ccs-lint: ignore[CCS004] -- place() extends the refresh discipline:
-        # aggregates, total cost, and the Zobrist hash are re-established below.
-        dest.members.add(device)
-        dest.fingerprint ^= token  # ccs-lint: ignore[CCS004] -- see above
-        self._refresh(dest)
-        self._total_cost += dest.group_cost
-        self._zhash ^= self._key(dest)
-        self._of_device[device] = dest.cid
+            dest = self._create(charger, {device})
+        else:
+            dest = self._admitting(target)
+            if dest.charger != charger:
+                raise ValueError("target coalition is bound to a different charger")
+            self._join(dest, device)
         self._version += 1
         return dest
 
     def remove(self, device: int) -> int:
         """Drop *device* from its coalition; returns the source cid.
 
-        The coalition is deleted if it empties.  The caller is responsible
-        for re-establishing individual rationality of the survivors
+        The leave half of ``move``: the coalition is deleted if it
+        empties.  The caller is responsible for re-establishing
+        individual rationality of the survivors
         (:meth:`IncrementalPlanner._repair`) — removing a member can raise
         the per-head share of those left behind.
         """
         src = self.coalition_of(device)
-        token = self._dev_token[device]
-        self._zhash ^= self._key(src)
-        self._total_cost -= src.group_cost
-        # ccs-lint: ignore[CCS004] -- remove() extends the refresh discipline:
-        # aggregates, total cost, and the Zobrist hash are re-established below.
-        src.members.discard(device)
-        src.fingerprint ^= token  # ccs-lint: ignore[CCS004] -- see above
-        del self._of_device[device]
-        if src.members:
-            self._refresh(src)
-            self._total_cost += src.group_cost
-            self._zhash ^= self._key(src)
-        else:
-            del self._coalitions[src.cid]
+        self._leave(src, device)
         self._version += 1
         return src.cid
 
@@ -489,7 +465,8 @@ class GrowableCoalitionStructure(CoalitionStructure):
         Other coalitions are untouched (a departure never changes anyone
         else's bill), so no repair is needed afterwards.
         """
-        coalition = self._coalitions.pop(cid)
+        coalition = self._coalitions[cid]
+        self._delete(coalition)
         self._zhash ^= self._key(coalition)
         self._total_cost -= coalition.group_cost
         for i in sorted(coalition.members):
@@ -541,9 +518,9 @@ class IncrementalPlanner:
         self._selfish = SelfishSwitch(tol=self.tol)
         #: Scan engine (see :func:`repro.core.ccsga.resolve_engine`): the
         #: array engine runs the improvement/repair/insert candidate scans
-        #: through a :class:`~repro.game.arraycore.StructureArrayView` —
-        #: bit-identical moves, vectorized evaluation.  Structure mutation
-        #: and journaling always stay on the object representation.
+        #: through a :class:`~repro.game.arraycore.StructureArrayView` over
+        #: the structure's packed rows — bit-identical moves, vectorized
+        #: evaluation.
         self.engine: str = resolve_engine(
             engine, self.instance, self.scheme, self._social
         )
@@ -652,25 +629,33 @@ class IncrementalPlanner:
 
         One pass over live coalitions plus the precomputed singleton-cost
         row — ``O(n_coalitions + m)`` candidate evaluations, each a single
-        tariff call on cached aggregates.  Tie-breaks mirror the switch
-        rules: cheaper first, then joins over singletons, then lower
-        charger, then lower cid.
+        tariff call on cached aggregates, made by the active engine.
+        """
+        st = self.structure
+        # One candidate per live coalition (available or not) plus one
+        # per charger, whichever engine scans them.
+        self.ops["insert_candidates"] += st.n_coalitions + self.instance.n_chargers
+        if self._view is not None:
+            choice = self._view.best_insert(device)
+        else:
+            choice = self._object_best_insert(device)
+        if choice is None:
+            raise ServiceError("no feasible placement for admitted device")
+        coalition = st.place(device, choice[0], choice[1])
+        self.ops["moves"] += 1
+        return coalition.cid
+
+    def _object_best_insert(self, device: int) -> Optional[Tuple[Optional[int], int]]:
+        """The object insert scan: ``(target cid or None, charger)`` or ``None``.
+
+        The reference the array engine's ``best_insert`` matches bit for
+        bit.  Tie-breaks mirror the switch rules: cheaper first, then
+        joins over singletons, then lower charger, then lower cid.
         """
         st, inst = self.structure, self.instance
-        if self._view is not None:
-            # Same tally as the object scan below: one candidate per live
-            # coalition (available or not) plus one per charger.
-            self.ops["insert_candidates"] += st.n_coalitions + inst.n_chargers
-            choice = self._view.best_insert(device)
-            if choice is None:
-                raise ServiceError("no feasible placement for admitted device")
-            coalition = st.place(device, choice[0], choice[1])
-            self.ops["moves"] += 1
-            return coalition.cid
         best_key: Optional[Tuple[float, int, int, int]] = None
         best: Optional[Tuple[Optional[int], int]] = None
         for coalition in st.coalitions():
-            self.ops["insert_candidates"] += 1
             if not inst.charger_available(coalition.charger):
                 continue
             cost = st.cost_if_joined(device, coalition.cid, coalition.charger)
@@ -681,18 +666,12 @@ class IncrementalPlanner:
                 best_key, best = key, (coalition.cid, coalition.charger)
         row = inst.singleton_cost_matrix()[device]
         for j in range(inst.n_chargers):
-            self.ops["insert_candidates"] += 1
             if not (inst.charger_available(j) and inst.chargers[j].admits(1)):
                 continue
             key = (float(row[j]), 1, j, -1)
             if best_key is None or key < best_key:
                 best_key, best = key, (None, j)
-        if best is None:
-            raise ServiceError("no feasible placement for admitted device")
-        target, charger = best
-        coalition = st.place(device, target, charger)
-        self.ops["moves"] += 1
-        return coalition.cid
+        return best
 
     def _first_move(
         self, rule: SwitchRule, devices: Sequence[int]

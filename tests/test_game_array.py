@@ -11,12 +11,12 @@ cost to the last bit, the same Zobrist hash.  Four layers enforce it:
    tolerance — ``==`` on floats).
 2. **Hypothesis end-to-end fuzz**: random workloads, schemes, and rules;
    both engines run CCSGA to convergence and must agree exactly.
-3. **Lockstep state fuzz**: an :class:`~repro.game.arraycore.ArrayState`
-   and a :class:`~repro.game.coalition.CoalitionStructure` are driven
-   through the same random legal move sequence; after every move the
-   cached totals, Zobrist hashes, canonical partitions, and each
-   device's ``best_move`` must match bitwise, and both pass their own
-   invariant audits.
+3. **Packed-row fuzz**: one live service structure is driven through
+   random place / move / remove / retire steps and charger outages;
+   after every step each placed device's vectorized ``best_move`` and
+   each unplaced device's ``best_insert`` must equal the object scans
+   bitwise, and ``check_invariants`` audits every packed row against
+   its coalition.
 4. **Engine-knob semantics**: resolution rules, the environment
    variable, unsupported-combination errors, and planner parity.
 """
@@ -35,7 +35,6 @@ from repro.core import Device, EgalitarianSharing, ProportionalSharing, ShapleyS
 from repro.core.ccsga import resolve_engine
 from repro.errors import ConfigurationError
 from repro.game import (
-    ArrayState,
     CoalitionStructure,
     SelfishSwitch,
     SociallyAwareSwitch,
@@ -44,7 +43,7 @@ from repro.game import (
 )
 from repro.geometry import Point
 from repro.io import instance_from_dict
-from repro.service import IncrementalPlanner
+from repro.service import GrowableCoalitionStructure, IncrementalPlanner
 from repro.workloads import quick_instance
 from repro.wpt import Charger, PowerLawTariff
 from repro.wpt.pricing import _TariffBase
@@ -171,83 +170,146 @@ class TestEndToEndEquivalence:
 
 
 # --------------------------------------------------------------------- #
-# 3. lockstep state fuzz
+# 3. packed-row fuzz
+
+
+_PACKED_STEP = st.one_of(
+    st.tuples(st.just("add"), st.integers(1, 4)),
+    st.tuples(st.just("place"), st.integers(0, 10**6), st.integers(0, 10**6)),
+    st.tuples(st.just("move"), st.integers(0, 10**6), st.integers(0, 10**6)),
+    st.tuples(st.just("remove"), st.integers(0, 10**6)),
+    st.tuples(st.just("retire"), st.integers(0, 10**6)),
+    st.tuples(st.just("flip"), st.integers(0, 10**6)),
+)
+
+
+def _targets(structure, device, n_chargers):
+    """Every legal ``(target, charger)`` for *device* (placed or not)."""
+    inst = structure.instance
+    src = structure.coalition_of(device) if structure.is_placed(device) else None
+    joins = [
+        (c.cid, c.charger)
+        for c in structure.coalitions()
+        if c is not src and inst.chargers[c.charger].admits(c.size + 1)
+    ]
+    singles = [
+        (None, j)
+        for j in range(n_chargers)
+        if not (src is not None and src.size == 1 and src.charger == j)
+    ]
+    return joins + singles
+
+
+def _scans(view, structure, devices):
+    """Every vectorized scan result over *devices*, for comparison."""
+    return [
+        view.best_move(d, rule) if structure.is_placed(d) else view.best_insert(d)
+        for d in devices
+        for rule in RULES
+    ]
 
 
 class TestLockstepState:
-    @settings(max_examples=25, deadline=None)
-    @given(data=st.data())
-    def test_states_match_bitwise_under_random_moves(self, data):
-        n = data.draw(st.integers(min_value=2, max_value=16), label="n")
-        m = data.draw(st.integers(min_value=1, max_value=4), label="m")
-        seed = data.draw(st.integers(min_value=0, max_value=5_000), label="seed")
-        capacity = data.draw(st.sampled_from([None, 3, 6]), label="capacity")
-        scheme = SCHEMES[
-            data.draw(st.sampled_from(sorted(SCHEMES)), label="scheme")
-        ]
-        instance = quick_instance(
-            n_devices=n, n_chargers=m, seed=seed, capacity=capacity
-        )
-        obj = CoalitionStructure.singletons(instance, scheme)
-        arr = ArrayState.singletons(instance, scheme)
-        rule = data.draw(st.sampled_from(RULES), label="rule")
-        for _ in range(data.draw(st.integers(min_value=1, max_value=25), label="moves")):
-            device = data.draw(
-                st.integers(min_value=0, max_value=n - 1), label="device"
-            )
-            # Both engines must propose the identical best move...
-            obj_move = rule.best_move(obj, device)
-            arr_move = arr.best_move(device, rule)
-            assert obj_move == arr_move
-            src = obj.coalition_of(device)
-            options = [
-                c.cid
-                for c in obj.coalitions()
-                if c is not src and instance.chargers[c.charger].admits(c.size + 1)
-            ]
-            targets = [(cid, None) for cid in options] + [
-                (None, j)
-                for j in range(m)
-                if not (src.size == 1 and j == src.charger)
-            ]
-            if not targets:
-                continue
-            idx = data.draw(
-                st.integers(min_value=0, max_value=len(targets) - 1), label="target"
-            )
-            target, charger = targets[idx]
-            if charger is None:
-                charger = obj._coalitions[target].charger
-            obj.move(device, target, charger)
-            arr.move(device, target, charger)
-            # ...and land in bitwise-identical states after any legal move.
-            assert arr.total_cost == obj.total_cost
-            assert arr.zobrist_hash() == obj.zobrist_hash()
-            assert arr.state_key() == obj.state_key()
-            assert arr.n_coalitions == obj.n_coalitions
-        obj.check_invariants()
-        arr.check_invariants()
-        assert arr.to_schedule("x").sessions == obj.to_schedule("x").sessions
+    """One live structure; the vectorized scans read its packed rows."""
 
-    def test_array_state_rejects_illegal_moves_like_object(self):
+    @settings(max_examples=30, deadline=None)
+    @given(
+        scheme=st.sampled_from(sorted(SCHEMES)),
+        capacity=st.sampled_from([None, 1, 2, 3]),
+        n_chargers=st.integers(1, 4),
+        seed=st.integers(0, 2**16),
+        steps=st.lists(_PACKED_STEP, min_size=5, max_size=40),
+    )
+    def test_packed_rows_match_object_scans_under_random_steps(
+        self, scheme, capacity, n_chargers, seed, steps
+    ):
+        rng = np.random.default_rng(seed)
+        chargers = [
+            Charger(
+                charger_id=f"c{j}",
+                position=Point(float(rng.uniform(0, 100)), float(rng.uniform(0, 100))),
+                capacity=capacity,
+            )
+            for j in range(n_chargers)
+        ]
+        planner = IncrementalPlanner(chargers, scheme=SCHEMES[scheme], engine="array")
+        structure, inst, view = planner.structure, planner.instance, planner._view
+        assert isinstance(structure, GrowableCoalitionStructure)
+        for step, *args in [("add", 4)] + steps:
+            placed = sorted(structure._of_device)
+            unplaced = [d for d in range(inst.n_devices) if d not in structure._of_device]
+            if step == "add":
+                for _ in range(args[0]):
+                    dev = Device(
+                        device_id=f"d{inst.n_devices}",
+                        position=Point(
+                            float(rng.uniform(0, 100)), float(rng.uniform(0, 100))
+                        ),
+                        demand=float(rng.uniform(5e3, 60e3)),
+                        moving_rate=float(rng.uniform(0.01, 0.2)),
+                    )
+                    planner.add(dev, 0.0)
+            elif step in ("place", "move"):
+                pool = unplaced if step == "place" else placed
+                if not pool:
+                    continue
+                device = pool[args[0] % len(pool)]
+                targets = _targets(structure, device, n_chargers)
+                if not targets:
+                    continue
+                target, charger = targets[args[1] % len(targets)]
+                getattr(structure, step)(device, target, charger)
+            elif step == "remove" and placed:
+                structure.remove(placed[args[0] % len(placed)])
+            elif step == "retire" and structure.n_coalitions:
+                cids = sorted(structure._coalitions)
+                structure.retire(cids[args[0] % len(cids)])
+            elif step == "flip":
+                j = args[0] % n_chargers
+                inst.set_available(j, not inst.charger_available(j))
+            structure.check_invariants()
+            for device in sorted(structure._of_device):
+                for rule in RULES:
+                    assert view.best_move(device, rule) == rule.best_move(
+                        structure, device
+                    )
+            for device in range(inst.n_devices):
+                if not structure.is_placed(device):
+                    assert view.best_insert(device) == planner._object_best_insert(
+                        device
+                    )
+        # A snapshot restore re-creates the coalitions in cid order, so its
+        # rows are ordered differently from the live (swap-removed) ones:
+        # no scan may notice.
+        restored = GrowableCoalitionStructure(inst, structure.scheme)
+        for device in range(inst.n_devices):
+            restored.register_device(device)
+        for cid in sorted(structure._coalitions):
+            restored._next_cid = cid
+            restored._create(
+                structure._coalitions[cid].charger, structure._coalitions[cid].members
+            )
+        restored._total_cost = structure.total_cost
+        restored.check_invariants()
+        devices = range(inst.n_devices)
+        assert _scans(StructureArrayView(restored), restored, devices) == _scans(
+            view, structure, devices
+        )
+
+    def test_structure_rejects_illegal_moves(self):
         instance = quick_instance(n_devices=4, n_chargers=2, seed=3, capacity=1)
-        scheme = EgalitarianSharing()
-        obj = CoalitionStructure.singletons(instance, scheme)
-        arr = ArrayState.singletons(instance, scheme)
+        obj = CoalitionStructure.singletons(instance, EgalitarianSharing())
         cid = next(iter(obj.coalitions())).cid
         member = next(iter(obj.coalition_of(0).members))
         with pytest.raises(ValueError):
             obj.move(member, obj.coalition_of(member).cid, 0)
-        with pytest.raises(ValueError):
-            arr.move(member, obj.coalition_of(member).cid, 0)
         # capacity=1: every join is inadmissible.
         other = next(i for i in range(4) if obj.coalition_of(i).cid != cid)
         with pytest.raises(ValueError):
             obj.move(other, cid, obj._coalitions[cid].charger)
-        with pytest.raises(ValueError):
-            arr.move(other, cid, obj._coalitions[cid].charger)
         with pytest.raises(KeyError):
-            arr.move(0, 999_999, 0)
+            obj.move(0, 999_999, 0)
+        obj.check_invariants()
 
     def test_structure_view_matches_rule_best_move(self):
         instance = quick_instance(n_devices=18, n_chargers=4, seed=11, capacity=6)
@@ -255,8 +317,8 @@ class TestLockstepState:
             structure = CoalitionStructure.singletons(instance, scheme)
             view = StructureArrayView(structure)
             for rule in RULES:
-                # Interleave scans and moves so the view's version-keyed
-                # rebuild is exercised, not just the first build.
+                # Interleave scans and moves so every scan reads rows
+                # the moves before it rewrote.
                 for device in range(instance.n_devices):
                     expected = rule.best_move(structure, device)
                     assert view.best_move(device, rule) == expected
@@ -287,10 +349,10 @@ class TestEngineKnob:
         with pytest.raises(ConfigurationError):
             ccsga(instance, scheme=ShapleySharing(), engine="array")
 
-    def test_array_state_rejects_scheme_without_vector_shares(self):
+    def test_array_view_rejects_scheme_without_vector_shares(self):
         instance = quick_instance(n_devices=5, n_chargers=2, seed=1)
         with pytest.raises(ConfigurationError):
-            ArrayState.singletons(instance, ShapleySharing())
+            StructureArrayView(CoalitionStructure.singletons(instance, ShapleySharing()))
 
     def test_unknown_engine_rejected(self):
         instance = quick_instance(n_devices=4, n_chargers=2, seed=0)
