@@ -154,8 +154,13 @@ def ccsga(
         Safety bound on full device sweeps; exceeded only on a bug or an
         adversarial tolerance, and raises ``ConvergenceError``.
     certify:
-        Re-verify the terminal structure is a pure Nash equilibrium by
-        exhaustive deviation enumeration (cheap; disable in tight loops).
+        Certify that the terminal structure is a pure Nash equilibrium.
+        The object engine re-verifies it by exhaustive deviation
+        enumeration (cheap; disable in tight loops).  On the array engine
+        the certificate is the last sweep's verdict: that sweep scored
+        every device's deviations with the vectorized scan on the
+        terminal structure and found none permitted, so a second scan
+        could only repeat it.  ``False`` skips certification.
     rng:
         Optional randomness: when given, each sweep visits devices in a
         fresh random order.  Different orders can land on different Nash
@@ -231,12 +236,9 @@ def ccsga(
     if not certify:
         certified = False
     elif view is not None:
-        # Same predicate as is_nash_equilibrium: no device has a
-        # permitted deviation — evaluated with the vectorized scan.
-        certified = all(
-            view.best_move(device, rule) is None
-            for device in range(instance.n_devices)
-        )
+        # Same predicate as is_nash_equilibrium (no device has a permitted
+        # deviation), which the last sweep evaluated on this structure.
+        certified = not switched_this_sweep
     else:
         certified = is_nash_equilibrium(structure, rule)
     schedule = structure.to_schedule(

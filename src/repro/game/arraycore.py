@@ -48,8 +48,10 @@ The kernel scores a whole list of devices at once (``first_move``: one
 row per device) and reports the first row with a permitted move; the
 one-device ``best_move`` is its one-row case.  ``ccsga(engine="array")``
 runs its sweeps through it, and the service's incremental planner runs
-its insert, improvement and repair scans through it, a segment of
-devices per numpy pass.
+its improvement and repair scans through it, a segment of devices per
+numpy pass.  The planner's inserts go through :class:`InsertBatch`,
+which scores a fold's devices once and rescores one packed row per
+placement; the one-device ``best_insert`` is its one-device case.
 
 dtype discipline: everything float64 / int64; narrowing dtypes and
 unordered reductions in this module are rejected by ccs-lint rule
@@ -65,10 +67,11 @@ import numpy as np
 from ..core.costsharing import CostSharingScheme
 from ..errors import ConfigurationError
 from ..wpt import Charger
-from .coalition import CoalitionStructure
+from .coalition import Coalition, CoalitionStructure
 from .switching import SelfishSwitch, SociallyAwareSwitch, SwitchMove, SwitchRule
 
 __all__ = [
+    "InsertBatch",
     "StructureArrayView",
     "engine_supported",
 ]
@@ -307,65 +310,118 @@ def _kernel_first_move(
     return r, SwitchMove(int(devices[r]), best[0], best[1], best[2], best[3])
 
 
-def _kernel_best_insert(
-    structure: CoalitionStructure, cand: _Candidates, device: int
-) -> Optional[Tuple[Optional[int], int]]:
-    """Vectorized mirror of ``IncrementalPlanner._insert``'s candidate scan.
+class InsertBatch:
+    """The planner's insert scans for one fold's devices, scored as a batch.
 
-    Returns ``(target_cid_or_None, charger)`` for the cheapest placement
-    of an unplaced device under the planner's exact tie-break key
-    ``(cost, join-before-singleton, charger, cid)``, or ``None`` when no
-    candidate is feasible.
+    Column ``b`` is ``devices[b]``, placed in that order by the caller;
+    row ``r`` is packed row ``r``.  The constructor scores every (live
+    coalition, device) join in one tariff call, with the object scan's
+    element formula (``share + moving cost``) and ``inf`` for a join the
+    object scan skips (full coalition, down charger), plus every
+    device's best singleton, which is fixed for the fold: charger
+    availability cannot change inside it.  After device ``b`` is placed,
+    :meth:`placed` rescores, for the devices still pending, only the one
+    packed row the placement wrote (a join) or appended (a new
+    singleton).  A placement never deletes a row and changes no other,
+    so :meth:`choice` for device ``b`` is bitwise what a fresh scan of
+    the structure would choose.
     """
-    instance = structure.instance
-    avail = _availability_mask(instance)
-    demand_i = instance._demand_list[device]
-    mv_row = instance._moving_cost[device]
-    best_key: Optional[Tuple[float, int, int, int]] = None
-    best: Optional[Tuple[Optional[int], int]] = None
 
-    if cand.k:
-        joined, _, fits, _ = cand.joins()
-        ok = fits if avail is None else fits & avail[cand.chargers]
-        idx = np.flatnonzero(ok)
-        if idx.size:
-            sub_ch = cand.chargers[idx]
-            new_total = cand.demands[idx] + demand_i
-            new_price = instance.price_for_demand_vector(new_total, sub_ch)
-            share = structure.scheme.share_of_vector(  # type: ignore[attr-defined]
-                instance, demand_i, joined[idx], new_total, new_price
-            )
-            cost = share + mv_row[sub_ch]
-            sel = idx[cost == cost.min()]
-            if sel.size > 1:
-                ch = cand.chargers[sel]
-                sel = sel[ch == ch.min()]
-                if sel.size > 1:
-                    cids = cand.cids[sel]
-                    sel = sel[cids == cids.min()]
-            win = int(sel[0])
-            local = int(np.flatnonzero(idx == win)[0])
-            best_key = (
-                float(cost[local]),
-                0,
-                int(cand.chargers[win]),
-                int(cand.cids[win]),
-            )
-            best = (int(cand.cids[win]), int(cand.chargers[win]))
+    __slots__ = ("structure", "_dem", "_mv", "_cost", "_cids", "_chargers", "_cap",
+                 "_single", "_width")
 
-    smask = cand.cap >= 1
-    if avail is not None:
-        smask = smask & avail
-    js = np.flatnonzero(smask)
-    if js.size:
-        row = instance.singleton_cost_matrix()[device][js]
-        win = int(js[np.flatnonzero(row == row.min())[0]])
-        key = (float(row.min()), 1, win, -1)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = (None, win)
+    def __init__(self, structure: CoalitionStructure, cand: _Candidates,
+                 solo: np.ndarray, devices: Sequence[int]):
+        instance, scheme = structure.instance, structure.scheme
+        self.structure = structure
+        self._cap = cand.cap
+        n = len(devices)
+        devs = np.array(devices, dtype=np.int64)
+        dem = self._dem = instance._demands[devs]
+        # Charger-major, so a rescored row reads one charger's costs.
+        mv = self._mv = instance._moving_cost.take(devs, axis=0).T
+        avail = _availability_mask(instance)
+        k = self._width = cand.k
+        # Rows past ``k`` are written as placements append singletons.
+        self._cost = np.empty((k + n, n), dtype=float)
+        self._cids = cand.cids.tolist()
+        self._chargers = cand.chargers.tolist()
+        if k:
+            joined, _, fits, n_fits = cand.joins()
+            if avail is not None:
+                fits = fits & avail[cand.chargers]
+                n_fits = int(np.count_nonzero(fits))
+            if n_fits:
+                totals = cand.demands[:, None] + dem
+                prices = instance.price_for_demand_vector(
+                    totals, cand.chargers[:, None].repeat(n, axis=1)
+                )
+                share = scheme.share_of_vector(  # type: ignore[attr-defined]
+                    instance, dem, joined[:, None], totals, prices
+                )
+                np.add(share, mv[cand.chargers], out=self._cost[:k])
+            if n_fits < k:
+                self._cost[:k][~fits] = np.inf
+        # Each device's cheapest singleton among the chargers that are up
+        # and admit a lone device (*solo*, ascending): argmin takes the
+        # first minimum, the lowest-charger winner.
+        if avail is not None:
+            solo = solo[avail[solo]]
+        self._single: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        if solo.size:
+            sc = instance.singleton_cost_matrix().take(devs, axis=0)
+            if solo.size < sc.shape[1]:
+                sc = sc[:, solo]
+            self._single = (sc.min(axis=1), solo[sc.argmin(axis=1)])
 
-    return best
+    def choice(self, b: int) -> Optional[Tuple[Optional[int], int]]:
+        """``(target cid or None, charger)`` for device ``b``, or ``None``.
+
+        The cheapest placement under ``(cost, join-before-singleton,
+        charger, cid)``, the planner's insert key.
+        """
+        best: Optional[Tuple[Optional[int], int]] = None
+        low = np.inf
+        if self._width:
+            col = self._cost[: self._width, b]
+            r = int(col.argmin())
+            low = col[r]
+            if low != np.inf:
+                if np.count_nonzero(col == low) > 1:
+                    chargers, cids = self._chargers, self._cids
+                    r = min(np.flatnonzero(col == low).tolist(),
+                            key=lambda t: (chargers[t], cids[t]))
+                best = (self._cids[r], self._chargers[r])
+        if self._single is not None:
+            costs, at = self._single
+            if best is None or costs[b] < low:
+                return None, int(at[b])
+        return best
+
+    def placed(self, b: int, coalition: Coalition) -> None:
+        """Device ``b`` went into *coalition*: rescore its row for the rest."""
+        r = coalition.row
+        if r == self._width:
+            self._width += 1
+            self._cids.append(coalition.cid)
+            self._chargers.append(coalition.charger)
+        assert r < self._width, "a placement never moves a packed row"
+        lo = b + 1
+        if lo == self._cost.shape[1]:
+            return
+        out = self._cost[r, lo:]
+        j, size = coalition.charger, coalition.size + 1
+        if size > self._cap[j]:
+            out.fill(np.inf)
+            return
+        instance = self.structure.instance
+        dem = self._dem[lo:]
+        totals = coalition.total_demand + dem
+        prices = instance.price_table().charger_prices(totals, j)
+        share = self.structure.scheme.share_of_vector(  # type: ignore[attr-defined]
+            instance, dem, size, totals, prices
+        )
+        np.add(share, self._mv[j, lo:], out=out)
 
 
 class StructureArrayView:
@@ -387,6 +443,8 @@ class StructureArrayView:
             )
         self.structure = structure
         self._cap = _capacity_vector(structure.instance.chargers)
+        #: Chargers admitting a lone device, ascending.
+        self._solo = np.flatnonzero(self._cap >= 1)
 
     def _rows(self) -> _Candidates:
         st = self.structure
@@ -423,6 +481,13 @@ class StructureArrayView:
         hit = self.first_move((device,), rule)
         return None if hit is None else hit[1]
 
+    def insert_batch(self, devices: Sequence[int]) -> InsertBatch:
+        """The insert scans of *devices* (unplaced), to be placed in order."""
+        return InsertBatch(self.structure, self._rows(), self._solo, devices)
+
     def best_insert(self, device: int) -> Optional[Tuple[Optional[int], int]]:
-        """Vectorized planner insert scan: cheapest placement for *device*."""
-        return _kernel_best_insert(self.structure, self._rows(), device)
+        """Vectorized planner insert scan: cheapest placement for *device*.
+
+        The one-device case of :meth:`insert_batch`.
+        """
+        return self.insert_batch((device,)).choice(0)

@@ -30,7 +30,10 @@ cid, charger, size, Σ demand, price, Σ moving cost), written by the same
 swap-removed when a coalition dies, so rows ``[0:k]`` are always the
 live coalitions in no particular order.  The vectorized candidate scans
 of :mod:`.arraycore` slice these rows directly; there is no second
-coalition state to keep in step.
+coalition state to keep in step.  The structure also records which
+coalitions it wrote (:meth:`CoalitionStructure.take_dirty`), so the
+service plan's repair rechecks only the devices whose cost can have
+changed.
 """
 
 from __future__ import annotations
@@ -143,6 +146,8 @@ class CoalitionStructure:
         #: What the array scans (:mod:`.arraycore`) derive from the packed
         #: rows, kept until the next row write drops it.
         self.scan_cache: Optional[object] = None
+        # Live cids whose row was written since the last ``take_dirty``.
+        self._dirty: Set[int] = set()
         self._dev_token: List[int] = [
             _device_token(i) for i in range(instance.n_devices)
         ]
@@ -206,6 +211,7 @@ class CoalitionStructure:
         self._prices[row] = coalition.price
         self._moves[row] = coalition.move_sum
         self.scan_cache = None
+        self._dirty.add(coalition.cid)
 
     def _key(self, coalition: Coalition) -> int:
         """Zobrist key of one coalition: mixed member fingerprint × charger."""
@@ -246,6 +252,7 @@ class CoalitionStructure:
             self._coalitions[int(self._cids[row])].row = row
         self._k = last
         self.scan_cache = None
+        self._dirty.discard(coalition.cid)
 
     def _leave(self, src: Coalition, device: int) -> None:
         """Take *device* out of *src*; deletes the coalition if it empties.
@@ -324,6 +331,18 @@ class CoalitionStructure:
             self._cids[:k], self._chargers[:k], self._sizes[:k],
             self._demands[:k], self._prices[:k], self._moves[:k],
         )
+
+    def take_dirty(self) -> Set[int]:
+        """The live cids written since the previous call, and reset.
+
+        A coalition is written when it is founded or its membership
+        changes (:meth:`_refresh`), so the first call returns every live
+        cid, on a fresh structure as on one rebuilt from a snapshot.
+        Members of any other coalition have bitwise the costs they had
+        at the previous call.
+        """
+        dirty, self._dirty = self._dirty, set()
+        return dirty
 
     def _share_in(self, device: int, coalition: Coalition) -> float:
         """*device*'s price share inside *coalition* (fast path when possible)."""

@@ -17,13 +17,16 @@ ever re-solving from scratch:
   All cached aggregates, the running total cost, and the Zobrist hash stay
   incrementally maintained; ``check_invariants`` still audits everything.
 - :class:`IncrementalPlanner` — the epoch replanner: fold a batch of
-  admitted devices into the current structure (one ``O(sessions + m)``
-  candidate scan each), run a bounded socially-aware improvement pass over
-  the touched neighborhood, then *repair* individual rationality so no
-  member's comprehensive cost ever exceeds its admission quote.  The
-  repair always terminates: a device's best singleton cost equals its
-  quote and is independent of everyone else, so forcing a persistent
-  violator into a singleton pins it at the quote forever.  With charger
+  admitted devices into the current structure (each at its cheapest of
+  ``O(sessions + m)`` candidates; the array engine scores the batch once
+  and rescores one coalition per placement), run a bounded
+  socially-aware improvement pass over the touched neighborhood, then
+  *repair* individual rationality so no member's comprehensive cost
+  ever exceeds its admission quote, rechecking only the coalitions
+  written since the last repair.  The repair always terminates: a
+  device's best singleton cost equals its quote and is independent of
+  everyone else, so forcing a persistent violator into a singleton pins
+  it at the quote forever.  With charger
   *outages* (see :mod:`repro.faults`) that singleton may be gone; repair
   then **evicts** the unrepairable device instead of overcharging it,
   and the kernel re-quotes it against its original ceiling at the next
@@ -528,6 +531,9 @@ class IncrementalPlanner:
             StructureArrayView(self.structure) if self.engine == "array" else None
         )
         self.ceiling: Dict[int, float] = {}
+        #: The last :meth:`_violators` check's result, rechecked by the
+        #: next one (see there).
+        self._over: List[int] = []
         #: Operation tally for the incremental-work regression tests.
         #: ``full_solves`` stays 0 by construction — there is no code path
         #: that hands the live plan to a batch solver.
@@ -624,27 +630,6 @@ class IncrementalPlanner:
     # ------------------------------------------------------------------ #
     # the epoch fold
 
-    def _insert(self, device: int) -> int:
-        """Place one new device at its own-cost argmin; returns the cid.
-
-        One pass over live coalitions plus the precomputed singleton-cost
-        row — ``O(n_coalitions + m)`` candidate evaluations, each a single
-        tariff call on cached aggregates, made by the active engine.
-        """
-        st = self.structure
-        # One candidate per live coalition (available or not) plus one
-        # per charger, whichever engine scans them.
-        self.ops["insert_candidates"] += st.n_coalitions + self.instance.n_chargers
-        if self._view is not None:
-            choice = self._view.best_insert(device)
-        else:
-            choice = self._object_best_insert(device)
-        if choice is None:
-            raise ServiceError("no feasible placement for admitted device")
-        coalition = st.place(device, choice[0], choice[1])
-        self.ops["moves"] += 1
-        return coalition.cid
-
     def _object_best_insert(self, device: int) -> Optional[Tuple[Optional[int], int]]:
         """The object insert scan: ``(target cid or None, charger)`` or ``None``.
 
@@ -730,24 +715,46 @@ class IncrementalPlanner:
         their ceiling (only possible after a charger outage; empty with
         every charger up).  After the fold the individual-rationality
         invariant holds for every device still placed.
+
+        Devices are inserted in index order, each at its own-cost argmin
+        over the live coalitions (``O(n_coalitions + m)`` candidates).
+        The array engine scores the whole batch once and rescores one
+        packed row per placement (:class:`~repro.game.arraycore.InsertBatch`);
+        the object engine scans each device (:meth:`_object_best_insert`).
         """
+        st = self.structure
+        per_scan = self.instance.n_chargers
+        devices = sorted(indices)
+        batch = self._view.insert_batch(devices) if self._view is not None else None
         placements: Dict[int, int] = {}
         touched: Set[int] = set()
-        for device in sorted(indices):
-            cid = self._insert(device)
-            placements[device] = cid
-            touched |= self.structure._coalitions[cid].members
-        touched = self._improve(touched)
-        evicted = self._repair(touched)
+        for b, device in enumerate(devices):
+            # One candidate per live coalition (available or not) plus one
+            # per charger, whichever engine scans them.
+            self.ops["insert_candidates"] += st.n_coalitions + per_scan
+            if batch is not None:
+                choice = batch.choice(b)
+            else:
+                choice = self._object_best_insert(device)
+            if choice is None:
+                raise ServiceError("no feasible placement for admitted device")
+            coalition = st.place(device, choice[0], choice[1])
+            if batch is not None:
+                batch.placed(b, coalition)
+            self.ops["moves"] += 1
+            placements[device] = coalition.cid
+            touched |= coalition.members
+        self._improve(touched)
+        evicted = self._repair()
         return placements, evicted
 
-    def _improve(self, touched: Set[int]) -> Set[int]:
+    def _improve(self, touched: Set[int]) -> None:
         """Bounded socially-aware best-response sweeps over *touched*.
 
         Each permitted switch strictly lowers the total comprehensive cost
         (the game's potential), so sweeps cannot cycle; we additionally
-        cap them at :attr:`improvement_sweeps`.  Returns the grown touched
-        set (destination coalitions join the neighborhood).
+        cap them at :attr:`improvement_sweeps`.  Grows *touched* in place
+        (destination coalitions join the neighborhood).
         """
         st = self.structure
         for _ in range(self.improvement_sweeps):
@@ -758,9 +765,34 @@ class IncrementalPlanner:
                 touched |= st.coalition_of(device).members
             if not moved:
                 break
-        return touched
 
-    def _repair(self, touched: Set[int]) -> List[int]:
+    def _violators(self) -> List[int]:
+        """Placed devices above their ceiling, in index order.
+
+        Checks only what can have changed since the previous check: the
+        members of every coalition the structure wrote since then
+        (:meth:`~repro.game.coalition.CoalitionStructure.take_dirty`),
+        plus the previous check's violators.  Any other device's cost is
+        bitwise what that check compared (a device's cost is a function
+        of its coalition's aggregates, rewritten on every membership
+        change, and its ceiling is fixed while it is placed), so it still
+        meets its ceiling, and the list equals a scan of every placed
+        device.  The violators carry over because they can outlive a
+        repair: a device at its best available singleton within
+        tolerance can still sit an ulp above its quote (a proportional
+        share), and the repair leaves it there.
+        """
+        st = self.structure
+        check = {d for d in self._over if st.is_placed(d)}
+        for cid in st.take_dirty():
+            check |= st._coalitions[cid].members
+        ceiling, tol = self.ceiling, self.tol
+        self._over = [
+            d for d in sorted(check) if st.individual_cost(d) > ceiling[d] + tol
+        ]
+        return self._over
+
+    def _repair(self) -> List[int]:
         """Re-establish ``cost <= ceiling`` for every placed device.
 
         Membership churn can push a bystander above its quote (e.g. a
@@ -776,14 +808,16 @@ class IncrementalPlanner:
         (ceiling kept — the kernel re-quotes it at the next epoch and
         rejects it with ``charger_failed`` if the ceiling cannot hold).
         Returns the evicted device indices in eviction order.
+
+        Each round finds its violators with :meth:`_violators`, which
+        checks only the coalitions written since the previous round (or
+        the previous repair), so a repair costs what the changes since
+        then touched, not the size of the live plan.
         """
         st, inst = self.structure, self.instance
         evicted: List[int] = []
         for _ in range(self.repair_rounds):
-            violators = [
-                d for d in self.active_indices()
-                if st.individual_cost(d) > self.ceiling[d] + self.tol
-            ]
+            violators = self._violators()
             if not violators:
                 return evicted
             # Nearly every violator has a selfish move, so the pass scans
@@ -793,10 +827,7 @@ class IncrementalPlanner:
                 for _ in self._sweep(self._selfish, [device], "repair_moves"):
                     pass
         while True:
-            violators = [
-                d for d in self.active_indices()
-                if st.individual_cost(d) > self.ceiling[d] + self.tol
-            ]
+            violators = self._violators()
             if not violators:
                 return evicted
             progressed = False
@@ -823,9 +854,10 @@ class IncrementalPlanner:
                 self.ops["repair_moves"] += 1
                 progressed = True
             if not progressed:
-                # Every remaining "violator" already sits at its best
-                # available singleton within tolerance; nothing more can
-                # help (and nothing is actually above its ceiling).
+                # Every remaining violator already sits at its best
+                # available singleton, whose cost meets the ceiling within
+                # tolerance; nothing more can help.  They stay on the
+                # violator list the next repair rechecks.
                 return evicted
 
     # ------------------------------------------------------------------ #
@@ -841,14 +873,9 @@ class IncrementalPlanner:
         devices the repair had to evict (see :meth:`_repair`; empty with
         every charger up).
         """
-        cid = self.structure.remove(device)
+        self.structure.remove(device)
         del self.ceiling[device]
-        survivors = (
-            set(self.structure._coalitions[cid].members)
-            if cid in self.structure._coalitions
-            else set()
-        )
-        return self._repair(survivors)
+        return self._repair()
 
     def retire(self, cid: int) -> Dict[str, object]:
         """Depart coalition *cid*; returns the frozen session accounting.

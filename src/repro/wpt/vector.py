@@ -84,6 +84,14 @@ class ChargerPriceTable:
             if len(self._groups) == 1 and not self._fallback
             else None
         )
+        #: Per charger ``(base, unit, exponent)`` as Python floats, or
+        #: ``None`` for a fallback tariff (:meth:`charger_prices`).
+        self._closed_form: List[Optional[Tuple[float, float, float]]] = [None] * m
+        for exponent, cols in self._groups:
+            for j in cols.tolist():
+                self._closed_form[j] = (
+                    float(self._base[j]), float(self._unit[j]), exponent
+                )
 
     def prices(self, totals: np.ndarray, chargers_idx: np.ndarray) -> np.ndarray:
         """Session prices for summed stored demands at per-element chargers.
@@ -119,6 +127,24 @@ class ChargerPriceTable:
         if not positive:
             out[totals == EXACT_ZERO] = 0.0
         return out
+
+    def charger_prices(self, totals: np.ndarray, charger: int) -> np.ndarray:
+        """Session prices at one charger for strictly positive *totals*.
+
+        Bitwise ``prices(totals, [charger] * len(totals))`` with neither
+        gathers nor guards: one division, then ``base + unit *
+        np.power(E, exponent)`` (same operands, same order) or the
+        charger's fallback.  The planner's batched insert rescores one
+        coalition per placement through it; its totals always include a
+        device's (strictly positive) demand, so the exact-zero guard
+        cannot apply.
+        """
+        emitted = totals / self._efficiency[charger]
+        form = self._closed_form[charger]
+        if form is None:
+            return self._prices_one_charger(charger, emitted)
+        base, unit, exponent = form
+        return base + unit * np.power(emitted, exponent)
 
     def _prices_one_charger(self, charger: int, emitted: np.ndarray) -> np.ndarray:
         """Generic-tariff fallback: one charger, a vector of emitted energies."""

@@ -53,21 +53,12 @@ def test_ccsga_smoke_within_walltime_budget():
     )
 
 
-@pytest.mark.bench_smoke
-def test_fold_sweep_scores_a_segment_per_kernel_call(monkeypatch):
-    """The array engine scores a best-response sweep a segment at a time.
-
-    One 40-device fold over 16 chargers: each improvement sweep calls the
-    batched kernel (``StructureArrayView.first_move``) once per segment
-    — once per move, plus once for the rest of the sweep after its last
-    move when devices remain — so at most ``sweeps + moves`` calls, not
-    one per scanned device.  A silent fallback to per-device scans
-    multiplies the count without any wall-time signal; this pins it.
-    """
+def _grid_planner(seed):
+    """A 16-charger array planner and ``admit(count)``, which quotes and
+    registers that many random devices (unplaced) and returns their indices."""
     import numpy as np
 
     from repro.core import Device
-    from repro.game import SociallyAwareSwitch, StructureArrayView
     from repro.geometry import Point
     from repro.service import IncrementalPlanner
     from repro.wpt import Charger
@@ -82,17 +73,40 @@ def test_fold_sweep_scores_a_segment_per_kernel_call(monkeypatch):
         for c in range(4)
     ]
     planner = IncrementalPlanner(chargers, engine="array")
-    rng = np.random.default_rng(0)
-    indices = []
-    for k in range(40):
-        device = Device(
-            f"d{k}",
-            Point(float(rng.uniform(0, 400)), float(rng.uniform(0, 400))),
-            demand=float(rng.uniform(10e3, 40e3)),
-            moving_rate=0.05,
-        )
-        quote, _ = planner.quote(device)
-        indices.append(planner.add(device, quote))
+    rng = np.random.default_rng(seed)
+
+    def admit(count):
+        indices = []
+        for _ in range(count):
+            device = Device(
+                f"d{planner.instance.n_devices}",
+                Point(float(rng.uniform(0, 400)), float(rng.uniform(0, 400))),
+                demand=float(rng.uniform(10e3, 40e3)),
+                moving_rate=0.05,
+            )
+            quote, _ = planner.quote(device)
+            indices.append(planner.add(device, quote))
+        return indices
+
+    return planner, admit
+
+
+@pytest.mark.bench_smoke
+def test_fold_sweep_scores_a_segment_per_kernel_call(monkeypatch):
+    """The array engine scores a best-response sweep a segment at a time.
+
+    One 40-device fold over 16 chargers: each improvement sweep calls the
+    batched kernel (``StructureArrayView.first_move``) once per segment
+    — once per move, plus once for the rest of the sweep after its last
+    move when devices remain — so at most ``sweeps + moves`` calls, not
+    one per scanned device.  A silent fallback to per-device scans
+    multiplies the count without any wall-time signal; this pins it.
+    """
+    from repro.game import SociallyAwareSwitch, StructureArrayView
+    from repro.service import IncrementalPlanner
+
+    planner, admit = _grid_planner(seed=0)
+    indices = admit(40)
 
     calls = []
     first_move = StructureArrayView.first_move
@@ -122,3 +136,83 @@ def test_fold_sweep_scores_a_segment_per_kernel_call(monkeypatch):
     # ...in 15 calls: one per move, plus the second sweep's tail (the
     # first sweep's last move is on its last device).
     assert len(calls) == 15 <= len(improve) + sum(improve)
+
+
+@pytest.mark.bench_smoke
+def test_fold_scores_its_inserts_as_one_batch(monkeypatch):
+    """A B-device fold prices its inserts in one call plus one per placement.
+
+    The array engine scores every (live coalition, pending device) join
+    in one tariff call (``ChargerPriceTable.prices``) and, after each
+    placement, rescores the one coalition it wrote for the devices still
+    pending (``ChargerPriceTable.charger_prices``).  A fallback to a
+    scan per device would show as B tariff calls and B ``best_insert``
+    scans, with no wall-time signal at this size; this pins it.
+    """
+    from repro.game import StructureArrayView
+    from repro.service import IncrementalPlanner
+    from repro.wpt import ChargerPriceTable
+
+    planner, admit = _grid_planner(seed=3)
+    planner.fold(admit(20))
+    batch = admit(40)
+
+    counts = {"prices": 0, "charger_prices": 0, "best_insert": 0}
+    for owner, name in (
+        (ChargerPriceTable, "prices"),
+        (ChargerPriceTable, "charger_prices"),
+        (StructureArrayView, "best_insert"),
+    ):
+        raw = getattr(owner, name)
+
+        def counted(*args, _raw=raw, _name=name):
+            counts[_name] += 1
+            return _raw(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    at_improve = {}
+    improve = IncrementalPlanner._improve
+
+    def improve_once(self, touched):
+        at_improve.setdefault("counts", dict(counts))
+        return improve(self, touched)
+
+    monkeypatch.setattr(IncrementalPlanner, "_improve", improve_once)
+    planner.fold(batch)
+
+    inserts = at_improve["counts"]
+    assert inserts["prices"] == 1
+    assert 0 < inserts["charger_prices"] <= len(batch) - 1
+    assert inserts["best_insert"] == 0
+
+
+@pytest.mark.bench_smoke
+def test_remove_rechecks_only_the_changed_coalition(monkeypatch):
+    """``remove`` repairs by checking the survivors of one coalition.
+
+    The structure records the coalitions it writes, so the repair after
+    a removal evaluates ``individual_cost`` for the source coalition's
+    survivors only, not for every device in the live plan.
+    """
+    from repro.game import CoalitionStructure
+
+    planner, admit = _grid_planner(seed=5)
+    planner.fold(admit(60))
+    st = planner.structure
+    source = max(st.coalitions(), key=lambda c: (c.size, c.cid))
+    device = min(source.members)
+    survivors = sorted(source.members - {device})
+    assert len(survivors) >= 2 and len(planner.active_indices()) >= 5 * len(survivors)
+
+    checked = []
+    individual_cost = CoalitionStructure.individual_cost
+
+    def counted(structure, d):
+        checked.append(d)
+        return individual_cost(structure, d)
+
+    monkeypatch.setattr(CoalitionStructure, "individual_cost", counted)
+    repairs = planner.ops["repair_moves"]
+    assert planner.remove(device) == []
+    assert planner.ops["repair_moves"] == repairs
+    assert checked == survivors

@@ -16,7 +16,8 @@ cost to the last bit, the same Zobrist hash.  Four layers enforce it:
    after every step each placed device's vectorized ``best_move`` and
    each unplaced device's ``best_insert`` must equal the object scans
    bitwise, and ``check_invariants`` audits every packed row against
-   its coalition.
+   its coalition; a fold's batched insert must choose the object
+   scan's placement at every step.
 4. **Engine-knob semantics**: resolution rules, the environment
    variable, unsupported-combination errors, and planner parity.
 """
@@ -40,6 +41,7 @@ from repro.game import (
     SociallyAwareSwitch,
     StructureArrayView,
     engine_supported,
+    is_nash_equilibrium,
 )
 from repro.geometry import Point
 from repro.io import instance_from_dict
@@ -111,6 +113,35 @@ class TestGoldenBitIdentity:
         )
         assert got_schedule == expected["schedule"]
         assert arr.switches == expected["switches"]
+
+    def test_array_certificate_holds_under_the_object_enumeration(self, case):
+        # The array engine certifies with its last sweep's verdict; the
+        # object engine's exhaustive enumeration must agree on its result.
+        instance = _instance_for(case)
+        scheme = SCHEMES[case.rsplit("/", 1)[1]]
+        arr = ccsga(instance, scheme=scheme, certify=True, engine="array")
+        assert arr.nash_certified
+        structure = CoalitionStructure.from_schedule(instance, scheme, arr.schedule)
+        assert is_nash_equilibrium(structure, SociallyAwareSwitch())
+
+
+def test_array_certificate_adds_no_scan(monkeypatch):
+    """``certify=True`` costs the array engine no kernel call."""
+    calls = []
+    first_move = StructureArrayView.first_move
+
+    def counted(view, devices, rule):
+        calls.append(len(devices))
+        return first_move(view, devices, rule)
+
+    monkeypatch.setattr(StructureArrayView, "first_move", counted)
+    instance = quick_instance(n_devices=60, n_chargers=6, seed=2021, capacity=6)
+    plain = ccsga(instance, certify=False, engine="array")
+    uncertified = len(calls)
+    calls.clear()
+    certified = ccsga(instance, certify=True, engine="array")
+    assert certified.nash_certified and not plain.nash_certified
+    assert len(calls) == uncertified == 60 * certified.sweeps
 
 
 # --------------------------------------------------------------------- #
@@ -591,6 +622,75 @@ class TestPlannerLockstep:
                     ((at, m) for at, m in enumerate(expected) if m is not None), None
                 )
                 assert (arr._view.first_move(placed, rule) if placed else None) == first
+
+
+class TestBatchedInsert:
+    """A fold's batched insert chooses what the object scan would, at
+    every placement: rows are rescored one per placement, capacity cuts
+    a coalition off when it fills, and down chargers stay masked."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        scheme=st.sampled_from(sorted(SCHEMES)),
+        alphas=st.sampled_from([(0.5,), (1.0,), (2.0,), (0.5, 1.0, 2.0)]),
+        capacity=st.sampled_from([None, 1, 2, 3]),
+        n_chargers=st.integers(1, 4),
+        seed=st.integers(0, 2**16),
+        live=st.integers(0, 8),
+        batch=st.integers(1, 10),
+        down=st.lists(st.booleans(), min_size=4, max_size=4),
+    )
+    def test_every_placement_matches_the_object_scan(
+        self, scheme, alphas, capacity, n_chargers, seed, live, batch, down
+    ):
+        rng = np.random.default_rng(seed)
+        chargers = [
+            Charger(
+                charger_id=f"c{j}",
+                position=Point(float(rng.uniform(0, 100)), float(rng.uniform(0, 100))),
+                tariff=_tariff(
+                    alphas[j % len(alphas)],
+                    float(rng.uniform(5.0, 20.0)),
+                    float(rng.uniform(0.5, 2.0)),
+                ),
+                capacity=capacity,
+            )
+            for j in range(n_chargers)
+        ]
+        planner = IncrementalPlanner(chargers, scheme=SCHEMES[scheme], engine="array")
+        structure = planner.structure
+
+        def added(count):
+            return [
+                planner.add(
+                    Device(
+                        device_id=f"d{planner.instance.n_devices}",
+                        position=Point(
+                            float(rng.uniform(0, 100)), float(rng.uniform(0, 100))
+                        ),
+                        demand=float(rng.uniform(5e3, 60e3)),
+                        moving_rate=float(rng.uniform(0.01, 0.2)),
+                    ),
+                    0.0,
+                )
+                for _ in range(count)
+            ]
+
+        for device in added(live):
+            targets = _targets(structure, device, n_chargers)
+            target, charger = targets[int(rng.integers(len(targets)))]
+            structure.place(device, target, charger)
+        for j in range(n_chargers):
+            planner.instance.set_available(j, not down[j])
+        devices = added(batch)
+        scan = planner._view.insert_batch(devices)
+        for b, device in enumerate(devices):
+            expected = planner._object_best_insert(device)
+            assert scan.choice(b) == expected
+            if expected is None:
+                break
+            scan.placed(b, structure.place(device, *expected))
+        structure.check_invariants()
 
 
 # --------------------------------------------------------------------- #

@@ -125,6 +125,21 @@ class TestPriceTableBitIdentity:
     @settings(max_examples=80, deadline=None)
     @given(
         chargers=charger_sets(),
+        totals=st.lists(
+            st.floats(min_value=1e-3, max_value=1e5), min_size=1, max_size=40
+        ),
+        data=st.data(),
+    )
+    def test_one_charger_column_matches_price_for_stored(self, chargers, totals, data):
+        j = data.draw(st.integers(0, len(chargers) - 1))
+        table = ChargerPriceTable(chargers)
+        got = table.charger_prices(np.array(totals), j)
+        assert same_bits(got, [chargers[j].price_for_stored(t) for t in totals])
+        assert same_bits(got, table.prices(np.array(totals), np.full(len(totals), j)))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        chargers=charger_sets(),
         demands=st.lists(
             st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e5)),
             min_size=1,

@@ -33,7 +33,10 @@ from repro.service import (
     ServiceConfig,
 )
 from repro.service.admission import REASON_CHARGER_FAILED
+from repro.service.loadgen import generate_keyed_requests
+from repro.service.plan import IncrementalPlanner
 from repro.core.costsharing import EgalitarianSharing, ProportionalSharing
+from repro.faults import FaultPlan, apply_event, merge_timeline
 from repro.wpt import Charger
 
 CONFIG = ServiceConfig(epoch=60.0, window=120.0)
@@ -320,3 +323,95 @@ class TestFaultRecovery:
         rec.drain()
         rec.journal.close()
         assert path.read_bytes() == raw
+
+
+class TestEngineIdentity:
+    """The daemon is the same program on either scan engine.
+
+    A journaled, snapshotting kernel under a seeded fault plan (charger
+    outages, cancels, no-shows, deadlines) runs once with the planner's
+    object scans and once with its array scans.  The run repairs after
+    folds, expiries and removals, evicts devices whose ceilings the
+    surviving chargers cannot meet, and (proportional sharing at
+    ``tol=0``) leaves a violator an ulp above its quote at its best
+    singleton, which the next repair must recheck.  Journal and snapshot
+    bytes, final schedule, metrics and planner tallies must be equal.
+    """
+
+    def _run(self, tmp_path, monkeypatch, engine, scheme, seed):
+        monkeypatch.setenv("CCS_ENGINE", engine)
+        chargers = [
+            Charger(
+                charger_id=f"c{j}",
+                position=Point(15.0 + 35.0 * (j % 3), 15.0 + 35.0 * (j // 3)),
+                capacity=2,
+            )
+            for j in range(6)
+        ]
+        requests = generate_keyed_requests(
+            150, 0.2, seed, deadline_slack=300.0, max_price_factor=1.5
+        )
+        plan = FaultPlan.generate(
+            seed,
+            charger_ids=[c.charger_id for c in chargers],
+            requests=requests,
+            outage_prob=0.8,
+            mean_outage=600.0,
+            cancel_prob=0.2,
+            no_show_prob=0.1,
+            journal_faults=0,
+        )
+        lingered = []
+        repair = IncrementalPlanner._repair
+
+        def watched(planner):
+            evicted = repair(planner)
+            lingered.append(bool(planner._over))
+            return evicted
+
+        monkeypatch.setattr(IncrementalPlanner, "_repair", watched)
+        directory = tmp_path / engine
+        directory.mkdir()
+        svc = ChargingService(
+            chargers,
+            scheme=scheme,
+            config=ServiceConfig(epoch=60.0, window=120.0, tol=0.0),
+            journal_path=directory / "svc.jsonl",
+            journal_sync=False,
+            snapshot_every=150,
+        )
+        assert svc.planner.engine == engine
+        for item in merge_timeline(requests, plan):
+            apply_event(svc, item)
+        svc.drain()
+        svc.journal.close()
+        files = {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+        return svc, files, any(lingered)
+
+    @pytest.mark.parametrize(
+        "scheme", [EgalitarianSharing(), ProportionalSharing()],
+        ids=["egalitarian", "proportional"],
+    )
+    def test_object_and_array_daemons_are_byte_identical(
+        self, tmp_path, monkeypatch, scheme
+    ):
+        obj, obj_files, obj_lingered = self._run(
+            tmp_path, monkeypatch, "object", scheme, seed=3
+        )
+        arr, arr_files, arr_lingered = self._run(
+            tmp_path, monkeypatch, "array", scheme, seed=3
+        )
+        assert any(".snap-" in name for name in arr_files)
+        assert arr_files == obj_files
+        assert arr.final_schedule() == obj.final_schedule()
+        assert arr.metrics_snapshot() == obj.metrics_snapshot()
+        assert arr.planner.ops == obj.planner.ops
+        # What the run must cover for the comparison to mean something.
+        counters = arr.metrics_snapshot()["counters"]
+        journal = arr_files["svc.jsonl"].decode()
+        assert '"cause":"ceiling"' in journal  # a repair evicted a device
+        assert counters["cancelled"] > 0 and counters["evacuated"] > 0
+        if isinstance(scheme, EgalitarianSharing):
+            assert counters["expired.plan"] > 0
+        else:
+            assert arr_lingered and obj_lingered

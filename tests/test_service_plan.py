@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core import CCSInstance, Device
-from repro.core.costsharing import EgalitarianSharing
+from repro.core.costsharing import EgalitarianSharing, ProportionalSharing
 from repro.geometry import Point
 from repro.service import GrowableCoalitionStructure, IncrementalPlanner, PlanInstance
 from repro.wpt import Charger
@@ -223,3 +223,126 @@ class TestIncrementality:
         assert planner.ops["insert_candidates"] <= 25 * (25 + 3)
         assert planner.ops["full_solves"] == 0
         assert live >= 1
+
+
+class TestDirtyRepair:
+    """Repair rechecks only what changed, and finds the same violators.
+
+    The structure records the coalitions it writes
+    (``take_dirty``); the planner's violator check reads their members
+    plus the previous check's violators.  It must return exactly what a
+    scan of every placed device returns, including a violator that the
+    last repair left in place (a proportional singleton an ulp above its
+    quote at ``tol=0``).
+    """
+
+    def test_structure_reports_written_coalitions_once(self):
+        plan = PlanInstance(make_chargers())
+        st = GrowableCoalitionStructure(plan, EgalitarianSharing())
+        for d in spread_devices(4, seed=2):
+            st.register_device(plan.add_device(d))
+        a = st.place(0, None, 0).cid
+        b = st.place(1, None, 1).cid
+        st.place(2, a, 0)
+        assert st.take_dirty() == {a, b}
+        assert st.take_dirty() == set()
+        st.move(1, a, 0)  # b dies: only a is live and written
+        assert st.take_dirty() == {a}
+        c = st.place(3, None, 2).cid
+        st.retire(c)
+        assert st.take_dirty() == set()
+
+    @staticmethod
+    def _checked(monkeypatch):
+        """Make every violator check also run the full scan it replaces."""
+        seen = []
+        check = IncrementalPlanner._violators
+
+        def compared(planner):
+            got = check(planner)
+            st = planner.structure
+            full = [
+                d for d in planner.active_indices()
+                if st.individual_cost(d) > planner.ceiling[d] + planner.tol
+            ]
+            assert got == full
+            seen.append(got)
+            return got
+
+        monkeypatch.setattr(IncrementalPlanner, "_violators", compared)
+        return seen
+
+    @pytest.mark.parametrize("engine", ["object", "array"])
+    def test_lingering_violator_is_rechecked(self, monkeypatch, engine):
+        seen = self._checked(monkeypatch)
+        # One slot per charger: nobody can join the lone device.
+        chargers = [
+            Charger(
+                charger_id=f"c{j}", position=Point(20.0 + 60 * j, 20.0 + 60 * j),
+                capacity=1,
+            )
+            for j in range(2)
+        ]
+        planner = IncrementalPlanner(
+            chargers, scheme=ProportionalSharing(), tol=0.0, engine=engine
+        )
+        # Alone at its quote charger, this device's proportional share
+        # (price * d / d) rounds one ulp above the price, so its cost
+        # exceeds its quote and no move can fix it.
+        lone = Device(
+            "lone", Point(74.18019946425606, 75.36688171196079),
+            demand=23955.416146884505,
+        )
+        quote, _ = planner.quote(lone)
+        first = planner.add(lone, quote)
+        planner.fold([first])
+        assert planner.individual_cost(first) > quote
+        assert seen[-1] == [first]
+        # Later folds and removals write other coalitions only; the
+        # lingering device must stay on every check's list.
+        for k, d in enumerate(spread_devices(6, seed=3)):
+            cost, _ = planner.quote(d)
+            index = planner.add(d, cost)
+            planner.fold([index])
+            assert first in seen[-1]
+            if k % 2:
+                planner.remove(index)
+                assert first in seen[-1]
+
+    @pytest.mark.parametrize("engine", ["object", "array"])
+    def test_dirty_checks_match_full_scans_through_faults(self, monkeypatch, engine):
+        seen = self._checked(monkeypatch)
+        rng = np.random.default_rng(11)
+        chargers = [
+            Charger(
+                charger_id=f"c{j}",
+                position=Point(float(rng.uniform(0, 100)), float(rng.uniform(0, 100))),
+                capacity=2,
+            )
+            for j in range(4)
+        ]
+        planner = IncrementalPlanner(
+            chargers, scheme=ProportionalSharing(), tol=0.0, engine=engine
+        )
+        evicted = []
+        for step in range(40):
+            batch = []
+            for d in spread_devices(int(rng.integers(1, 6)), seed=100 + step):
+                d = Device(f"s{step}-{d.device_id}", d.position, d.demand)
+                cost, _ = planner.quote(d)  # one charger always stays up
+                batch.append(planner.add(d, cost))
+            evicted += planner.fold(batch)[1]
+            placed = planner.active_indices()
+            if placed and rng.random() < 0.5:
+                evicted += planner.remove(placed[int(rng.integers(len(placed)))])
+            if planner.live_cids() and rng.random() < 0.3:
+                planner.retire(planner.live_cids()[0])
+            j = int(rng.integers(len(chargers)))
+            if rng.random() < 0.2 and len(planner.available_chargers()) > 1:
+                planner.fail_charger(j)
+                planner.evacuate_charger(j)
+            elif not planner.is_available(j):
+                planner.restore_charger(j)
+        assert len(seen) > 40
+        assert any(seen), "the walk never produced a violator"
+        assert evicted, "the walk never evicted a device"
