@@ -28,16 +28,18 @@ no submodular minimization — which is why CCSGA is the fast, large-scale
 algorithm in the paper's comparison (reproduced by the Fig 9 benchmark).
 
 **Engines.**  The dynamics always walk one
-:class:`~repro.game.coalition.CoalitionStructure`; the ``engine``
-parameter (or the ``CCS_ENGINE`` environment variable) picks how each
-device's best move is found:
+:class:`~repro.game.coalition.CoalitionStructure` through
+:func:`~repro.game.switching.best_response_sweep`, the sweep the service
+planner also runs; the ``engine`` parameter (or the ``CCS_ENGINE``
+environment variable) picks how the sweep finds best moves:
 
 - ``"object"`` — ``rule.best_move``, a Python loop over the candidates;
   the reference implementation, and the only one for Shapley sharing
   and custom rules.
 - ``"array"`` — :class:`~repro.game.arraycore.StructureArrayView`, which
-  scores every candidate with numpy ops over the structure's packed
-  rows; ~10-40x more share evaluations per second at n >= 5,000.
+  scores a segment of devices' candidates with numpy ops over the
+  structure's packed rows; ~10-40x more share evaluations per second at
+  n >= 5,000.
 - ``"auto"`` (default) — array when the scheme/rule/instance support it
   (the two paper schemes with the two built-in rules), object otherwise.
 
@@ -60,6 +62,7 @@ from ..game import (
     SociallyAwareSwitch,
     StructureArrayView,
     SwitchRule,
+    best_response_sweep,
     engine_supported,
     is_nash_equilibrium,
 )
@@ -203,14 +206,9 @@ def ccsga(
             order = [int(i) for i in generator.permutation(instance.n_devices)]
         else:
             order = list(range(instance.n_devices))
-        for device in order:
-            if view is None:
-                move = rule.best_move(structure, device)
-            else:
-                move = view.best_move(device, rule)
-            if move is None:
-                continue
-            structure.move(device, move.target, move.charger)
+        # Most devices move in the early sweeps and nobody in the last, so
+        # segments start at one row and double while nobody moves.
+        for _ in best_response_sweep(structure, rule, order, 1, view):
             switches += 1
             switched_this_sweep = True
             trace.record(structure.total_cost)

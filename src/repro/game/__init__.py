@@ -17,6 +17,7 @@ from .switching import (
     SociallyAwareSwitch,
     SwitchMove,
     SwitchRule,
+    best_response_sweep,
     candidate_moves,
 )
 
@@ -29,6 +30,7 @@ __all__ = [
     "SwitchRule",
     "SelfishSwitch",
     "SociallyAwareSwitch",
+    "best_response_sweep",
     "candidate_moves",
     "is_nash_equilibrium",
     "blocking_moves",

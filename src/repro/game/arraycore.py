@@ -45,11 +45,11 @@ That is why
   unique per candidate, so both find the same winner in any row order).
 
 The kernel scores a whole list of devices at once (``first_move``: one
-row per device) and reports the first row with a permitted move; the
-one-device ``best_move`` is its one-row case.  ``ccsga(engine="array")``
-runs its sweeps through it, and the service's incremental planner runs
-its improvement and repair scans through it, a segment of devices per
-numpy pass.  The planner's inserts go through :class:`InsertBatch`,
+row per device) and reports the first row with a permitted move.
+:func:`~repro.game.switching.best_response_sweep` calls it once per
+segment of a sweep, for ``ccsga(engine="array")`` and for the service
+planner's improvement and repair passes alike.  The planner's inserts
+go through :class:`InsertBatch`,
 which scores a fold's devices once and rescores one packed row per
 placement; the one-device ``best_insert`` is its one-device case.
 
@@ -430,9 +430,9 @@ class StructureArrayView:
     Reads the structure's packed rows (and caches what it derives from
     them on the structure until its next mutation), so every scan
     returns bitwise-identical moves to ``rule.best_move`` on the
-    structure.  ``ccsga(engine="array")`` sweeps with it; the service's
-    incremental planner runs its insert, improvement and repair scans
-    through it.
+    structure.  :func:`~repro.game.switching.best_response_sweep` scores
+    its segments with :meth:`first_move`; the service's incremental
+    planner also runs its inserts through :meth:`insert_batch`.
     """
 
     def __init__(self, structure: CoalitionStructure):
@@ -472,14 +472,6 @@ class StructureArrayView:
             np.array([coalitions[of_device[d]].row for d in devices], dtype=np.int64),
             rule,
         )
-
-    def best_move(self, device: int, rule: SwitchRule) -> Optional[SwitchMove]:
-        """Vectorized ``rule.best_move(structure, device)`` (bit-identical).
-
-        The one-row case of :meth:`first_move`.
-        """
-        hit = self.first_move((device,), rule)
-        return None if hit is None else hit[1]
 
     def insert_batch(self, devices: Sequence[int]) -> InsertBatch:
         """The insert scans of *devices* (unplaced), to be placed in order."""

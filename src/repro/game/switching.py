@@ -23,17 +23,24 @@ current coalition is computed once per device and reused across every
 contemplated destination, each *join* is priced with a single tariff
 evaluation on the target's cached aggregates, and the found-a-singleton
 scan reads one precomputed row of the singleton-cost matrix.
+
+:func:`best_response_sweep` is the one loop that plays a rule, for
+``ccsga`` and the service planner alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Tuple
 
 from ..numeric import DEFAULT_REL_TOL
 from .coalition import CoalitionStructure
 
-__all__ = ["SwitchMove", "SwitchRule", "SelfishSwitch", "SociallyAwareSwitch"]
+if TYPE_CHECKING:  # pragma: no cover - type-only; arraycore imports this module
+    from .arraycore import StructureArrayView
+
+__all__ = ["SwitchMove", "SwitchRule", "SelfishSwitch", "SociallyAwareSwitch",
+           "best_response_sweep"]
 
 
 @dataclass(frozen=True)
@@ -197,12 +204,6 @@ class SwitchRule:
             return None
         return SwitchMove(device, best[0], best[1], best[2], best[3])
 
-    @staticmethod
-    def _better(a: SwitchMove, b: SwitchMove) -> bool:
-        key_a = (a.own_delta, a.target is None, a.charger, a.target if a.target is not None else -1)
-        key_b = (b.own_delta, b.target is None, b.charger, b.target if b.target is not None else -1)
-        return key_a < key_b
-
 
 class SelfishSwitch(SwitchRule):
     """Permit any move that strictly lowers the device's own cost."""
@@ -246,3 +247,43 @@ class SociallyAwareSwitch(SwitchRule):
         total_delta: float,
     ) -> bool:
         return own_delta < -self.tol and total_delta < -self.tol
+
+
+def best_response_sweep(
+    structure: CoalitionStructure,
+    rule: SwitchRule,
+    order: Sequence[int],
+    first: int,
+    view: Optional["StructureArrayView"] = None,
+) -> Iterator[Tuple[int, SwitchMove]]:
+    """One round-robin best-response pass over the devices in *order*.
+
+    Each device in turn plays ``rule.best_move``; every permitted move is
+    applied with ``structure.move``, then yielded as ``(position, move)``.
+    Devices are scored a segment at a time (one ``view.first_move`` call,
+    or a ``rule.best_move`` loop without a *view*): nothing changes
+    between two devices of a segment, so the moves are a one-device
+    loop's.  The first segment has *first* rows, one after a move-free
+    segment is twice as long, and a move restarts at *first*.
+    ``first=len(order)`` scores the rest of the list per call; ``first=1``
+    suits passes where most devices move, and crosses a move-free
+    stretch of ``r`` rows in about ``log2(r)`` calls.
+    """
+    first = max(first, 1)
+    pos, size = 0, first
+    while pos < len(order):
+        segment = order[pos : pos + size]
+        if view is not None:
+            hit = view.first_move(segment, rule)
+        else:
+            moves = (rule.best_move(structure, device) for device in segment)
+            hit = next(((at, move) for at, move in enumerate(moves) if move is not None), None)
+        if hit is None:
+            pos += len(segment)
+            size *= 2
+            continue
+        at, move = hit
+        structure.move(move.device, move.target, move.charger)
+        pos += at + 1
+        size = first
+        yield pos - 1, move

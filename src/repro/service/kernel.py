@@ -956,9 +956,7 @@ class ChargingService:
         self.metrics.gauge("live_coalitions").set(self.planner.structure.n_coalitions)
         self.metrics.gauge("charging_sessions").set(len(self._completions))
         self.metrics.gauge("evacuating").set(len(self._evacuating))
-        self.metrics.gauge("chargers_available").set(
-            len(self.planner.available_chargers())
-        )
+        self.metrics.gauge("chargers_available").set(self.planner.instance.n_available)
         self.metrics.gauge("clock").set(self.clock.now)
 
     def request_state(self, request_id: str) -> str:

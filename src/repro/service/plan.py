@@ -23,10 +23,11 @@ ever re-solving from scratch:
   socially-aware improvement pass over the touched neighborhood, then
   *repair* individual rationality so no member's comprehensive cost
   ever exceeds its admission quote, rechecking only the coalitions
-  written since the last repair.  The repair always terminates: a
-  device's best singleton cost equals its quote and is independent of
-  everyone else, so forcing a persistent violator into a singleton pins
-  it at the quote forever.  With charger
+  written since the last repair (both passes run ``ccsga``'s
+  :func:`~repro.game.switching.best_response_sweep`).  The repair always
+  terminates: a device's best singleton cost equals its quote and is
+  independent of everyone else, so forcing a persistent violator into a
+  singleton pins it at the quote forever.  With charger
   *outages* (see :mod:`repro.faults`) that singleton may be gone; repair
   then **evicts** the unrepairable device instead of overcharging it,
   and the kernel re-quotes it against its original ceiling at the next
@@ -40,7 +41,7 @@ by the total number of requests ever served.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -50,7 +51,7 @@ from ..core.costsharing import CostSharingScheme, EgalitarianSharing
 from ..errors import ConfigurationError, ServiceError
 from ..game.arraycore import StructureArrayView
 from ..game.coalition import CoalitionStructure, _device_token
-from ..game.switching import SelfishSwitch, SociallyAwareSwitch, SwitchMove, SwitchRule
+from ..game.switching import SelfishSwitch, SociallyAwareSwitch, best_response_sweep
 from ..mobility import LinearMobility, MobilityModel
 from ..numeric import DEFAULT_REL_TOL, is_exact_zero
 from ..wpt import Charger, ChargerPriceTable
@@ -236,13 +237,11 @@ class PlanInstance:
             if len(quotable) == len(self.chargers)
             else np.array(quotable, dtype=np.int64)
         )
+        #: How many chargers are up.
+        self.n_available = self._up.count(True)
         self.availability_mask = (
             None if all(self._up) else np.array(self._up, dtype=bool)
         )
-
-    def available_chargers(self) -> List[int]:
-        """Sorted indices of the currently available chargers."""
-        return [j for j in range(len(self.chargers)) if self._up[j]]
 
     # ------------------------------------------------------------------ #
     # growth
@@ -584,7 +583,7 @@ class IncrementalPlanner:
 
     def available_chargers(self) -> List[int]:
         """Sorted indices of the currently available chargers."""
-        return self.instance.available_chargers()
+        return [j for j in range(self.instance.n_chargers) if self.is_available(j)]
 
     def evacuate_charger(self, charger: int) -> List[int]:
         """Retire every coalition bound to a (failed) charger.
@@ -658,53 +657,6 @@ class IncrementalPlanner:
                 best_key, best = key, (None, j)
         return best
 
-    def _first_move(
-        self, rule: SwitchRule, devices: Sequence[int]
-    ) -> Optional[Tuple[int, SwitchMove]]:
-        """First of *devices* with a permitted move, via the active engine.
-
-        Returns ``(position, move)`` or ``None``.  The array engine scores
-        all the devices in one pass; the object engine scans them one by
-        one.  Either way the move is bitwise ``rule.best_move``'s.
-        """
-        if self._view is not None:
-            return self._view.first_move(devices, rule)
-        for at, device in enumerate(devices):
-            move = rule.best_move(self.structure, device)
-            if move is not None:
-                return at, move
-        return None
-
-    def _sweep(self, rule: SwitchRule, order: List[int], tally: str) -> Iterator[int]:
-        """One best-response pass over *order*; yields each device it moves.
-
-        Equivalent to scanning the devices one at a time and applying
-        each permitted best move as it is found, but scored a segment at
-        a time: one :meth:`_first_move` over the rest of the list, apply
-        the hit, resume after it.  Nothing changes the structure between
-        the devices of one segment, so every scan sees exactly the
-        structure the one-at-a-time loop would, and the
-        ``scan_candidates`` tally (one per coalition and charger per
-        scanned device) is counted per segment.  The caller sees each
-        move right after it is applied.
-        """
-        st = self.structure
-        per_scan = self.instance.n_chargers
-        pos = 0
-        while pos < len(order):
-            hit = self._first_move(rule, order[pos:])
-            if hit is None:
-                self.ops["scan_candidates"] += (len(order) - pos) * (
-                    st.n_coalitions + per_scan
-                )
-                return
-            at, move = hit
-            self.ops["scan_candidates"] += (at + 1) * (st.n_coalitions + per_scan)
-            st.move(move.device, move.target, move.charger)
-            self.ops[tally] += 1
-            yield move.device
-            pos += at + 1
-
     def fold(self, indices: Sequence[int]) -> Tuple[Dict[int, int], List[int]]:
         """Fold a batch of registered devices into the live structure.
 
@@ -756,14 +708,22 @@ class IncrementalPlanner:
         cap them at :attr:`improvement_sweeps`.  Grows *touched* in place
         (destination coalitions join the neighborhood).
         """
-        st = self.structure
+        st, per_scan = self.structure, self.instance.n_chargers
         for _ in range(self.improvement_sweeps):
-            moved = False
             order = [d for d in sorted(touched) if st.is_placed(d)]
-            for device in self._sweep(self._social, order, "moves"):
-                moved = True
-                touched |= st.coalition_of(device).members
-            if not moved:
+            # Each call scores the rest of the list: most devices stay.
+            # ``scan_candidates`` counts a candidate per coalition and per
+            # charger for each scanned device; coalitions change at moves.
+            scanned, width = 0, st.n_coalitions + per_scan
+            for at, move in best_response_sweep(
+                st, self._social, order, len(order), self._view
+            ):
+                self.ops["scan_candidates"] += (at + 1 - scanned) * width
+                scanned, width = at + 1, st.n_coalitions + per_scan
+                self.ops["moves"] += 1
+                touched |= st.coalition_of(move.device).members
+            self.ops["scan_candidates"] += (len(order) - scanned) * width
+            if not scanned:
                 break
 
     def _violators(self) -> List[int]:
@@ -815,17 +775,22 @@ class IncrementalPlanner:
         then touched, not the size of the live plan.
         """
         st, inst = self.structure, self.instance
+        per_scan = inst.n_chargers
         evicted: List[int] = []
         for _ in range(self.repair_rounds):
             violators = self._violators()
             if not violators:
                 return evicted
-            # Nearly every violator has a selfish move, so the pass scans
-            # them one at a time: a segment over the rest of the list
-            # would be rescored after almost every device.
-            for device in violators:
-                for _ in self._sweep(self._selfish, [device], "repair_moves"):
-                    pass
+            # Nearly every violator has a selfish move, so segments start
+            # at one row.
+            scanned, width = 0, st.n_coalitions + per_scan
+            for at, _move in best_response_sweep(
+                st, self._selfish, violators, 1, self._view
+            ):
+                self.ops["scan_candidates"] += (at + 1 - scanned) * width
+                scanned, width = at + 1, st.n_coalitions + per_scan
+                self.ops["repair_moves"] += 1
+            self.ops["scan_candidates"] += (len(violators) - scanned) * width
         while True:
             violators = self._violators()
             if not violators:

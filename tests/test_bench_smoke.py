@@ -103,7 +103,7 @@ def test_fold_sweep_scores_a_segment_per_kernel_call(monkeypatch):
     multiplies the count without any wall-time signal; this pins it.
     """
     from repro.game import SociallyAwareSwitch, StructureArrayView
-    from repro.service import IncrementalPlanner
+    from repro.service import plan
 
     planner, admit = _grid_planner(seed=0)
     indices = admit(40)
@@ -118,24 +118,51 @@ def test_fold_sweep_scores_a_segment_per_kernel_call(monkeypatch):
         return hit
 
     sweeps = []
-    sweep = IncrementalPlanner._sweep
+    sweep = plan.best_response_sweep
 
-    def counted_sweep(self, rule, order, tally):
-        sweeps.append([tally, 0])
-        for device in sweep(self, rule, order, tally):
+    def counted_sweep(structure, rule, order, first, view=None):
+        sweeps.append([rule, 0])
+        for hit in sweep(structure, rule, order, first, view):
             sweeps[-1][1] += 1
-            yield device
+            yield hit
 
     monkeypatch.setattr(StructureArrayView, "first_move", counted)
-    monkeypatch.setattr(IncrementalPlanner, "_sweep", counted_sweep)
+    monkeypatch.setattr(plan, "best_response_sweep", counted_sweep)
     planner.fold(indices)
 
-    improve = [moves for tally, moves in sweeps if tally == "moves"]
+    improve = [moves for rule, moves in sweeps if isinstance(rule, SociallyAwareSwitch)]
     assert improve == [10, 4]
     assert sum(calls) == 80  # two full sweeps scan 80 devices...
     # ...in 15 calls: one per move, plus the second sweep's tail (the
     # first sweep's last move is on its last device).
     assert len(calls) == 15 <= len(improve) + sum(improve)
+
+
+@pytest.mark.bench_smoke
+def test_ccsga_array_sweeps_double_their_segments(monkeypatch):
+    """Batch ``ccsga`` scores a sweep in segments that double while nobody moves.
+
+    n=300, m=10: 250 switches in 2 sweeps.  Segments start at one device
+    and restart there after each move, so the first sweep costs about a
+    call per move, and the last (move-free) sweep about log2(300) calls.
+    A one-device-per-call loop makes 600 calls (one per device per
+    sweep) with no wall-time signal at this size; this pins the count.
+    """
+    from repro.game import StructureArrayView
+
+    calls = []
+    first_move = StructureArrayView.first_move
+
+    def counted(view, devices, rule):
+        calls.append(len(devices))
+        return first_move(view, devices, rule)
+
+    monkeypatch.setattr(StructureArrayView, "first_move", counted)
+    instance = quick_instance(300, 10, seed=2021, capacity=6, side=100.0)
+    result = ccsga(instance, certify=False, engine="array")
+    assert (result.switches, result.sweeps) == (250, 2)
+    assert sum(calls) >= 300 * result.sweeps  # every device is scanned
+    assert len(calls) == 295
 
 
 @pytest.mark.bench_smoke

@@ -13,11 +13,12 @@ cost to the last bit, the same Zobrist hash.  Four layers enforce it:
    both engines run CCSGA to convergence and must agree exactly.
 3. **Packed-row fuzz**: one live service structure is driven through
    random place / move / remove / retire steps and charger outages;
-   after every step each placed device's vectorized ``best_move`` and
+   after every step each placed device's one-row ``first_move`` and
    each unplaced device's ``best_insert`` must equal the object scans
    bitwise, and ``check_invariants`` audits every packed row against
    its coalition; a fold's batched insert must choose the object
-   scan's placement at every step.
+   scan's placement at every step; and ``best_response_sweep`` must
+   make a one-device loop's moves for every segment length.
 4. **Engine-knob semantics**: resolution rules, the environment
    variable, unsupported-combination errors, and planner parity.
 """
@@ -40,6 +41,7 @@ from repro.game import (
     SelfishSwitch,
     SociallyAwareSwitch,
     StructureArrayView,
+    best_response_sweep,
     engine_supported,
     is_nash_equilibrium,
 )
@@ -141,7 +143,10 @@ def test_array_certificate_adds_no_scan(monkeypatch):
     calls.clear()
     certified = ccsga(instance, certify=True, engine="array")
     assert certified.nash_certified and not plain.nash_certified
-    assert len(calls) == uncertified == 60 * certified.sweeps
+    # Segments double while nobody moves: 64 calls for 50 switches in 2
+    # sweeps, not one call per device per sweep.
+    assert (certified.switches, certified.sweeps) == (50, 2)
+    assert len(calls) == uncertified == 64
 
 
 # --------------------------------------------------------------------- #
@@ -231,10 +236,16 @@ def _targets(structure, device, n_chargers):
     return joins + singles
 
 
+def _best_move(view, device, rule):
+    """The vectorized ``rule.best_move``: a one-row ``first_move``."""
+    hit = view.first_move((device,), rule)
+    return None if hit is None else hit[1]
+
+
 def _scans(view, structure, devices):
     """Every vectorized scan result over *devices*, for comparison."""
     return [
-        view.best_move(d, rule) if structure.is_placed(d) else view.best_insert(d)
+        _best_move(view, d, rule) if structure.is_placed(d) else view.best_insert(d)
         for d in devices
         for rule in RULES
     ]
@@ -301,7 +312,7 @@ class TestLockstepState:
             structure.check_invariants()
             for device in sorted(structure._of_device):
                 for rule in RULES:
-                    assert view.best_move(device, rule) == rule.best_move(
+                    assert _best_move(view, device, rule) == rule.best_move(
                         structure, device
                     )
             for device in range(inst.n_devices):
@@ -352,9 +363,88 @@ class TestLockstepState:
                 # the moves before it rewrote.
                 for device in range(instance.n_devices):
                     expected = rule.best_move(structure, device)
-                    assert view.best_move(device, rule) == expected
+                    assert _best_move(view, device, rule) == expected
                     if expected is not None:
                         structure.move(device, expected.target, expected.charger)
+
+
+class TestBestResponseSweep:
+    """``best_response_sweep`` plays the moves of a plain one-device loop
+    over ``rule.best_move``, on either engine and whatever its first
+    segment: the same ``(position, move)`` sequence, the same total-cost
+    bits and the same candidate tally (one per live coalition and per
+    charger for each scanned device), with down chargers and unbounded
+    capacity in the mix."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        scheme=st.sampled_from(sorted(SCHEMES)),
+        rule=st.sampled_from(RULES),
+        capacity=st.sampled_from([None, 1, 2, 3]),
+        n_chargers=st.integers(1, 4),
+        n=st.integers(1, 14),
+        down=st.lists(st.booleans(), min_size=4, max_size=4),
+        seed=st.integers(0, 2**16),
+    )
+    def test_every_segment_policy_matches_a_one_device_loop(
+        self, scheme, rule, capacity, n_chargers, n, down, seed
+    ):
+        def build():
+            """A random live structure, some chargers down, and a visit
+            order that goes round twice (the second round mostly idle)."""
+            rng = np.random.default_rng(seed)
+            chargers = [
+                Charger(
+                    charger_id=f"c{j}",
+                    position=Point(float(rng.uniform(0, 100)), float(rng.uniform(0, 100))),
+                    capacity=capacity,
+                )
+                for j in range(n_chargers)
+            ]
+            planner = IncrementalPlanner(chargers, scheme=SCHEMES[scheme], engine="object")
+            structure = planner.structure
+            for k in range(n):
+                device = planner.add(
+                    Device(
+                        device_id=f"d{k}",
+                        position=Point(
+                            float(rng.uniform(0, 100)), float(rng.uniform(0, 100))
+                        ),
+                        demand=float(rng.uniform(5e3, 60e3)),
+                        moving_rate=float(rng.uniform(0.01, 0.2)),
+                    ),
+                    0.0,
+                )
+                targets = _targets(structure, device, n_chargers)
+                structure.place(device, *targets[int(rng.integers(len(targets)))])
+            for j in range(n_chargers):
+                planner.instance.set_available(j, not down[j])
+            visit = [int(d) for d in rng.permutation(n)]
+            return structure, visit + visit
+
+        structure, order = build()
+        moves, candidates = [], 0
+        for at, device in enumerate(order):
+            candidates += structure.n_coalitions + n_chargers
+            move = rule.best_move(structure, device)
+            if move is not None:
+                structure.move(device, move.target, move.charger)
+                moves.append((at, move))
+        reference = (moves, structure.total_cost.hex(), candidates)
+
+        for engine in ("object", "array"):
+            for first in (1, 2, len(order)):
+                structure, order = build()
+                view = StructureArrayView(structure) if engine == "array" else None
+                moves, candidates = [], 0
+                scanned, width = 0, structure.n_coalitions + n_chargers
+                for at, move in best_response_sweep(structure, rule, order, first, view):
+                    candidates += (at + 1 - scanned) * width
+                    scanned, width = at + 1, structure.n_coalitions + n_chargers
+                    moves.append((at, move))
+                candidates += (len(order) - scanned) * width
+                assert (moves, structure.total_cost.hex(), candidates) == reference
+                structure.check_invariants()
 
 
 # --------------------------------------------------------------------- #
