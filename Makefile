@@ -130,10 +130,11 @@ e2e-smoke:
 		echo "$$out" | tail -n 1 | grep -q '"correct": true' || exit 1; \
 	done
 
-# The heavy randomized chaos suite (hundreds of hypothesis examples);
-# excluded from tier-1 by the `chaos` marker.
+# The heavy randomized chaos suites (hundreds of hypothesis examples, the
+# kernel's and the shard supervisor's); excluded from tier-1 by the
+# `chaos` marker.
 chaos:
-	$(PYTHON) -m pytest -q -m chaos tests/test_faults_chaos.py
+	$(PYTHON) -m pytest -q -m chaos tests/test_faults_chaos.py tests/test_shard_supervisor.py
 
 # Regenerate the pinned CCSGA dynamics goldens (only after an intentional
 # behaviour change to the game dynamics).

@@ -51,7 +51,7 @@ segment of a sweep, for ``ccsga(engine="array")`` and for the service
 planner's improvement and repair passes alike.  The planner's inserts
 go through :class:`InsertBatch`,
 which scores a fold's devices once and rescores one packed row per
-placement; the one-device ``best_insert`` is its one-device case.
+placement.
 
 dtype discipline: everything float64 / int64; narrowing dtypes and
 unordered reductions in this module are rejected by ccs-lint rule
@@ -476,10 +476,3 @@ class StructureArrayView:
     def insert_batch(self, devices: Sequence[int]) -> InsertBatch:
         """The insert scans of *devices* (unplaced), to be placed in order."""
         return InsertBatch(self.structure, self._rows(), self._solo, devices)
-
-    def best_insert(self, device: int) -> Optional[Tuple[Optional[int], int]]:
-        """Vectorized planner insert scan: cheapest placement for *device*.
-
-        The one-device case of :meth:`insert_batch`.
-        """
-        return self.insert_batch((device,)).choice(0)

@@ -52,15 +52,20 @@ Request lifecycle with the failure states::
                                        ├> REJECTED (charger_failed)
                                        └> EXPIRED / CANCELLED
 
+Every early exit from a live state (``REJECTED``, ``EXPIRED``,
+``CANCELLED``) goes through one method, :meth:`ChargingService._finish`.
+
 Durability: every transition is appended to a checksummed JSONL journal;
 an input is durable when its call returns, and its records share one
 fsync.
 ``submit``/``advance``/``drain``/``charger_down``/``charger_up``/``cancel``
-records are the *inputs*; :meth:`recover` replays them through a fresh
-kernel, re-deriving everything else, and atomically rewrites the journal
-to the canonical form — after which re-feeding the original stream
-(idempotent per request id, per fault-event key) converges on the exact
-bytes an uninterrupted run would have produced.
+records are the *inputs*; :meth:`recover` restores the newest usable
+snapshot and replays the inputs after it (all of them when no snapshot
+is usable), re-deriving everything else and checking each record it
+writes against the journal on disk, in place: it cuts a torn tail and
+renames nothing.  Re-feeding the original stream afterwards (idempotent
+per request id, per fault-event key) converges on the exact bytes an
+uninterrupted run would have produced.
 """
 
 from __future__ import annotations
@@ -77,10 +82,8 @@ from typing import (
 
 import numpy as np
 
-from ..core import Device
 from ..core.costsharing import CostSharingScheme, EgalitarianSharing
 from ..errors import ConfigurationError, RecoveryError, ReplayDivergenceError, ServiceError, SnapshotError
-from ..geometry import Point
 from ..io import POSIX, Storage
 from ..mobility import MobilityModel
 from ..wpt import Charger
@@ -357,36 +360,19 @@ class ChargingService:
             quote, quote_charger = self.planner.quote(request.device, rows)
         except ServiceError:
             # Every charger is down: nothing can even quote this device.
-            record.state = RequestState.REJECTED
-            record.reason = REASON_CHARGER_FAILED
-            self._journal(
-                "reject",
-                now,
-                {"id": request.request_id, "reason": REASON_CHARGER_FAILED},
-            )
-            self.metrics.counter("rejected").inc()
-            self.metrics.counter(f"rejected.{REASON_CHARGER_FAILED}").inc()
-            self._update_gauges()
-            self._maybe_snapshot()
-            return record.state
-        record.quote, record.quote_charger = quote, quote_charger
-        duplicate = request.device.device_id in self._live_devices
-        decision = self.admission.decide(
-            request,
-            now=now,
-            queue_depth=len(self._queue),
-            active_devices=len(self._rid_of_index) + len(self._queue),
-            quote=quote,
-            duplicate=duplicate,
-        )
-        if not decision:
-            record.state = RequestState.REJECTED
-            record.reason = decision.reason
-            self._journal(
-                "reject", now, {"id": request.request_id, "reason": decision.reason}
-            )
-            self.metrics.counter("rejected").inc()
-            self.metrics.counter(f"rejected.{decision.reason}").inc()
+            reason: Optional[str] = REASON_CHARGER_FAILED
+        else:
+            record.quote, record.quote_charger = quote, quote_charger
+            reason = self.admission.decide(
+                request,
+                now=now,
+                queue_depth=len(self._queue),
+                active_devices=len(self._rid_of_index) + len(self._queue),
+                quote=quote,
+                duplicate=request.device.device_id in self._live_devices,
+            ).reason
+        if reason is not None:
+            self._finish(record, RequestState.REJECTED, reason, now)
         else:
             record.state = RequestState.ADMITTED
             self._queue.append(request.request_id)
@@ -440,23 +426,7 @@ class ChargingService:
         reconstructs the same key.  A no-op (not journaled) while the
         charger is already down.  Returns whether the outage was applied.
         """
-        j = self._charger_of(charger_id)
-        raw = self.clock.now if at is None else float(at)
-        t = max(raw, self.clock.now)
-        key = ("charger_down", charger_id, raw)
-        if key in self._fault_keys or not self.planner.is_available(j):
-            return False
-        self._advance_to(t)
-        self._fault_keys.add(key)
-        self._journal("charger_down", t, {"charger": charger_id, "at": raw})
-        self.metrics.counter("charger_failures").inc()
-        self.planner.fail_charger(j)
-        self._avail_dirty = True
-        for index in self.planner.evacuate_charger(j):
-            self._evacuate(index, t, cause=charger_id)
-        self._update_gauges()
-        self._maybe_snapshot()
-        return True
+        return self._charger_input(charger_id, at, up=False)
 
     @_durable_input
     def restore_charger(self, charger_id: str, at: Optional[float] = None) -> bool:
@@ -467,17 +437,30 @@ class ChargingService:
         (terminal states never un-happen).  Idempotent like
         :meth:`fail_charger`; returns whether the recovery was applied.
         """
+        return self._charger_input(charger_id, at, up=True)
+
+    def _charger_input(self, charger_id: str, at: Optional[float], up: bool) -> bool:
+        """The body of :meth:`fail_charger` (``up=False``) and
+        :meth:`restore_charger` (``up=True``)."""
         j = self._charger_of(charger_id)
         raw = self.clock.now if at is None else float(at)
         t = max(raw, self.clock.now)
-        key = ("charger_up", charger_id, raw)
-        if key in self._fault_keys or self.planner.is_available(j):
+        event = "charger_up" if up else "charger_down"
+        key = (event, charger_id, raw)
+        if key in self._fault_keys or self.planner.is_available(j) == up:
             return False
         self._advance_to(t)
         self._fault_keys.add(key)
-        self._journal("charger_up", t, {"charger": charger_id, "at": raw})
-        self.metrics.counter("charger_recoveries").inc()
-        self.planner.restore_charger(j)
+        self._journal(event, t, {"charger": charger_id, "at": raw})
+        if up:
+            self.metrics.counter("charger_recoveries").inc()
+            self.planner.restore_charger(j)
+        else:
+            self.metrics.counter("charger_failures").inc()
+            self.planner.fail_charger(j)
+            self._avail_dirty = True
+            for index in self.planner.evacuate_charger(j):
+                self._evacuate(index, t, cause=charger_id)
         self._update_gauges()
         self._maybe_snapshot()
         return True
@@ -508,11 +491,7 @@ class ChargingService:
         raw = self.clock.now if at is None else float(at)
         t = max(raw, self.clock.now)
         key = ("cancel", request_id, raw)
-        if key in self._fault_keys:
-            return record.state
-        if record.state == RequestState.CHARGING or (
-            record.state in RequestState.TERMINAL
-        ):
+        if key in self._fault_keys or record.state not in RequestState.LIVE:
             return record.state
         self._advance_to(t)
         self._fault_keys.add(key)
@@ -523,29 +502,13 @@ class ChargingService:
         # Boundary processing during the advance may have resolved the
         # request (expired, departed); then the cancel came too late and
         # changes nothing.
-        if record.state == RequestState.CHARGING or (
-            record.state in RequestState.TERMINAL
-        ):
+        if record.state not in RequestState.LIVE:
             return record.state
         if record.state == RequestState.ADMITTED:
             self._queue.remove(request_id)
-            self._queued_rows.pop(request_id, None)
         elif record.state == RequestState.EVACUATING:
             self._evacuating.remove(request_id)
-            if record.device_index is not None:
-                self.planner.ceiling.pop(record.device_index, None)
-        elif record.state == RequestState.GROUPED:
-            index = record.device_index
-            assert index is not None
-            del self._rid_of_index[index]
-            evicted = self.planner.remove(index)
-            for other in evicted:
-                self._evacuate(other, t, cause="ceiling")
-        self._release_device(record)
-        record.state = RequestState.CANCELLED
-        record.reason = reason
-        self.metrics.counter("cancelled").inc()
-        self.metrics.counter(f"cancelled.{reason}").inc()
+        self._finish(record, RequestState.CANCELLED, reason, t)
         self._update_gauges()
         self._maybe_snapshot()
         return record.state
@@ -569,6 +532,40 @@ class ChargingService:
         self._evacuating.append(rid)
         self._journal("evacuate", t, {"id": rid, "cause": cause})
         self.metrics.counter("evacuated").inc()
+
+    def _finish(self, record: RequestRecord, state: str, reason: str, t: float) -> None:
+        """The one early exit: *record* ends ``REJECTED``, ``EXPIRED`` or
+        ``CANCELLED`` with *reason* at time *t*.
+
+        A planned request leaves the plan (its ceiling with it); any other
+        drops its ceiling.  Its queued rows go, and a live request frees
+        its device.  A rejection or expiry journals its own record (a
+        cancel's record is its input) before the survivors the plan's
+        repair evicted are evacuated.  The caller takes the request out of
+        ``_queue``/``_evacuating``, which expiry filters in one pass.
+        """
+        rid = record.request.request_id
+        index = record.device_index
+        evicted: List[int] = []
+        if record.state == RequestState.GROUPED:
+            assert index is not None
+            del self._rid_of_index[index]
+            evicted = self.planner.remove(index)
+        elif index is not None:
+            self.planner.ceiling.pop(index, None)
+        self._queued_rows.pop(rid, None)
+        if record.state in RequestState.LIVE:
+            self._release_device(record)
+        record.state = state
+        record.reason = reason
+        if state == RequestState.REJECTED:
+            self._journal("reject", t, {"id": rid, "reason": reason})
+        elif state == RequestState.EXPIRED:
+            self._journal("expire", t, {"id": rid, "where": reason})
+        self.metrics.counter(state).inc()
+        self.metrics.counter(f"{state}.{reason}").inc()
+        for other in evicted:
+            self._evacuate(other, t, cause="ceiling")
 
     def _advance_to(self, to: float) -> None:
         """Advance without journaling (``submit``/``drain`` carry their own
@@ -759,8 +756,7 @@ class ChargingService:
             record = self.requests[rid]
             deadline = record.request.deadline
             if deadline is not None and deadline <= boundary + _TIME_EPS:
-                self._queued_rows.pop(rid, None)
-                self._expire(record, boundary, where="queue")
+                self._finish(record, RequestState.EXPIRED, "queue", boundary)
             else:
                 still_queued.append(rid)
         self._queue = still_queued
@@ -771,18 +767,14 @@ class ChargingService:
         # still be met by departing at that boundary, which happens first).
         horizon = boundary + self.config.epoch - _TIME_EPS
         for index in self.planner.active_indices():
-            if index not in self._rid_of_index:
+            rid = self._rid_of_index.get(index)
+            if rid is None:
                 # Evicted by a repair cascade earlier in this sweep.
                 continue
-            rid = self._rid_of_index[index]
             record = self.requests[rid]
             deadline = record.request.deadline
             if deadline is not None and deadline < horizon:
-                del self._rid_of_index[index]
-                evicted = self.planner.remove(index)
-                self._expire(record, boundary, where="plan")
-                for other in evicted:
-                    self._evacuate(other, boundary, cause="ceiling")
+                self._finish(record, RequestState.EXPIRED, "plan", boundary)
         # Evacuated requests wait for the fold below; one that cannot make
         # any future departure is doomed just like a planned one.
         still_evacuating: List[str] = []
@@ -790,22 +782,10 @@ class ChargingService:
             record = self.requests[rid]
             deadline = record.request.deadline
             if deadline is not None and deadline < horizon:
-                if record.device_index is not None:
-                    self.planner.ceiling.pop(record.device_index, None)
-                self._expire(record, boundary, where="evacuating")
+                self._finish(record, RequestState.EXPIRED, "evacuating", boundary)
             else:
                 still_evacuating.append(rid)
         self._evacuating = still_evacuating
-
-    def _expire(self, record: RequestRecord, boundary: float, where: str) -> None:
-        self._release_device(record)
-        record.state = RequestState.EXPIRED
-        record.reason = where
-        self._journal(
-            "expire", boundary, {"id": record.request.request_id, "where": where}
-        )
-        self.metrics.counter("expired").inc()
-        self.metrics.counter(f"expired.{where}").inc()
 
     def _requote_holds(
         self,
@@ -827,20 +807,6 @@ class ChargingService:
             return False
         return quote <= record.quote + self.planner.tol
 
-    def _reject_charger_failed(self, record: RequestRecord, t: float) -> None:
-        """Terminal rejection of an admitted request after an outage."""
-        if record.device_index is not None:
-            self.planner.ceiling.pop(record.device_index, None)
-        self._release_device(record)
-        record.state = RequestState.REJECTED
-        record.reason = REASON_CHARGER_FAILED
-        self._journal(
-            "reject", t,
-            {"id": record.request.request_id, "reason": REASON_CHARGER_FAILED},
-        )
-        self.metrics.counter("rejected").inc()
-        self.metrics.counter(f"rejected.{REASON_CHARGER_FAILED}").inc()
-
     def _fold(self, boundary: float) -> None:
         evacuees, self._evacuating = self._evacuating, []
         queued, self._queue = self._queue, []
@@ -855,7 +821,9 @@ class ChargingService:
             if self._requote_holds(record, rows):
                 batch.append((rid, True))
             else:
-                self._reject_charger_failed(record, boundary)
+                self._finish(
+                    record, RequestState.REJECTED, REASON_CHARGER_FAILED, boundary
+                )
         check_queue = self._avail_dirty
         self._avail_dirty = False
         for rid in queued:
@@ -864,7 +832,9 @@ class ChargingService:
             # shrank since they were issued; recoveries can only make
             # quotes cheaper.
             if check_queue and not self._requote_holds(record, queued_rows.get(rid)):
-                self._reject_charger_failed(record, boundary)
+                self._finish(
+                    record, RequestState.REJECTED, REASON_CHARGER_FAILED, boundary
+                )
             else:
                 batch.append((rid, False))
         if batch:
@@ -1019,7 +989,13 @@ class ChargingService:
         meaningful at a quiescent point (between input events).
         """
         st = self.planner.structure
-        inst = self.planner.instance
+        requests = [record.to_dict() for record in self.requests.values()]
+        # The fold plans each request's own device, so the planner's
+        # devices are the records' devices, each at its record's index.
+        devices: List[Any] = [None] * self.planner.instance.n_devices
+        for entry in requests:
+            if entry["device_index"] is not None:
+                devices[entry["device_index"]] = entry["request"]["device"]
         return {
             "open": self._open_payload(),
             "clock": self.clock.now,
@@ -1035,35 +1011,10 @@ class ChargingService:
                 [i, rid] for i, rid in sorted(self._rid_of_index.items())
             ],
             "fault_keys": sorted(list(key) for key in self._fault_keys),
-            "requests": [
-                {
-                    "request": record.request.to_dict(),
-                    "state": record.state,
-                    "quote": record.quote,
-                    "quote_charger": record.quote_charger,
-                    "reason": record.reason,
-                    "device_index": record.device_index,
-                    "grouped_at": record.grouped_at,
-                    "departed_at": record.departed_at,
-                    "completed_at": record.completed_at,
-                    "session_seq": record.session_seq,
-                    "realized_cost": record.realized_cost,
-                }
-                for record in self.requests.values()
-            ],
+            "requests": requests,
             "planner": {
-                "devices": [
-                    {
-                        "id": d.device_id,
-                        "x": float(d.position.x),
-                        "y": float(d.position.y),
-                        "demand": float(d.demand),
-                        "moving_rate": float(d.moving_rate),
-                        "speed": float(d.speed),
-                    }
-                    for d in inst.devices
-                ],
-                "up": list(inst._up),
+                "devices": devices,
+                "up": list(self.planner.instance._up),
                 "ceiling": [
                     [i, c] for i, c in sorted(self.planner.ceiling.items())
                 ],
@@ -1091,21 +1042,22 @@ class ChargingService:
         only irreducible history is copied verbatim, with the structure's
         accumulated ``_total_cost`` overwritten last because ``+=``/``-=``
         history makes it bit-different from a fresh recomputation.  Every device
-        is priced at once, as one matrix (``PlanInstance.add_devices``).
+        is priced at once, as one matrix (``PlanInstance.add_devices``); the
+        planner's devices are the records' own, as in the live run.
         """
         planner_state = state["planner"]
         inst = self.planner.instance
         st = self.planner.structure
-        devices = [
-            Device(
-                device_id=dev["id"],
-                position=Point(float(dev["x"]), float(dev["y"])),
-                demand=float(dev["demand"]),
-                moving_rate=float(dev["moving_rate"]),
-                speed=float(dev["speed"]),
-            )
-            for dev in planner_state["devices"]
-        ]
+        self.requests = {}
+        self._live_devices = {}
+        devices: List[Any] = [None] * len(planner_state["devices"])
+        for entry in state["requests"]:
+            record = RequestRecord.from_dict(entry)
+            self.requests[record.request.request_id] = record
+            if record.state in RequestState.LIVE:
+                self._hold_device(record)
+            if record.device_index is not None:
+                devices[record.device_index] = record.request.device
         for index in inst.add_devices(devices):
             st.register_device(index)
         for j, up in enumerate(planner_state["up"]):
@@ -1137,25 +1089,6 @@ class ChargingService:
             (str(event), str(target), float(t))
             for event, target, t in state["fault_keys"]
         }
-        self.requests = {}
-        for entry in state["requests"]:
-            record = RequestRecord(ChargingRequest.from_dict(entry["request"]))
-            record.state = entry["state"]
-            record.quote = entry["quote"]
-            record.quote_charger = entry["quote_charger"]
-            record.reason = entry["reason"]
-            record.device_index = entry["device_index"]
-            record.grouped_at = entry["grouped_at"]
-            record.departed_at = entry["departed_at"]
-            record.completed_at = entry["completed_at"]
-            record.session_seq = entry["session_seq"]
-            record.realized_cost = entry["realized_cost"]
-            self.requests[record.request.request_id] = record
-        self._live_devices = {}
-        for rid in (
-            self._queue + self._evacuating + list(self._rid_of_index.values())
-        ):
-            self._hold_device(self.requests[rid])
         self.metrics.restore(state["metrics"])
         self._update_gauges()
 

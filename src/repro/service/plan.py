@@ -632,8 +632,8 @@ class IncrementalPlanner:
     def _object_best_insert(self, device: int) -> Optional[Tuple[Optional[int], int]]:
         """The object insert scan: ``(target cid or None, charger)`` or ``None``.
 
-        The reference the array engine's ``best_insert`` matches bit for
-        bit.  Tie-breaks mirror the switch rules: cheaper first, then
+        The reference the array engine's ``insert_batch`` choices match
+        bit for bit.  Tie-breaks mirror the switch rules: cheaper first, then
         joins over singletons, then lower charger, then lower cid.
         """
         st, inst = self.structure, self.instance

@@ -20,7 +20,9 @@ acceptable price.  The kernel tracks each request through the lifecycle::
 
 Requests serialize to plain JSON (:meth:`ChargingRequest.to_dict` /
 :meth:`ChargingRequest.from_dict`) because submissions are exactly what
-the durable journal must replay to reconstruct a killed daemon.
+the durable journal must replay to reconstruct a killed daemon.  The
+kernel's per-request records have their one codec here too
+(:meth:`RequestRecord.to_dict`), for its snapshots.
 """
 
 from __future__ import annotations
@@ -54,6 +56,9 @@ class RequestState:
 
     #: States a request can never leave.
     TERMINAL = frozenset({DONE, REJECTED, EXPIRED, CANCELLED})
+    #: States that hold the device in service and can still exit early
+    #: (rejected, expired or cancelled) before charging starts.
+    LIVE = frozenset({ADMITTED, GROUPED, EVACUATING})
 
 
 @dataclass(frozen=True)
@@ -172,6 +177,38 @@ class RequestRecord:
         self.completed_at: Optional[float] = None
         self.session_seq: Optional[int] = None
         self.realized_cost: Optional[float] = None
+
+    def to_dict(self) -> Dict[str, Any]:
+        """Plain-JSON form, as kernel snapshots store it."""
+        return {
+            "request": self.request.to_dict(),
+            "state": self.state,
+            "quote": self.quote,
+            "quote_charger": self.quote_charger,
+            "reason": self.reason,
+            "device_index": self.device_index,
+            "grouped_at": self.grouped_at,
+            "departed_at": self.departed_at,
+            "completed_at": self.completed_at,
+            "session_seq": self.session_seq,
+            "realized_cost": self.realized_cost,
+        }
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, Any]) -> "RequestRecord":
+        """Inverse of :meth:`to_dict`."""
+        record = cls(ChargingRequest.from_dict(data["request"]))
+        record.state = data["state"]
+        record.quote = data["quote"]
+        record.quote_charger = data["quote_charger"]
+        record.reason = data["reason"]
+        record.device_index = data["device_index"]
+        record.grouped_at = data["grouped_at"]
+        record.departed_at = data["departed_at"]
+        record.completed_at = data["completed_at"]
+        record.session_seq = data["session_seq"]
+        record.realized_cost = data["realized_cost"]
+        return record
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

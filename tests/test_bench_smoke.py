@@ -173,7 +173,7 @@ def test_fold_scores_its_inserts_as_one_batch(monkeypatch):
     in one tariff call (``ChargerPriceTable.prices``) and, after each
     placement, rescores the one coalition it wrote for the devices still
     pending (``ChargerPriceTable.charger_prices``).  A fallback to a
-    scan per device would show as B tariff calls and B ``best_insert``
+    scan per device would show as B tariff calls and B ``insert_batch``
     scans, with no wall-time signal at this size; this pins it.
     """
     from repro.game import StructureArrayView
@@ -184,11 +184,11 @@ def test_fold_scores_its_inserts_as_one_batch(monkeypatch):
     planner.fold(admit(20))
     batch = admit(40)
 
-    counts = {"prices": 0, "charger_prices": 0, "best_insert": 0}
+    counts = {"prices": 0, "charger_prices": 0, "insert_batch": 0}
     for owner, name in (
         (ChargerPriceTable, "prices"),
         (ChargerPriceTable, "charger_prices"),
-        (StructureArrayView, "best_insert"),
+        (StructureArrayView, "insert_batch"),
     ):
         raw = getattr(owner, name)
 
@@ -210,7 +210,7 @@ def test_fold_scores_its_inserts_as_one_batch(monkeypatch):
     inserts = at_improve["counts"]
     assert inserts["prices"] == 1
     assert 0 < inserts["charger_prices"] <= len(batch) - 1
-    assert inserts["best_insert"] == 0
+    assert inserts["insert_batch"] == 1
 
 
 @pytest.mark.bench_smoke

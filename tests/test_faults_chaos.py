@@ -10,8 +10,13 @@ the kernel and asserts, after *every* injected event:
    aggregates, fingerprints, and Zobrist hash match a from-scratch
    recomputation (``check_invariants``).
 3. **Bookkeeping**: the kernel's request-to-plan maps mirror the
-   structure's placements exactly.
-4. **Terminality**: after ``drain()`` every request is terminal.
+   structure's placements exactly, and the lifecycle containers mirror
+   the records' states: price ceilings are held by exactly the grouped
+   and evacuating requests, the queue is the admitted requests in
+   submit order, the evacuation list is the evacuating ones, and the
+   device holds count the live requests per device.
+4. **Terminality**: after ``drain()`` every request is terminal and no
+   price ceiling is left.
 5. **Durability**: the journal replays byte-identically from any
    truncation point, and the shard supervisor's crash → recover →
    re-feed loop, driving a one-shard facade under injected journal
@@ -23,6 +28,8 @@ The quick versions run in tier-1; the ``chaos``-marked heavy versions
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -86,6 +93,20 @@ def assert_invariants(svc):
         if record.state == RequestState.EVACUATING:
             assert rid in svc._evacuating
             assert record.device_index not in placed
+    records = svc.requests.values()
+    held = {
+        r.device_index for r in records
+        if r.state in (RequestState.GROUPED, RequestState.EVACUATING)
+    }
+    assert set(svc.planner.ceiling) == held
+    admitted = [rid for rid, r in svc.requests.items() if r.state == RequestState.ADMITTED]
+    assert svc._queue == admitted
+    evacuating = [rid for rid, r in svc.requests.items() if r.state == RequestState.EVACUATING]
+    assert sorted(svc._evacuating) == sorted(evacuating)
+    live = Counter(
+        r.request.device.device_id for r in records if r.state in RequestState.LIVE
+    )
+    assert svc._live_devices == dict(live)
 
 
 class TestInvariantsUnderChaos:
@@ -101,6 +122,7 @@ class TestInvariantsUnderChaos:
             assert_invariants(svc)
         svc.drain()
         assert_invariants(svc)
+        assert not svc.planner.ceiling
         for rid, record in svc.requests.items():
             assert record.state in RequestState.TERMINAL, (rid, record.state)
 
@@ -121,6 +143,7 @@ class TestInvariantsUnderChaos:
             assert_invariants(svc)
         svc.drain()
         assert_invariants(svc)
+        assert not svc.planner.ceiling
         for record in svc.requests.values():
             assert record.state in RequestState.TERMINAL
 

@@ -14,10 +14,10 @@ cost to the last bit, the same Zobrist hash.  Four layers enforce it:
 3. **Packed-row fuzz**: one live service structure is driven through
    random place / move / remove / retire steps and charger outages;
    after every step each placed device's one-row ``first_move`` and
-   each unplaced device's ``best_insert`` must equal the object scans
-   bitwise, and ``check_invariants`` audits every packed row against
-   its coalition; a fold's batched insert must choose the object
-   scan's placement at every step; and ``best_response_sweep`` must
+   each unplaced device's one-device ``insert_batch`` must equal the
+   object scans bitwise, and ``check_invariants`` audits every packed
+   row against its coalition; a fold's batched insert must choose the
+   object scan's placement at every step; and ``best_response_sweep`` must
    make a one-device loop's moves for every segment length.
 4. **Engine-knob semantics**: resolution rules, the environment
    variable, unsupported-combination errors, and planner parity.
@@ -245,7 +245,9 @@ def _best_move(view, device, rule):
 def _scans(view, structure, devices):
     """Every vectorized scan result over *devices*, for comparison."""
     return [
-        _best_move(view, d, rule) if structure.is_placed(d) else view.best_insert(d)
+        _best_move(view, d, rule)
+        if structure.is_placed(d)
+        else view.insert_batch((d,)).choice(0)
         for d in devices
         for rule in RULES
     ]
@@ -317,9 +319,8 @@ class TestLockstepState:
                     )
             for device in range(inst.n_devices):
                 if not structure.is_placed(device):
-                    assert view.best_insert(device) == planner._object_best_insert(
-                        device
-                    )
+                    choice = view.insert_batch((device,)).choice(0)
+                    assert choice == planner._object_best_insert(device)
         # A snapshot restore re-creates the coalitions in cid order, so its
         # rows are ordered differently from the live (swap-removed) ones:
         # no scan may notice.

@@ -238,6 +238,34 @@ class TestEvacuationExpiry:
         svc.advance(180.0)
         assert svc.request_state("r1") == RequestState.EXPIRED
 
+    def test_evacuating_request_expires_and_drops_its_ceiling(self, tmp_path):
+        # Grouped at 60, evacuated at 130: the boundary at 180 cannot fold
+        # it in time for a departure by its deadline, so it expires from
+        # the evacuation list, and its price ceiling goes with it.
+        path = tmp_path / "svc.jsonl"
+        svc = service(journal_path=path)
+        svc.submit(request("r1", t=5.0, deadline=180.0))
+        svc.advance(60.0)
+        assert svc.request_state("r1") == RequestState.GROUPED
+        index = svc.requests["r1"].device_index
+        assert index in svc.planner.ceiling
+        svc.fail_charger("c0", at=130.0)
+        assert svc.request_state("r1") == RequestState.EVACUATING
+        svc.advance(180.0)
+        record = svc.requests["r1"]
+        assert (record.state, record.reason) == (RequestState.EXPIRED, "evacuating")
+        svc.journal.close()
+        events = [(r["event"], r["t"], r["data"]) for r in Journal.read(path).records]
+        down = [e for e, _t, _d in events].index("charger_down")
+        assert events[down + 1:] == [
+            ("evacuate", 130.0, {"id": "r1", "cause": "c0"}),
+            ("advance", 180.0, {}),
+            ("expire", 180.0, {"id": "r1", "where": "evacuating"}),
+        ]
+        assert svc.metrics_snapshot()["counters"]["expired.evacuating"] == 1
+        assert index not in svc.planner.ceiling
+        assert svc.counts()[RequestState.EXPIRED] == 1
+
 
 class TestBoundaryOrder:
     def test_epoch_steps_run_in_pinned_order(self, monkeypatch):
