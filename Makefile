@@ -10,7 +10,7 @@ JOBS ?= 1
 # Task-result cache directory used by run-all (re-runs resume from it).
 CACHE_DIR ?= .ccs-bench-cache
 
-.PHONY: test lint typecheck bench bench-smoke bench-hotpath bench-large bench-exec bench-recovery golden golden-experiments run-all serve-smoke chaos-smoke chaos shard-smoke recovery-smoke e2e-smoke
+.PHONY: test lint typecheck bench bench-smoke bench-hotpath bench-large bench-exec bench-recovery golden golden-experiments fixture-journal-v1 run-all serve-smoke chaos-smoke chaos shard-smoke recovery-smoke e2e-smoke
 
 # Tier-1 gate: the full unit/property/golden suite.
 test:
@@ -145,3 +145,9 @@ golden:
 # intentional behaviour change to the experiments or their seeds).
 golden-experiments:
 	$(PYTHON) tests/fixtures/capture_experiments_golden.py
+
+# Regenerate the pinned on-disk format fixture tests/fixtures/journal_v1/
+# (only after an intentional change to what the service writes; check
+# that `git diff --stat` shows only the files the change meant to alter).
+fixture-journal-v1:
+	$(PYTHON) tests/fixtures/capture_journal_v1.py

@@ -129,11 +129,6 @@ class CoalitionStructure:
         self._next_cid = 0
         self._total_cost = 0.0
         self._zhash = 0
-        # Mutation counter: bumped once per public mutation (``move`` and
-        # the service plan's ``place`` / ``remove`` / ``retire``).  No
-        # scan reads it; it stays because the service kernel's ``state()``
-        # pins it into every snapshot, which must stay byte-identical.
-        self._version = 0
         # Packed rows ``[0:_k]``, one per live coalition (see module docs).
         alloc = max(16, instance.n_devices)
         self._k = 0
@@ -472,7 +467,6 @@ class CoalitionStructure:
             self._create(charger, {device})
         else:
             self._join(dest, device)
-        self._version += 1
 
     # ------------------------------------------------------------------ #
     # export / verification

@@ -989,13 +989,6 @@ class ChargingService:
         meaningful at a quiescent point (between input events).
         """
         st = self.planner.structure
-        requests = [record.to_dict() for record in self.requests.values()]
-        # The fold plans each request's own device, so the planner's
-        # devices are the records' devices, each at its record's index.
-        devices: List[Any] = [None] * self.planner.instance.n_devices
-        for entry in requests:
-            if entry["device_index"] is not None:
-                devices[entry["device_index"]] = entry["request"]["device"]
         return {
             "open": self._open_payload(),
             "clock": self.clock.now,
@@ -1011,9 +1004,9 @@ class ChargingService:
                 [i, rid] for i, rid in sorted(self._rid_of_index.items())
             ],
             "fault_keys": sorted(list(key) for key in self._fault_keys),
-            "requests": requests,
+            "requests": [record.to_row() for record in self.requests.values()],
             "planner": {
-                "devices": devices,
+                "n_devices": self.planner.instance.n_devices,
                 "up": list(self.planner.instance._up),
                 "ceiling": [
                     [i, c] for i, c in sorted(self.planner.ceiling.items())
@@ -1026,7 +1019,6 @@ class ChargingService:
                 ],
                 "next_cid": st._next_cid,
                 "total_cost": st._total_cost,
-                "version": st._version,
             },
             "metrics": self.metrics.state(),
         }
@@ -1050,9 +1042,9 @@ class ChargingService:
         st = self.planner.structure
         self.requests = {}
         self._live_devices = {}
-        devices: List[Any] = [None] * len(planner_state["devices"])
-        for entry in state["requests"]:
-            record = RequestRecord.from_dict(entry)
+        devices: List[Any] = [None] * int(planner_state["n_devices"])
+        for row in state["requests"]:
+            record = RequestRecord.from_row(row)
             self.requests[record.request.request_id] = record
             if record.state in RequestState.LIVE:
                 self._hold_device(record)
@@ -1067,7 +1059,6 @@ class ChargingService:
             st._create(int(charger), set(int(i) for i in members))
         st._next_cid = int(planner_state["next_cid"])
         st._total_cost = float(planner_state["total_cost"])
-        st._version = int(planner_state["version"])
         self.planner.ceiling = {
             int(i): float(c) for i, c in planner_state["ceiling"]
         }

@@ -444,7 +444,6 @@ class GrowableCoalitionStructure(CoalitionStructure):
             if dest.charger != charger:
                 raise ValueError("target coalition is bound to a different charger")
             self._join(dest, device)
-        self._version += 1
         return dest
 
     def remove(self, device: int) -> int:
@@ -458,7 +457,6 @@ class GrowableCoalitionStructure(CoalitionStructure):
         """
         src = self.coalition_of(device)
         self._leave(src, device)
-        self._version += 1
         return src.cid
 
     def retire(self, cid: int):
@@ -473,7 +471,6 @@ class GrowableCoalitionStructure(CoalitionStructure):
         self._total_cost -= coalition.group_cost
         for i in sorted(coalition.members):
             del self._of_device[i]
-        self._version += 1
         return coalition
 
 

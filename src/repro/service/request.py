@@ -21,21 +21,31 @@ acceptable price.  The kernel tracks each request through the lifecycle::
 Requests serialize to plain JSON (:meth:`ChargingRequest.to_dict` /
 :meth:`ChargingRequest.from_dict`) because submissions are exactly what
 the durable journal must replay to reconstruct a killed daemon.  The
-kernel's per-request records have their one codec here too
-(:meth:`RequestRecord.to_dict`), for its snapshots.
+kernel's per-request records have their one codec here too: a snapshot
+stores each record as one flat row of scalars (:meth:`RequestRecord.to_row`),
+laid out by :data:`RECORD_COLUMNS`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..core import Device
 from ..errors import ConfigurationError
 from ..geometry import Point
 
-__all__ = ["RequestState", "ChargingRequest", "RequestRecord"]
+__all__ = ["RequestState", "ChargingRequest", "RequestRecord", "RECORD_COLUMNS"]
+
+#: The snapshot row of one :class:`RequestRecord`, column by column: the
+#: request's terms, its device, then the record's mutable slots.
+RECORD_COLUMNS = (
+    "id", "t", "deadline", "max_price",
+    "device_id", "x", "y", "demand", "moving_rate", "speed",
+    "state", "quote", "quote_charger", "reason", "device_index",
+    "grouped_at", "departed_at", "completed_at", "session_seq", "realized_cost",
+)
 
 
 class RequestState:
@@ -178,36 +188,69 @@ class RequestRecord:
         self.session_seq: Optional[int] = None
         self.realized_cost: Optional[float] = None
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-JSON form, as kernel snapshots store it."""
-        return {
-            "request": self.request.to_dict(),
-            "state": self.state,
-            "quote": self.quote,
-            "quote_charger": self.quote_charger,
-            "reason": self.reason,
-            "device_index": self.device_index,
-            "grouped_at": self.grouped_at,
-            "departed_at": self.departed_at,
-            "completed_at": self.completed_at,
-            "session_seq": self.session_seq,
-            "realized_cost": self.realized_cost,
-        }
+    def to_row(self) -> List[Any]:
+        """One flat row of JSON scalars in :data:`RECORD_COLUMNS` order, as
+        kernel snapshots store it (the request's floats coerced as in
+        :meth:`ChargingRequest.to_dict`)."""
+        request = self.request
+        device = request.device
+        return [
+            request.request_id,
+            float(request.submitted_at),
+            None if request.deadline is None else float(request.deadline),
+            None if request.max_price is None else float(request.max_price),
+            device.device_id,
+            float(device.position.x),
+            float(device.position.y),
+            float(device.demand),
+            float(device.moving_rate),
+            float(device.speed),
+            self.state,
+            self.quote,
+            self.quote_charger,
+            self.reason,
+            self.device_index,
+            self.grouped_at,
+            self.departed_at,
+            self.completed_at,
+            self.session_seq,
+            self.realized_cost,
+        ]
 
     @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "RequestRecord":
-        """Inverse of :meth:`to_dict`."""
-        record = cls(ChargingRequest.from_dict(data["request"]))
-        record.state = data["state"]
-        record.quote = data["quote"]
-        record.quote_charger = data["quote_charger"]
-        record.reason = data["reason"]
-        record.device_index = data["device_index"]
-        record.grouped_at = data["grouped_at"]
-        record.departed_at = data["departed_at"]
-        record.completed_at = data["completed_at"]
-        record.session_seq = data["session_seq"]
-        record.realized_cost = data["realized_cost"]
+    def from_row(cls, row: Sequence[Any]) -> "RequestRecord":
+        """Inverse of :meth:`to_row`."""
+        (
+            request_id, t, deadline, max_price,
+            device_id, x, y, demand, moving_rate, speed,
+            state, quote, quote_charger, reason, device_index,
+            grouped_at, departed_at, completed_at, session_seq, realized_cost,
+        ) = row
+        record = cls(
+            ChargingRequest(
+                request_id=request_id,
+                device=Device(
+                    device_id=device_id,
+                    position=Point(float(x), float(y)),
+                    demand=float(demand),
+                    moving_rate=float(moving_rate),
+                    speed=float(speed),
+                ),
+                submitted_at=float(t),
+                deadline=deadline,
+                max_price=max_price,
+            )
+        )
+        record.state = state
+        record.quote = quote
+        record.quote_charger = quote_charger
+        record.reason = reason
+        record.device_index = device_index
+        record.grouped_at = grouped_at
+        record.departed_at = departed_at
+        record.completed_at = completed_at
+        record.session_seq = session_seq
+        record.realized_cost = realized_cost
         return record
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

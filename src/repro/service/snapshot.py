@@ -2,13 +2,20 @@
 
 A snapshot is one JSON document pinned to a journal seq::
 
-    {"schema": 1, "seq": 1200, "sha": "…16 hex…", "state": {...}}
+    {"schema": 2, "seq": 1200, "sha": "…16 hex…", "state": {...,
+        "planner": {..., "n_devices": 197, ...},
+        "requests": [["r000171", 294.1, 1079.0, 4060.5, "d000171", 52.9,
+                      37.2, 23350.3, 0.05, 1.0, "grouped", 3744.4, 6, null,
+                      171, 300.0, null, null, null, null], ...], ...}}
 
 ``seq`` means: this state is what replaying journal records ``0..seq-1``
 produces, so recovery can load the snapshot and replay only the suffix
 ``seq..``.  ``sha`` is a truncated SHA-256 over the canonical JSON of the
 document minus the ``sha`` field (the same canonicalization as journal
 records), so torn or bit-flipped snapshots are detected, not trusted.
+Each request record is one flat row laid out by
+:data:`~repro.service.request.RECORD_COLUMNS`, and the planner keeps only
+its device count: the devices are the records' own.
 
 Like a journal record, a snapshot costs one JSON encoding: when the plain
 dump is canonical the file is the hashed body with the ``"sha"`` field
@@ -55,7 +62,9 @@ __all__ = [
 
 #: Snapshot document version; bump on state-layout changes.  A mismatch is
 #: a :class:`SnapshotError` (fall back to replay), never a best-effort read.
-SNAPSHOT_SCHEMA = 1
+#: Schema 2 stores each request record as one flat row and the planner's
+#: device count instead of its devices; schema 1 files are not read.
+SNAPSHOT_SCHEMA = 2
 
 #: Hex digits of SHA-256 kept per snapshot (matches the journal's).
 _SHA_LEN = 16

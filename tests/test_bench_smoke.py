@@ -243,3 +243,34 @@ def test_remove_rechecks_only_the_changed_coalition(monkeypatch):
     assert planner.remove(device) == []
     assert planner.ops["repair_moves"] == repairs
     assert checked == survivors
+
+
+#: Bytes of the snapshot below under schema 1, which stored each request
+#: record as three nested dicts and every planned device a second time.
+SCHEMA1_SNAPSHOT_BYTES = 710_711
+
+
+@pytest.mark.bench_smoke
+def test_snapshot_stores_each_record_as_one_flat_row(tmp_path):
+    """Bytes, not time: a 1,200-request kernel's snapshot stays within half
+    its schema-1 size (schema 2 writes 297,415 bytes here).  Records
+    stored as dicts again, or the planner's devices stored again, break
+    the ceiling."""
+    from repro.cli import _grid_chargers
+    from repro.geometry import Field
+    from repro.service import ChargingService, ServiceConfig, generate_requests
+
+    requests = generate_requests(1200, rate=0.5, field=Field(100.0, 100.0), rng=29)
+    service = ChargingService(
+        _grid_chargers(16, 100.0), config=ServiceConfig(),
+        journal_path=tmp_path / "j.jsonl", journal_sync=False,
+    )
+    for request in requests:
+        service.submit(request)
+    size = service.write_snapshot().stat().st_size
+    service.journal.close()
+    assert len(service.requests) >= 1000
+    assert size <= SCHEMA1_SNAPSHOT_BYTES // 2, (
+        f"snapshot of {len(service.requests)} records is {size} bytes, over "
+        f"half the schema-1 size ({SCHEMA1_SNAPSHOT_BYTES})"
+    )

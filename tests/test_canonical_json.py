@@ -181,7 +181,7 @@ class TestByteVerifiedReads:
     def test_snapshot_file_is_the_legacy_document(self, tmp_path):
         state = {"b": [1, 2.5], "a": {"k": "v"}}
         path = write_snapshot(tmp_path / "j.jsonl", 3, state)
-        doc = {"schema": 1, "seq": 3, "state": state}
+        doc = {"schema": 2, "seq": 3, "state": state}
         doc["sha"] = _snapshot_checksum(doc)
         want = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
         assert path.read_text(encoding="utf-8") == want

@@ -16,6 +16,9 @@ The contract under test (docs/RECOVERY.md):
    :class:`~repro.errors.RecoveryError`, not silent data loss.
 5. **Torn tails**: recovery counts dropped bytes in an operational
    counter and emits a structured ``journal.torn_tail`` log line.
+6. **Layout**: each request record is one flat row of
+   :data:`~repro.service.request.RECORD_COLUMNS` scalars, and a snapshot
+   of an older schema is never read: recovery falls back past it.
 """
 
 from __future__ import annotations
@@ -24,13 +27,19 @@ import json
 import logging
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core import Device
 from repro.errors import RecoveryError, SnapshotError
+from repro.experiments.exec.task import canonical_json
 from repro.geometry import Point
 from repro.service import (
+    ChargingRequest,
     ChargingService,
     Journal,
     Metrics,
+    RequestRecord,
+    RequestState,
     ServiceConfig,
     SNAPSHOT_SCHEMA,
     generate_requests,
@@ -40,6 +49,8 @@ from repro.service import (
     snapshot_path,
     write_snapshot,
 )
+from repro.service.journal import sealed_json
+from repro.service.request import RECORD_COLUMNS
 from repro.service.snapshot import _snapshot_checksum
 from repro.wpt import Charger
 
@@ -280,3 +291,144 @@ class TestOperationalMetrics:
         fresh = Metrics()
         fresh.restore(m.state())
         assert fresh.snapshot() == m.snapshot()
+
+
+STATES = sorted(
+    value for name, value in vars(RequestState).items()
+    if name.isupper() and isinstance(value, str)
+)
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=1e-6, max_value=1e9)
+maybe_float = st.none() | finite
+maybe_int = st.none() | st.integers(min_value=0, max_value=2**40)
+names = st.text(min_size=1, max_size=12)
+
+
+@st.composite
+def records(draw):
+    t = draw(st.floats(min_value=0.0, max_value=1e7))
+    request = ChargingRequest(
+        request_id=draw(names),
+        device=Device(
+            device_id=draw(names),
+            position=Point(draw(finite), draw(finite)),
+            demand=draw(positive),
+            moving_rate=draw(st.just(0.0) | positive),
+            speed=draw(positive),
+        ),
+        submitted_at=t,
+        deadline=draw(st.none() | st.floats(min_value=1.0, max_value=1e6).map(t.__add__)),
+        max_price=draw(st.none() | positive),
+    )
+    record = RequestRecord(request)
+    record.state = draw(st.sampled_from(STATES))
+    record.quote = draw(maybe_float)
+    record.quote_charger = draw(maybe_int)
+    record.reason = draw(st.none() | names)
+    record.device_index = draw(maybe_int)
+    record.grouped_at = draw(maybe_float)
+    record.departed_at = draw(maybe_float)
+    record.completed_at = draw(maybe_float)
+    record.session_seq = draw(maybe_int)
+    record.realized_cost = draw(maybe_float)
+    return record
+
+
+def schema1_state(state):
+    """*state* in the schema-1 layout: each record three nested dicts
+    (record, request, device), the planner's own copy of every device
+    and its mutation counter."""
+    legacy_records = []
+    devices = [None] * state["planner"]["n_devices"]
+    for row in state["requests"]:
+        f = dict(zip(RECORD_COLUMNS, row))
+        device = {
+            "id": f["device_id"], "x": f["x"], "y": f["y"], "demand": f["demand"],
+            "moving_rate": f["moving_rate"], "speed": f["speed"],
+        }
+        request = {
+            "id": f["id"], "t": f["t"], "deadline": f["deadline"],
+            "max_price": f["max_price"], "device": device,
+        }
+        legacy_records.append(
+            {"request": request, **{k: f[k] for k in RECORD_COLUMNS[10:]}}
+        )
+        if f["device_index"] is not None:
+            devices[f["device_index"]] = device
+    planner = {k: v for k, v in state["planner"].items() if k != "n_devices"}
+    return {
+        **state,
+        "requests": legacy_records,
+        "planner": {**planner, "devices": devices, "version": 0},
+    }
+
+
+def write_schema1(path, seq, state):
+    """Publish what the schema-1 writer left: a sealed document with a
+    valid ``sha``, pinned to *seq*."""
+    doc = {"schema": 1, "seq": seq, "state": schema1_state(state)}
+    text = sealed_json(doc, "state", last=False)
+    assert json.loads(text)["sha"] == _snapshot_checksum(doc)
+    snapshot_path(path, seq).write_text(text + "\n", encoding="utf-8")
+
+
+class TestRecordRows:
+    @settings(max_examples=200, deadline=None)
+    @given(records())
+    def test_row_round_trips_through_canonical_json(self, record):
+        row = record.to_row()
+        back = RequestRecord.from_row(json.loads(canonical_json(row)))
+        assert back.to_row() == row
+        assert back.request == record.request
+
+    def test_state_holds_flat_rows_and_each_device_once(self, stream):
+        svc = ChargingService(CHARGERS, config=CONFIG)
+        for r in stream[:20]:
+            svc.submit(r)
+        state = svc.state()
+        assert len({row[RECORD_COLUMNS.index("state")] for row in state["requests"]}) > 1
+        for row in state["requests"]:
+            assert type(row) is list and len(row) == len(RECORD_COLUMNS)
+            assert all(isinstance(v, (str, int, float, type(None))) for v in row)
+        assert "devices" not in state["planner"]
+        assert "version" not in state["planner"]
+        assert state["planner"]["n_devices"] == svc.planner.instance.n_devices
+
+
+class TestSchemaUpgrade:
+    def test_schema1_snapshot_is_skipped_on_an_uncompacted_journal(
+        self, tmp_path, stream
+    ):
+        path = tmp_path / "up.jsonl"
+        svc = ChargingService(
+            CHARGERS, config=CONFIG, journal_path=path, journal_sync=False
+        )
+        for r in stream[:15]:
+            svc.submit(r)
+        seq, state = svc.journal.seq, svc.state()
+        for r in stream[15:]:
+            svc.submit(r)
+        svc.drain()
+        svc.journal.close()
+        write_schema1(path, seq, state)
+        with pytest.raises(SnapshotError, match="schema"):
+            load_snapshot(snapshot_path(path, seq))
+        rec = recover(path)
+        rec.journal.close()
+        counters = rec.observability_snapshot()["counters"]
+        assert counters["recovery.snapshot_fallbacks"] == 1
+        assert counters["recovery.snapshot_used"] == 0
+        assert rec.final_schedule() == svc.final_schedule()
+        assert rec.metrics_snapshot() == svc.metrics_snapshot()
+
+    def test_schema1_snapshots_of_a_compacted_journal_are_a_typed_error(
+        self, tmp_path, stream
+    ):
+        _svc, path = run(tmp_path, stream, "upc", snapshot_every=10)
+        base = Journal.read(path).base_seq
+        assert base > 0
+        for seq, spath in list_snapshots(path):
+            _seq, state = load_snapshot(spath)
+            write_schema1(path, seq, state)
+        with pytest.raises(RecoveryError, match=rf"compacted to seq {base} .*gap"):
+            recover(path, snapshot_every=10)
