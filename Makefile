@@ -10,11 +10,25 @@ JOBS ?= 1
 # Task-result cache directory used by run-all (re-runs resume from it).
 CACHE_DIR ?= .ccs-bench-cache
 
-.PHONY: test lint typecheck bench bench-smoke bench-hotpath bench-large bench-exec bench-recovery golden golden-experiments fixture-journal-v1 run-all serve-smoke chaos-smoke chaos shard-smoke recovery-smoke e2e-smoke
+.PHONY: test engines lint typecheck bench bench-smoke bench-hotpath bench-large bench-exec bench-recovery golden golden-experiments fixture-journal-v1 run-all serve-smoke chaos-smoke chaos shard-smoke recovery-smoke e2e-smoke
 
 # Tier-1 gate: the full unit/property/golden suite.
 test:
 	$(PYTHON) -m pytest -x -q
+
+# The two engine steps of CI: the array engine forced on the game and
+# golden suites (parity with the object engine), then the object engine
+# forced on the suites whose daemon and drivers resolve `auto` to the
+# array scan, so the object branch runs end to end too.
+engines:
+	CCS_ENGINE=array $(PYTHON) -m pytest -x -q --durations=10 \
+		tests/test_game_array.py tests/test_game.py \
+		tests/test_game_incremental.py tests/test_regression_golden.py
+	CCS_ENGINE=object $(PYTHON) -m pytest -x -q \
+		tests/test_service_plan.py tests/test_shard_identity.py \
+		tests/test_service_faults.py tests/test_service_kernel.py \
+		tests/test_regression_golden.py tests/test_game_incremental.py \
+		tests/test_pricing_rows.py
 
 # Domain-aware static analysis: determinism / numeric / state-discipline
 # invariants (see docs/LINTING.md).  Exit 0 means no unbaselined findings.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Dict
 
 from ..errors import ConfigurationError
 from ..geometry import Point
@@ -57,3 +58,29 @@ class Device:
             raise ConfigurationError(
                 f"device {self.device_id!r}: speed must be positive, got {self.speed}"
             )
+
+    def to_dict(self) -> Dict[str, Any]:
+        """Plain-JSON form: the identifier and five float fields.
+
+        The one device codec: instance files and the service journal's
+        ``submit`` records both embed it.
+        """
+        return {
+            "id": self.device_id,
+            "x": float(self.position.x),
+            "y": float(self.position.y),
+            "demand": float(self.demand),
+            "moving_rate": float(self.moving_rate),
+            "speed": float(self.speed),
+        }
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, Any]) -> "Device":
+        """Inverse of :meth:`to_dict`; ``speed`` defaults to 1.0 when absent."""
+        return cls(
+            device_id=data["id"],
+            position=Point(float(data["x"]), float(data["y"])),
+            demand=float(data["demand"]),
+            moving_rate=float(data["moving_rate"]),
+            speed=float(data.get("speed", 1.0)),
+        )

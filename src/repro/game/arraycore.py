@@ -83,15 +83,16 @@ def engine_supported(
     """True when the array engine can reproduce the object engine exactly.
 
     Requires a cost-sharing scheme with both scalar and vectorized
-    aggregate fast paths (the two paper schemes), one of the two built-in
-    switch rules (exactly — a subclass may override ``permits``), and an
-    instance exposing vectorized session pricing.
+    aggregate fast paths (the two paper schemes) and one of the two
+    built-in switch rules (exactly — a subclass may override ``permits``).
+    Every instance qualifies: both kinds share
+    :class:`~repro.core.instance.InstanceSurface`, whose vectorized session
+    pricing the engine reads.
     """
     return (
         type(rule) in (SelfishSwitch, SociallyAwareSwitch)
         and getattr(scheme, "share_of", None) is not None
         and getattr(scheme, "share_of_vector", None) is not None
-        and getattr(instance, "price_for_demand_vector", None) is not None
     )
 
 
@@ -101,17 +102,6 @@ def _capacity_vector(chargers: Sequence[Charger]) -> np.ndarray:
         [float("inf") if c.capacity is None else float(c.capacity) for c in chargers],
         dtype=float,
     )
-
-
-def _availability_mask(instance: object) -> Optional[np.ndarray]:
-    """The instance's cached per-charger up flags, or ``None`` to mask nothing.
-
-    A live service plan (:class:`~repro.service.plan.PlanInstance`) keeps
-    the mask current as chargers fail and recover, and holds ``None``
-    while every charger is up; a frozen batch instance has no
-    availability notion at all.  Either way ``None`` skips the mask.
-    """
-    return getattr(instance, "availability_mask", None)
 
 
 class _Candidates:
@@ -174,7 +164,7 @@ def _kernel_first_move(
     """
     instance, scheme = structure.instance, structure.scheme
     total_now = structure.total_cost
-    avail = _availability_mask(instance)
+    avail = instance.availability_mask
     moving = instance._moving_cost
     sp = instance.singleton_price_matrix()
     sc = instance.singleton_cost_matrix()
@@ -340,7 +330,7 @@ class InsertBatch:
         dem = self._dem = instance._demands[devs]
         # Charger-major, so a rescored row reads one charger's costs.
         mv = self._mv = instance._moving_cost.take(devs, axis=0).T
-        avail = _availability_mask(instance)
+        avail = instance.availability_mask
         k = self._width = cand.k
         # Rows past ``k`` are written as placements append singletons.
         self._cost = np.empty((k + n, n), dtype=float)

@@ -44,7 +44,7 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 import numpy as np
 
 from ..core.costsharing import CostSharingScheme, share_from_aggregates
-from ..core.instance import CCSInstance
+from ..core.instance import CCSInstance, InstanceSurface
 from ..core.schedule import Schedule, Session
 from ..numeric import CACHE_REL_TOL, TOTAL_COST_REL_TOL
 
@@ -121,7 +121,7 @@ class CoalitionStructure:
     the potential function of the socially-aware game dynamics.
     """
 
-    def __init__(self, instance: CCSInstance, scheme: CostSharingScheme):
+    def __init__(self, instance: InstanceSurface, scheme: CostSharingScheme):
         self.instance = instance
         self.scheme = scheme
         self._coalitions: Dict[int, Coalition] = {}

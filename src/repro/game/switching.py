@@ -81,11 +81,12 @@ def _scan_deltas(
     demand = instance._demand_list[device]
     moving = instance._moving_cost
     chargers = instance.chargers
-    # Charger-availability hook (fault semantics): a live service plan
-    # (`repro.service.plan.PlanInstance`) exposes `charger_available` and
-    # down chargers must never receive moves; a frozen CCSInstance has no
-    # such notion, and the batch solvers keep the unguarded fast path.
-    available = getattr(instance, "charger_available", None)
+    # Charger availability (fault semantics): down chargers never receive
+    # moves.  `availability_mask` is None while every charger is up (always,
+    # on a frozen CCSInstance), and the scan then skips the check.
+    available = (
+        None if instance.availability_mask is None else instance.charger_available
+    )
 
     for coalition in list(structure.coalitions()):
         if coalition is src:

@@ -111,17 +111,7 @@ def instance_to_dict(instance: CCSInstance) -> Dict[str, Any]:
     return {
         "format": "ccs-instance",
         "version": FORMAT_VERSION,
-        "devices": [
-            {
-                "id": d.device_id,
-                "x": d.position.x,
-                "y": d.position.y,
-                "demand": d.demand,
-                "moving_rate": d.moving_rate,
-                "speed": d.speed,
-            }
-            for d in instance.devices
-        ],
+        "devices": [d.to_dict() for d in instance.devices],
         "chargers": [
             {
                 "id": c.charger_id,
@@ -158,16 +148,7 @@ def _check_envelope(data: Dict[str, Any], expected: str) -> None:
 def instance_from_dict(data: Dict[str, Any]) -> CCSInstance:
     """Reconstruct an instance serialized by :func:`instance_to_dict`."""
     _check_envelope(data, "ccs-instance")
-    devices = [
-        Device(
-            device_id=d["id"],
-            position=Point(d["x"], d["y"]),
-            demand=d["demand"],
-            moving_rate=d["moving_rate"],
-            speed=d["speed"],
-        )
-        for d in data["devices"]
-    ]
+    devices = [Device.from_dict(d) for d in data["devices"]]
     chargers = [
         Charger(
             charger_id=c["id"],

@@ -61,7 +61,7 @@ class LinearMobility(_EuclideanTravelTime):
         *distances* is the device x charger Euclidean distance matrix and
         *rates* the per-device rate vector; each entry is bitwise equal to
         the scalar :meth:`moving_cost` on the same distance (one IEEE
-        multiply either way).  ``CCSInstance`` probes for this hook so the
+        multiply either way).  Every instance probes for this hook so the
         cost matrix is derived from the shared distance matrix instead of
         ``n * m`` per-pair model calls.  For one device, *rates* may be its
         scalar rate and *distances* its row: the service plan's admission

@@ -5,11 +5,11 @@ a service cannot — devices arrive, charge, and leave while the plan is
 live.  This module supplies the three pieces that bridge the gap without
 ever re-solving from scratch:
 
-- :class:`PlanInstance` — a *growable* instance facade exposing exactly
-  the surface the incremental engine reads (cached demand list, the
-  moving-cost matrix, lazy singleton price/cost matrices, tariff fast
-  paths).  Adding a device costs ``O(m)`` (one matrix row, priced once at
-  admission and reused at the fold); nothing else is recomputed.
+- :class:`PlanInstance` — a *growable* instance.  It derives from
+  :class:`~repro.core.instance.InstanceSurface`, the read surface the
+  batch instance has too, so the engine reads both the same way.  Adding
+  a device costs ``O(m)`` (one matrix row, priced once at admission and
+  reused at the fold); nothing else is recomputed.
 - :class:`GrowableCoalitionStructure` — the PR-1
   :class:`~repro.game.coalition.CoalitionStructure` extended with
   ``place`` / ``remove`` / ``retire``, so devices can enter a live
@@ -40,7 +40,6 @@ by the total number of requests ever served.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -48,26 +47,28 @@ import numpy as np
 from ..core import Device
 from ..core.ccsga import resolve_engine
 from ..core.costsharing import CostSharingScheme, EgalitarianSharing
+from ..core.instance import InstanceSurface
 from ..errors import ConfigurationError, ServiceError
 from ..game.arraycore import StructureArrayView
 from ..game.coalition import CoalitionStructure, _device_token
 from ..game.switching import SelfishSwitch, SociallyAwareSwitch, best_response_sweep
-from ..mobility import LinearMobility, MobilityModel
-from ..numeric import DEFAULT_REL_TOL, is_exact_zero
-from ..wpt import Charger, ChargerPriceTable
+from ..mobility import MobilityModel
+from ..numeric import DEFAULT_REL_TOL
+from ..wpt import Charger
 
 __all__ = ["PlanInstance", "GrowableCoalitionStructure", "IncrementalPlanner"]
 
 
-class PlanInstance:
+class PlanInstance(InstanceSurface):
     """A growable CCS instance: fixed chargers, devices added over time.
 
-    Presents the same read surface as :class:`~repro.core.instance.CCSInstance`
-    (demand list, moving-cost matrix, singleton matrices, price fast
-    paths) so the coalition engine and every cost-sharing scheme work
-    unchanged, while :meth:`add_device` appends one device in ``O(m)``.
-    Device indices are append-only and never reused — a retired device's
-    row simply stops being referenced.
+    Every read the coalition engine and the cost-sharing schemes make
+    comes from the shared :class:`~repro.core.instance.InstanceSurface`;
+    this class adds only growth and charger availability.  The per-device
+    matrices are views over row buffers that grow by doubling, so
+    :meth:`add_device` appends one device in ``O(m)``.  Device indices are
+    append-only and never reused — a retired device's row simply stops
+    being referenced.
 
     A device is priced once per admission: :meth:`quote_rows` builds its
     moving-cost and singleton-price rows for the quote, and the fold hands
@@ -80,76 +81,44 @@ class PlanInstance:
         chargers: Sequence[Charger],
         mobility: Optional[MobilityModel] = None,
     ):
-        if not chargers:
-            raise ConfigurationError("a plan needs at least one charger")
-        self.chargers: Tuple[Charger, ...] = tuple(chargers)
-        charger_ids = [c.charger_id for c in self.chargers]
-        if len(set(charger_ids)) != len(charger_ids):
-            raise ConfigurationError("charger identifiers must be unique")
-        self.mobility: MobilityModel = (
-            mobility if mobility is not None else LinearMobility()
-        )
+        super().__init__(chargers, mobility)
         self.devices: List[Device] = []
-        self._demand_list: List[float] = []
-        self._device_ids: Dict[str, int] = {}
-        m = len(self.chargers)
-        self._charger_xy = [(c.position.x, c.position.y) for c in self.chargers]
-        #: The mobility model's whole-matrix pricing hook, if it has one
-        #: (as for :class:`~repro.core.instance.CCSInstance`); without it
-        #: moving costs fall back to one model call per pair.
-        self._moving_cost_hook = getattr(self.mobility, "moving_cost_matrix", None)
-        #: Per-charger availability (fault semantics): a down charger is
+        self._device_index = {}
+        self._demand_list = []
+        m = self.n_chargers
+        #: Per-charger up flags (fault semantics): a down charger is
         #: excluded from quoting, insertion, improvement, and repair, but
         #: its matrix columns stay — recovery is a single flag flip.
         self._up: List[bool] = [True] * m
         #: Chargers that can quote (up and admitting a lone device), as
-        #: sorted indices; ``None`` while every charger can.  Kept current
-        #: by :meth:`set_available`.
+        #: sorted indices; ``None`` while every charger can.  Kept current,
+        #: with ``availability_mask``, by :meth:`set_available`.
         self._quotable: Optional[np.ndarray] = None
-        #: Per-charger up flags as a bool array, read by the array
-        #: engine's candidate scans; ``None`` while every charger is up
-        #: (nothing to mask).  Kept current by :meth:`set_available`.
-        self.availability_mask: Optional[np.ndarray] = None
         self._refresh_quotable()
         cap = 16
         self._mc_buf = np.empty((cap, m), dtype=float)
         self._sp_buf = np.empty((cap, m), dtype=float)
         self._sc_buf = np.empty((cap, m), dtype=float)
         self._dem_buf = np.empty(cap, dtype=float)
-        self._n = 0
-        self._price_table: Optional[ChargerPriceTable] = None
         self._sync_views()
 
     def _sync_views(self) -> None:
-        n = self._n
+        n = len(self.devices)
         self._moving_cost = self._mc_buf[:n]
         self._singleton_price = self._sp_buf[:n]
         self._singleton_cost = self._sc_buf[:n]
-        #: ``_demand_list`` as an array, for the array engine's gathers.
         self._demands = self._dem_buf[:n]
 
     # ------------------------------------------------------------------ #
-    # pricing: where a device's rows come from
+    # pricing at admission
     #
     # A device is priced once, when it is quoted at admission
     # (:meth:`quote_rows`).  Those rows travel with the queued request and
     # become its plan rows at the fold (:meth:`add_device` with ``rows``);
     # a snapshot restore prices all of its devices as one matrix
-    # (:meth:`add_devices`).  Every path gives the scalar
-    # ``mobility.moving_cost`` / ``Charger.price_for_stored`` values bit
-    # for bit.
-
-    def _distance_row(self, device: Device) -> List[float]:
-        """Per-pair ``math.hypot`` distances, bitwise ``Point.distance_to``."""
-        x, y = device.position.x, device.position.y
-        return [math.hypot(x - cx, y - cy) for cx, cy in self._charger_xy]
-
-    def _moving_cost_row(self, device: Device) -> List[float]:
-        """Hook-less fallback: one mobility-model call per charger."""
-        return [
-            self.mobility.moving_cost(device.position, c.position, device.moving_rate)
-            for c in self.chargers
-        ]
+    # (:meth:`add_devices`, through the shared ``_price_rows``).  Every
+    # path gives the scalar ``mobility.moving_cost`` /
+    # ``Charger.price_for_stored`` values bit for bit.
 
     def quote_rows(self, device: Device) -> Tuple[np.ndarray, np.ndarray]:
         """``(moving-cost row, singleton-price row)`` for one device.
@@ -214,15 +183,6 @@ class PlanInstance:
     # ------------------------------------------------------------------ #
     # charger availability (fault semantics)
 
-    def charger_available(self, charger: int) -> bool:
-        """True while charger index *charger* is up.
-
-        Also the availability hook the switch-rule candidate scan probes
-        via ``getattr`` — a frozen ``CCSInstance`` has no such method, so
-        the batch solvers keep their all-chargers-up fast path.
-        """
-        return self._up[charger]
-
     def set_available(self, charger: int, up: bool) -> None:
         """Flip charger index *charger*'s availability flag."""
         self._up[charger] = bool(up)
@@ -253,19 +213,24 @@ class PlanInstance:
             return
         while cap < n:
             cap *= 2
+        live = len(self.devices)
         for name in ("_mc_buf", "_sp_buf", "_sc_buf", "_dem_buf"):
             buf = getattr(self, name)
             new = np.empty((cap,) + buf.shape[1:], dtype=float)
-            new[: self._n] = buf[: self._n]
+            new[:live] = buf[:live]
             setattr(self, name, new)
 
-    def _register(self, device: Device) -> int:
-        i = len(self.devices)
-        self.devices.append(device)
-        self._demand_list.append(float(device.demand))
-        self._dem_buf[i] = self._demand_list[i]
-        self._device_ids[device.device_id] = i
-        return i
+    def _register(self, devices: Sequence[Device]) -> range:
+        """Append *devices*, whose rows are already in the buffers."""
+        lo = len(self.devices)
+        for i, device in enumerate(devices, lo):
+            self.devices.append(device)
+            self._demand_list.append(float(device.demand))
+            self._device_index[device.device_id] = i
+        hi = len(self.devices)
+        self._dem_buf[lo:hi] = self._demand_list[lo:hi]
+        self._sync_views()
+        return range(lo, hi)
 
     def add_device(
         self,
@@ -283,119 +248,34 @@ class PlanInstance:
         admission job.
         """
         move, price = rows if rows is not None else self.quote_rows(device)
-        self._reserve(self._n + 1)
-        i = self._n
+        i = len(self.devices)
+        self._reserve(i + 1)
         self._mc_buf[i] = move
         self._sp_buf[i] = price
         self._sc_buf[i] = move + price
-        self._n += 1
-        self._sync_views()
-        return self._register(device)
+        self._register((device,))
+        return i
 
     def add_devices(self, devices: Sequence[Device]) -> range:
         """Append *devices* in order, priced as one matrix; returns their indices.
 
         The snapshot-restore path.  Row ``i`` is bitwise what
-        :meth:`add_device` stores for ``devices[i]`` (the same per-pair
-        distances, mobility hook and tariff groups), but the rows are
-        priced as ``(n, m)`` matrices written straight into the grown
-        buffers, with at most one ``(n, m)`` temporary alive at a time.
+        :meth:`add_device` stores for ``devices[i]``, but the rows are
+        priced by the shared ``_price_rows`` as ``(n, m)`` matrices written
+        straight into the grown buffers, with at most one ``(n, m)``
+        temporary alive at a time.
         """
-        lo, hi = self._n, self._n + len(devices)
-        if not devices:
-            return range(lo, hi)
-        self._reserve(hi)
-        move, price, cost = self._mc_buf[lo:hi], self._sp_buf[lo:hi], self._sc_buf[lo:hi]
-        if self._moving_cost_hook is not None:
+        lo = len(self.devices)
+        hi = lo + len(devices)
+        if devices:
+            self._reserve(hi)
+            move, price, cost = (
+                self._mc_buf[lo:hi], self._sp_buf[lo:hi], self._sc_buf[lo:hi]
+            )
             # The cost rows are free until the end: stage distances there.
-            for i, device in enumerate(devices):
-                cost[i] = self._distance_row(device)
-            rates = np.array([d.moving_rate for d in devices], dtype=float)
-            move[:] = self._moving_cost_hook(cost, rates)
-        else:
-            for i, device in enumerate(devices):
-                move[i] = self._moving_cost_row(device)
-        demands = np.array([d.demand for d in devices], dtype=float)
-        price[:] = self.price_table().singleton_price_matrix(demands)
-        np.add(move, price, out=cost)
-        self._n = hi
-        self._sync_views()
-        for device in devices:
-            self._register(device)
-        return range(lo, hi)
-
-    # ------------------------------------------------------------------ #
-    # the CCSInstance read surface
-
-    @property
-    def n_devices(self) -> int:
-        """Devices ever added (indices run ``0..n_devices-1``)."""
-        return self._n
-
-    @property
-    def n_chargers(self) -> int:
-        """Number of chargers (fixed for the plan's lifetime)."""
-        return len(self.chargers)
-
-    def device_index(self, device_id: str) -> int:
-        """Index of the device with identifier *device_id*."""
-        try:
-            return self._device_ids[device_id]
-        except KeyError:
-            raise KeyError(f"unknown device {device_id!r}") from None
-
-    def moving_cost(self, device: int, charger: int) -> float:
-        """Moving cost of device index *device* to charger index *charger*."""
-        return float(self._moving_cost[device, charger])
-
-    def charging_price_for_demand(self, total_demand: float, charger: int) -> float:
-        """Session price for an already-summed stored demand (O(1) fast path)."""
-        if is_exact_zero(total_demand):
-            return 0.0
-        return self.chargers[charger].price_for_stored(total_demand)
-
-    def price_table(self) -> ChargerPriceTable:
-        """Lazily built vectorized tariff table (chargers are fixed)."""
-        if self._price_table is None:
-            self._price_table = ChargerPriceTable(self.chargers)
-        return self._price_table
-
-    def price_for_demand_vector(
-        self, totals: np.ndarray, chargers_idx: np.ndarray
-    ) -> np.ndarray:
-        """Vectorized :meth:`charging_price_for_demand` (bitwise identical)."""
-        return self.price_table().prices(totals, chargers_idx)
-
-    def singleton_price_matrix(self) -> np.ndarray:
-        """``(n, m)`` singleton session prices (maintained incrementally)."""
-        return self._singleton_price
-
-    def singleton_cost_matrix(self) -> np.ndarray:
-        """``(n, m)`` singleton group costs (price + moving cost)."""
-        return self._singleton_cost
-
-    def charging_price(self, group, charger: int) -> float:
-        """Session price when *group* shares one session at *charger*."""
-        members = list(group)
-        return self.chargers[charger].session_price(
-            self.devices[i].demand for i in members
-        )
-
-    def group_cost(self, group, charger: int) -> float:
-        """Full session cost: price plus the members' moving costs."""
-        members = list(group)
-        if not members:
-            return 0.0
-        price = self.charging_price(members, charger)
-        return price + float(self._moving_cost[members, charger].sum())
-
-    def total_demand(self, group) -> float:
-        """Sum of stored-energy demands over device indices in *group*."""
-        return sum(self.devices[i].demand for i in group)
-
-    def capacity_of(self, charger: int) -> Optional[int]:
-        """Slot capacity of charger index *charger* (``None`` = unbounded)."""
-        return self.chargers[charger].capacity
+            self._price_rows(devices, cost, move, price)
+            np.add(move, price, out=cost)
+        return self._register(devices)
 
 
 class GrowableCoalitionStructure(CoalitionStructure):
@@ -413,9 +293,6 @@ class GrowableCoalitionStructure(CoalitionStructure):
     Coverage is the set of currently placed devices, not
     ``range(n_devices)`` — retired indices are tombstones.
     """
-
-    def __init__(self, instance: PlanInstance, scheme: CostSharingScheme):
-        super().__init__(instance, scheme)
 
     def register_device(self, device: int) -> None:
         """Extend the Zobrist token table to cover a newly added index."""

@@ -129,29 +129,15 @@ class ChargingRequest:
             "t": float(self.submitted_at),
             "deadline": None if self.deadline is None else float(self.deadline),
             "max_price": None if self.max_price is None else float(self.max_price),
-            "device": {
-                "id": self.device.device_id,
-                "x": float(self.device.position.x),
-                "y": float(self.device.position.y),
-                "demand": float(self.device.demand),
-                "moving_rate": float(self.device.moving_rate),
-                "speed": float(self.device.speed),
-            },
+            "device": self.device.to_dict(),
         }
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ChargingRequest":
         """Inverse of :meth:`to_dict`; used by journal replay and traces."""
-        dev = data["device"]
         return cls(
             request_id=data["id"],
-            device=Device(
-                device_id=dev["id"],
-                position=Point(float(dev["x"]), float(dev["y"])),
-                demand=float(dev["demand"]),
-                moving_rate=float(dev["moving_rate"]),
-                speed=float(dev.get("speed", 1.0)),
-            ),
+            device=Device.from_dict(data["device"]),
             submitted_at=float(data["t"]),
             deadline=data.get("deadline"),
             max_price=data.get("max_price"),

@@ -3,9 +3,10 @@
 Two contracts:
 
 1. **Bit identity.**  :class:`~repro.wpt.vector.ChargerPriceTable`
-   (``prices``, ``singleton_price_matrix``, ``singleton_price_row``) and
+   (``prices``, ``singleton_price_matrix``, ``singleton_price_row``),
    the service plan's row builders (``PlanInstance.quote_rows`` /
-   ``add_devices``) give exactly the floats of the scalar path
+   ``add_devices``), and the batch ``CCSInstance`` matrices priced by the
+   same shared routine give exactly the floats of the scalar path
    (``Charger.price_for_stored``, ``mobility.moving_cost``) — for the
    closed-form tariffs, at exponent 1 and 0.5 where numpy takes special
    paths, and for the per-charger / per-pair fallbacks.  Floats are
@@ -22,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Device
+from repro.core import CCSInstance, Device
 from repro.errors import ServiceError
 from repro.geometry import Point
 from repro.mobility import LinearMobility, QuadraticMobility
@@ -192,6 +193,11 @@ class TestPlanRowsBitIdentity:
         plan.add_devices(devices)
         assert same_bits(plan._moving_cost, want_move)
         assert same_bits(plan.singleton_price_matrix(), want_price)
+        # The batch instance prices its rows through the same routine.
+        batch = CCSInstance(devices, chargers, mobility, strict=False)
+        assert same_bits(batch._moving_cost, plan._moving_cost)
+        assert same_bits(batch.singleton_price_matrix(), plan.singleton_price_matrix())
+        assert same_bits(batch.singleton_cost_matrix(), plan.singleton_cost_matrix())
 
     @settings(max_examples=40, deadline=None)
     @given(chargers=charger_sets(), devices=device_lists(max_size=40), mobility=mobilities)
@@ -206,7 +212,7 @@ class TestPlanRowsBitIdentity:
                 getattr(at_once, f"_{name}"), getattr(one_by_one, f"_{name}")
             )
         assert at_once._demand_list == one_by_one._demand_list
-        assert at_once._device_ids == one_by_one._device_ids
+        assert at_once._device_index == one_by_one._device_index
 
     @settings(max_examples=80, deadline=None)
     @given(
