@@ -30,8 +30,8 @@ import os
 import sys
 from typing import List, Optional
 
-from .experiments import EXPERIMENTS, FIGURE_BUILDERS, ascii_plot, run_experiment
-from .experiments.exec import ParallelExecutor, ResultCache, SerialExecutor
+from .experiments import EXPERIMENTS
+from .experiments.exec import ParallelExecutor, ResultCache, SerialExecutor, use_executor
 
 __all__ = ["main", "serve_main"]
 
@@ -83,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--plot",
         action="store_true",
-        help="additionally render figure experiments as ASCII charts",
+        help="also render each figure series as an ASCII chart, after the text",
     )
     parser.add_argument(
         "--export",
@@ -131,15 +131,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     executor = _make_executor(args)
     collected = {}
     for eid in ids:
-        if args.plot and eid in FIGURE_BUILDERS:
-            from .experiments import render_series
-            from .experiments.exec import use_executor
-
-            with use_executor(executor):
-                result = FIGURE_BUILDERS[eid](args.trials)
-            text = render_series(result) + "\n\n" + ascii_plot(result)
-        else:
-            text = run_experiment(eid, trials=args.trials, executor=executor)
+        experiment = EXPERIMENTS[eid]
+        with use_executor(executor):
+            results = experiment.build(args.trials)
+        text = experiment.plot(results) if args.plot else experiment.render(results)
         collected[eid] = text
         print(text)
         print()

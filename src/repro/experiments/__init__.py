@@ -25,12 +25,12 @@ from .figures import (
 from .report import SeriesResult, TableResult, render_series, render_table
 from .runner import (
     EXPERIMENTS,
-    FIGURE_BUILDERS,
+    Experiment,
     run_all,
     run_experiment,
     validate_experiment_ids,
 )
-from .sweep import Algorithm, sweep_costs, sweep_runtime
+from .sweep import sweep_costs, sweep_runtime
 from .tables import (
     FieldStats,
     OptimalityStats,
@@ -55,7 +55,6 @@ __all__ = [
     "TableResult",
     "render_series",
     "render_table",
-    "Algorithm",
     "sweep_costs",
     "sweep_runtime",
     "fig5_cost_vs_devices",
@@ -73,7 +72,7 @@ __all__ = [
     "OptimalityStats",
     "FieldStats",
     "EXPERIMENTS",
-    "FIGURE_BUILDERS",
+    "Experiment",
     "run_experiment",
     "run_all",
 ]

@@ -17,7 +17,6 @@ from .executors import (
     use_executor,
 )
 from .kinds import (
-    ALGORITHM_NAMES,
     SCHEME_NAMES,
     ZERO_TIMER_ENV,
     perf_timer,
@@ -27,7 +26,6 @@ from .kinds import (
 from .task import Task, TaskKindError, canonical_json, execute_task, task_kind
 
 __all__ = [
-    "ALGORITHM_NAMES",
     "SCHEME_NAMES",
     "ZERO_TIMER_ENV",
     "Executor",

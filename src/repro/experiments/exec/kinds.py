@@ -6,9 +6,10 @@ JSON data.  Instance randomness comes from
 result is independent of every other task and of execution order.
 
 Algorithms and cost-sharing schemes are referenced *by name* (the
-registries below) so tasks stay picklable and fingerprintable; sweeps
-with ad-hoc callables fall back to the in-process path in
-:mod:`repro.experiments.sweep`.
+registries below) so tasks stay picklable and fingerprintable.  Every
+reported number of the evaluation is computed by one of these kinds,
+through :func:`repro.experiments.sweep.grid`; :func:`perf_timer` is read
+only here.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from ...rng import derive_seed
 from .task import task_kind
 
 __all__ = [
-    "ALGORITHM_NAMES",
     "SCHEME_NAMES",
     "perf_timer",
     "spec_to_params",
@@ -70,10 +70,6 @@ def _algorithm_registry() -> Dict[str, Callable]:
         "CCSGA": _ccsga_schedule,
         "OPT": optimal_schedule,
     }
-
-
-#: Algorithm names usable in ``point_costs`` / ``point_runtime`` params.
-ALGORITHM_NAMES = ("NCA", "CCSA", "CCSGA", "OPT")
 
 
 def _scheme_registry() -> Dict[str, Callable[[], Any]]:

@@ -12,12 +12,12 @@ through the ambient executor (see docs/EXECUTION.md).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..workloads import DEFAULT_SPEC, WorkloadSpec
-from .exec import Executor, Task, resolve_executor, spec_to_params
+from .exec import SCHEME_NAMES, Executor, spec_to_params
 from .report import SeriesResult
-from .sweep import sweep_costs, sweep_runtime
+from .sweep import grid, mean, sweep_costs, sweep_runtime
 
 __all__ = [
     "fig5_cost_vs_devices",
@@ -30,10 +30,6 @@ __all__ = [
     "fig12_ablation_tariff",
     "fig12_ablation_capacity",
 ]
-
-#: The cost-sharing schemes compared in Fig 11 (see exec.kinds.SCHEME_NAMES).
-_FIG11_SCHEMES = ("egalitarian", "proportional", "shapley")
-
 
 def fig5_cost_vs_devices(
     values: Sequence[int] = (10, 20, 40, 60, 80, 100),
@@ -137,7 +133,6 @@ def fig9_runtime(
     OPT is exponential, so its series is only measured up to
     *include_optimal_upto* devices and reported as ``nan`` beyond.
     """
-    executor = resolve_executor(executor)
     result = sweep_runtime(
         "fig9",
         "Fig 9: solver runtime (seconds) vs number of devices",
@@ -150,29 +145,18 @@ def fig9_runtime(
         executor=executor,
     )
     opt_values = [n for n in values if n <= include_optimal_upto]
-    tasks = [
-        Task(
-            kind="point_runtime",
-            params={
-                "spec": spec_to_params(DEFAULT_SPEC.with_(n_devices=int(n))),
-                "algos": ["OPT"],
-            },
-            seed=seed,
-            trial=t,
-        )
-        for n in opt_values
-        for t in range(trials)
-    ]
-    points = executor.run(tasks)
-    opt_series: List[float] = []
-    for n in values:
-        if n > include_optimal_upto:
-            opt_series.append(float("nan"))
-            continue
-        k = opt_values.index(n)
-        total = sum(points[k * trials + t]["OPT"] for t in range(trials))
-        opt_series.append(total / trials)
-    result.add("OPT", opt_series)
+    opt_cells = grid(
+        "point_runtime",
+        [
+            {"spec": spec_to_params(DEFAULT_SPEC.with_(n_devices=int(n))), "algos": ["OPT"]}
+            for n in opt_values
+        ],
+        trials,
+        seed,
+        executor,
+    )
+    opt_means = {n: mean(p["OPT"] for p in points) for n, points in zip(opt_values, opt_cells)}
+    result.add("OPT", [opt_means.get(n, float("nan")) for n in values])
     return result
 
 
@@ -194,26 +178,15 @@ def fig10_convergence(
         x_label="n",
         x_values=list(values),
     )
-    tasks = [
-        Task(
-            kind="point_convergence",
-            params={"spec": spec_to_params(DEFAULT_SPEC.with_(n_devices=int(n)))},
-            seed=seed,
-            trial=t,
-        )
-        for n in values
-        for t in range(trials)
-    ]
-    points = resolve_executor(executor).run(tasks)
-    switches: List[float] = []
-    sweeps: List[float] = []
-    for k in range(len(values)):
-        s_total = sum(points[k * trials + t]["switches"] for t in range(trials))
-        p_total = sum(points[k * trials + t]["sweeps"] for t in range(trials))
-        switches.append(s_total / trials)
-        sweeps.append(p_total / trials)
-    result.add("switches", switches)
-    result.add("sweeps", sweeps)
+    cells = grid(
+        "point_convergence",
+        [{"spec": spec_to_params(DEFAULT_SPEC.with_(n_devices=int(n)))} for n in values],
+        trials,
+        seed,
+        executor,
+    )
+    for key in ("switches", "sweeps"):
+        result.add(key, [mean(p[key] for p in points) for points in cells])
     return result
 
 
@@ -238,25 +211,19 @@ def fig11_sharing_fairness(
         x_label="metric",
         x_values=[0, 1],  # 0 = mean member cost, 1 = per-joule price std
     )
-    tasks = [
-        Task(
-            kind="point_sharing",
-            params={"spec": spec_to_params(spec), "scheme": label},
-            seed=seed,
-            trial=t,
-        )
-        for label in _FIG11_SCHEMES
-        for t in range(trials)
-    ]
-    points = resolve_executor(executor).run(tasks)
-    for k, label in enumerate(_FIG11_SCHEMES):
-        mean_costs = [points[k * trials + t]["mean_cost"] for t in range(trials)]
-        dispersions = [points[k * trials + t]["dispersion"] for t in range(trials)]
+    cells = grid(
+        "point_sharing",
+        [{"spec": spec_to_params(spec), "scheme": scheme} for scheme in SCHEME_NAMES],
+        trials,
+        seed,
+        executor,
+    )
+    for scheme, points in zip(SCHEME_NAMES, cells):
         result.add(
-            label,
+            scheme,
             [
-                sum(mean_costs) / len(mean_costs),
-                sum(dispersions) / len(dispersions) * 1e3,  # m$/J for readability
+                mean(p["mean_cost"] for p in points),
+                mean(p["dispersion"] for p in points) * 1e3,  # m$/J for readability
             ],
         )
     return result
@@ -280,24 +247,17 @@ def fig12_ablation_tariff(
         x_label="exponent",
         x_values=list(exponents),
     )
-    tasks = [
-        Task(
-            kind="point_saving",
-            params={
-                "spec": spec_to_params(DEFAULT_SPEC.with_(tariff_exponent=float(alpha)))
-            },
-            seed=seed,
-            trial=t,
-        )
-        for alpha in exponents
-        for t in range(trials)
-    ]
-    points = resolve_executor(executor).run(tasks)
-    savings: List[float] = []
-    for k in range(len(exponents)):
-        total = sum(points[k * trials + t]["saving_pct"] for t in range(trials))
-        savings.append(total / trials)
-    result.add("CCSA saving %", savings)
+    cells = grid(
+        "point_saving",
+        [
+            {"spec": spec_to_params(DEFAULT_SPEC.with_(tariff_exponent=float(alpha)))}
+            for alpha in exponents
+        ],
+        trials,
+        seed,
+        executor,
+    )
+    result.add("CCSA saving %", [mean(p["saving_pct"] for p in points) for points in cells])
     return result
 
 
@@ -320,26 +280,13 @@ def fig12_ablation_capacity(
         x_label="capacity",
         x_values=list(capacities),
     )
-    tasks = [
-        Task(
-            kind="point_capacity",
-            params={"spec": spec_to_params(DEFAULT_SPEC.with_(capacity=int(cap)))},
-            seed=seed,
-            trial=t,
-        )
-        for cap in capacities
-        for t in range(trials)
-    ]
-    points = resolve_executor(executor).run(tasks)
-    savings: List[float] = []
-    group_sizes: List[float] = []
-    for k in range(len(capacities)):
-        savings.append(
-            sum(points[k * trials + t]["saving_pct"] for t in range(trials)) / trials
-        )
-        group_sizes.append(
-            sum(points[k * trials + t]["mean_group_size"] for t in range(trials)) / trials
-        )
-    result.add("CCSA saving %", savings)
-    result.add("mean group size", group_sizes)
+    cells = grid(
+        "point_capacity",
+        [{"spec": spec_to_params(DEFAULT_SPEC.with_(capacity=int(cap)))} for cap in capacities],
+        trials,
+        seed,
+        executor,
+    )
+    for label, key in (("CCSA saving %", "saving_pct"), ("mean group size", "mean_group_size")):
+        result.add(label, [mean(p[key] for p in points) for points in cells])
     return result

@@ -7,10 +7,12 @@ and what EXPERIMENTS.md is distilled from.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
 
 from ..errors import UnknownExperimentError
-from .exec import Executor, use_executor
+from .ascii_plot import ascii_plot
+from .exec import Executor, resolve_executor, use_executor
 from .figures import (
     fig5_cost_vs_devices,
     fig6_cost_vs_chargers,
@@ -22,60 +24,67 @@ from .figures import (
     fig12_ablation_capacity,
     fig12_ablation_tariff,
 )
-from .report import render_series, render_table
+from .report import SeriesResult, TableResult, render_series, render_table
 from .tables import table1_parameters, table2_optimality, table3_field
 
 __all__ = [
     "EXPERIMENTS",
-    "FIGURE_BUILDERS",
+    "Experiment",
     "run_experiment",
     "run_all",
     "validate_experiment_ids",
 ]
 
-
-def _table1() -> str:
-    return render_table(table1_parameters())
+Result = Union[SeriesResult, TableResult]
 
 
-def _table2(trials: int) -> str:
-    return render_table(table2_optimality(trials=trials).table)
+@dataclass(frozen=True)
+class Experiment:
+    """One experiment id: what it builds and how it renders.
+
+    *build* maps ``trials`` to every table and figure series the
+    experiment reports, in print order; *precision* is the decimals of a
+    series' rendered values.
+    """
+
+    build: Callable[[int], Sequence[Result]]
+    precision: int = 2
+
+    def render(self, results: Sequence[Result]) -> str:
+        """The results as aligned text blocks — what a plain run prints."""
+        return "\n\n".join(
+            render_series(r, precision=self.precision)
+            if isinstance(r, SeriesResult)
+            else render_table(r)
+            for r in results
+        )
+
+    def plot(self, results: Sequence[Result]) -> str:
+        """:meth:`render`'s text followed by one ASCII chart per series."""
+        charts = [ascii_plot(r) for r in results if isinstance(r, SeriesResult)]
+        return "\n\n".join([self.render(results)] + charts)
 
 
-def _table3(trials: int) -> str:
-    return render_table(table3_field(rounds=max(3, trials)).table)
-
-
-#: Experiment id → callable(trials) → rendered text.
-EXPERIMENTS: Dict[str, Callable[[int], str]] = {
-    "table1": lambda trials: _table1(),
-    "table2": _table2,
-    "table3": _table3,
-    "fig5": lambda trials: render_series(fig5_cost_vs_devices(trials=trials)),
-    "fig6": lambda trials: render_series(fig6_cost_vs_chargers(trials=trials)),
-    "fig7": lambda trials: render_series(fig7_cost_vs_base_price(trials=trials)),
-    "fig8": lambda trials: render_series(fig8_cost_vs_field_side(trials=trials)),
-    "fig9": lambda trials: render_series(fig9_runtime(trials=max(1, trials // 2)), precision=4),
-    "fig10": lambda trials: render_series(fig10_convergence(trials=trials)),
-    "fig11": lambda trials: render_series(fig11_sharing_fairness(trials=trials)),
-    "fig12": lambda trials: (
-        render_series(fig12_ablation_tariff(trials=trials))
-        + "\n\n"
-        + render_series(fig12_ablation_capacity(trials=trials))
+#: Experiment id → :class:`Experiment`: the one registry that
+#: :func:`run_experiment`, :func:`run_all` and ``ccs-bench`` (with or
+#: without ``--plot``) read.
+EXPERIMENTS: Dict[str, Experiment] = {
+    "table1": Experiment(lambda trials: [table1_parameters()]),
+    "table2": Experiment(lambda trials: [table2_optimality(trials=trials).table]),
+    "table3": Experiment(lambda trials: [table3_field(rounds=max(3, trials)).table]),
+    "fig5": Experiment(lambda trials: [fig5_cost_vs_devices(trials=trials)]),
+    "fig6": Experiment(lambda trials: [fig6_cost_vs_chargers(trials=trials)]),
+    "fig7": Experiment(lambda trials: [fig7_cost_vs_base_price(trials=trials)]),
+    "fig8": Experiment(lambda trials: [fig8_cost_vs_field_side(trials=trials)]),
+    "fig9": Experiment(lambda trials: [fig9_runtime(trials=max(1, trials // 2))], precision=4),
+    "fig10": Experiment(lambda trials: [fig10_convergence(trials=trials)]),
+    "fig11": Experiment(lambda trials: [fig11_sharing_fairness(trials=trials)]),
+    "fig12": Experiment(
+        lambda trials: [
+            fig12_ablation_tariff(trials=trials),
+            fig12_ablation_capacity(trials=trials),
+        ]
     ),
-}
-
-
-#: Figure id → callable(trials) → raw :class:`SeriesResult` (for plotting).
-FIGURE_BUILDERS = {
-    "fig5": lambda trials: fig5_cost_vs_devices(trials=trials),
-    "fig6": lambda trials: fig6_cost_vs_chargers(trials=trials),
-    "fig7": lambda trials: fig7_cost_vs_base_price(trials=trials),
-    "fig8": lambda trials: fig8_cost_vs_field_side(trials=trials),
-    "fig9": lambda trials: fig9_runtime(trials=max(1, trials // 2)),
-    "fig10": lambda trials: fig10_convergence(trials=trials),
-    "fig11": lambda trials: fig11_sharing_fairness(trials=trials),
-    "fig12": lambda trials: fig12_ablation_tariff(trials=trials),
 }
 
 
@@ -99,11 +108,9 @@ def run_experiment(
     through it; ``None`` keeps whatever executor is already ambient.
     """
     (eid,) = validate_experiment_ids([experiment_id])
-    fn = EXPERIMENTS[eid]
-    if executor is None:
-        return fn(trials)
-    with use_executor(executor):
-        return fn(trials)
+    experiment = EXPERIMENTS[eid]
+    with use_executor(resolve_executor(executor)):
+        return experiment.render(experiment.build(trials))
 
 
 def run_all(

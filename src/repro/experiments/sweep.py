@@ -1,11 +1,14 @@
-"""Parameter-sweep machinery shared by all simulation figures.
+"""The experiment grid shared by every simulation figure and table.
 
-Every cost-vs-parameter figure in the evaluation has the same shape: vary
-one :class:`~repro.workloads.generators.WorkloadSpec` field, generate
-several seeded instances per value, run each algorithm, and average the
-comprehensive cost.  :func:`sweep_costs` is that loop, once — decomposed
-into one :class:`~repro.experiments.exec.Task` per ``(value, trial)``
-point so the ambient executor can parallelize and cache it.
+Every evaluation result has the same shape: a list of parameter sets
+(usually one :class:`~repro.workloads.generators.WorkloadSpec` field
+varied over sweep values), several seeded trials per set, one task kind
+run per ``(params, trial)`` point, and a mean per set.  :func:`grid` is
+that expansion, once: one :class:`~repro.experiments.exec.Task` per point
+on the ambient executor, so every reported number is parallelizable and
+cacheable.  :func:`mean` is the one average every result reports.
+:func:`sweep_costs` and :func:`sweep_runtime` are the grid's entry points
+for the cost/runtime-vs-parameter figures.
 
 Instance seeds derive from ``(seed, trial)`` spawn keys
 (:func:`repro.rng.derive_seed`): the same trial index sees the same
@@ -15,99 +18,48 @@ comparison — and results are independent of execution order.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
 
-from ..core import CCSInstance, Schedule, comprehensive_cost
-from ..rng import derive_seed
-from ..workloads import WorkloadSpec, generate_instance
-from .exec import Executor, Task, perf_timer, resolve_executor, spec_to_params
+from ..workloads import WorkloadSpec
+from .exec import Executor, Task, resolve_executor, spec_to_params
 from .report import SeriesResult
 
-__all__ = ["Algorithm", "DEFAULT_ALGORITHM_NAMES", "sweep_costs", "sweep_runtime"]
+__all__ = ["grid", "mean", "sweep_costs", "sweep_runtime"]
 
-#: An algorithm under sweep: instance in, schedule out.
-Algorithm = Callable[[CCSInstance], Schedule]
-
-#: The algorithms every cost/runtime sweep compares by default.
-DEFAULT_ALGORITHM_NAMES = ("NCA", "CCSA", "CCSGA")
+#: The algorithms every cost/runtime sweep compares, in series order.
+_ALGORITHMS = ("NCA", "CCSA", "CCSGA")
 
 
-def _point_tasks(
+def grid(
     kind: str,
-    base_spec: WorkloadSpec,
-    param: str,
-    values: Sequence,
-    labels: Sequence[str],
+    params: Sequence[Mapping[str, Any]],
     trials: int,
     seed: int,
-) -> List[Task]:
-    tasks = []
-    for v in values:
-        spec = spec_to_params(base_spec.with_(**{param: v}))
-        for t in range(trials):
-            tasks.append(
-                Task(kind=kind, params={"spec": spec, "algos": list(labels)}, seed=seed, trial=t)
-            )
-    return tasks
+    executor: Optional[Executor] = None,
+) -> List[List[Dict[str, Any]]]:
+    """Run *kind* at every ``(params, trial)`` point; return each params' points.
 
-
-def _aggregate(
-    result: SeriesResult,
-    labels: Sequence[str],
-    point_results: Sequence[Mapping[str, float]],
-    n_values: int,
-    trials: int,
-) -> SeriesResult:
-    """Mean each label's metric over trials, per sweep value, in order."""
-    sums: Dict[str, List[float]] = {label: [] for label in labels}
-    for k in range(n_values):
-        totals = {label: 0.0 for label in labels}
-        for t in range(trials):
-            point = point_results[k * trials + t]
-            for label in labels:
-                totals[label] += point[label]
-        for label in labels:
-            sums[label].append(totals[label] / trials)
-    for label, ys in sums.items():
-        result.add(label, ys)
-    return result
-
-
-def _sweep_custom(
-    result: SeriesResult,
-    base_spec: WorkloadSpec,
-    param: str,
-    values: Sequence,
-    algorithms: Mapping[str, Algorithm],
-    trials: int,
-    seed: int,
-    timed: bool,
-) -> SeriesResult:
-    """In-process fallback for ad-hoc algorithm callables.
-
-    Callables cannot be fingerprinted or shipped to a worker, so custom
-    sweeps bypass the executor — but use the same derived seeds, so a
-    custom mapping that equals the default registry reproduces the
-    executor path's numbers exactly.
+    Emits ``Task(kind, p, seed, t)`` for each ``p`` in *params* (outer) and
+    ``t`` in ``range(trials)`` (inner) on *executor* (the ambient one if
+    ``None``), and returns the results as one list of *trials* points per
+    entry of *params*, in order.
     """
-    sums: Dict[str, List[float]] = {label: [] for label in algorithms}
+    tasks = [Task(kind=kind, params=p, seed=seed, trial=t) for p in params for t in range(trials)]
+    points = resolve_executor(executor).run(tasks)
+    return [points[k * trials : (k + 1) * trials] for k in range(len(params))]
+
+
+def mean(values: Iterable[float]) -> float:
+    """The arithmetic mean, summed left to right from ``0.0``.
+
+    Every reported average goes through here, so its bytes do not depend
+    on how a figure happens to spell the sum.
+    """
+    total, count = 0.0, 0
     for v in values:
-        spec = base_spec.with_(**{param: v})
-        totals = {label: 0.0 for label in algorithms}
-        for t in range(trials):
-            instance = generate_instance(spec, seed=derive_seed(seed, t))
-            for label, algo in algorithms.items():
-                if timed:
-                    t0 = perf_timer()
-                    algo(instance)
-                    totals[label] += perf_timer() - t0
-                else:
-                    totals[label] += comprehensive_cost(algo(instance), instance)
-        for label in algorithms:
-            sums[label].append(totals[label] / trials)
-    for label, ys in sums.items():
-        result.add(label, ys)
-    return result
+        total += v
+        count += 1
+    return total / count
 
 
 def _sweep(
@@ -117,7 +69,6 @@ def _sweep(
     base_spec: WorkloadSpec,
     param: str,
     values: Sequence,
-    algorithms: Optional[Mapping[str, Algorithm]],
     trials: int,
     seed: int,
     x_label: Optional[str],
@@ -126,15 +77,17 @@ def _sweep(
     result = SeriesResult(
         name=name, title=title, x_label=x_label or param, x_values=list(values)
     )
-    if algorithms is not None:
-        return _sweep_custom(
-            result, base_spec, param, values, algorithms, trials, seed,
-            timed=(kind == "point_runtime"),
-        )
-    labels = DEFAULT_ALGORITHM_NAMES
-    tasks = _point_tasks(kind, base_spec, param, values, labels, trials, seed)
-    point_results = resolve_executor(executor).run(tasks)
-    return _aggregate(result, labels, point_results, len(values), trials)
+    labels = list(_ALGORITHMS)
+    cells = grid(
+        kind,
+        [{"spec": spec_to_params(base_spec.with_(**{param: v})), "algos": labels} for v in values],
+        trials,
+        seed,
+        executor,
+    )
+    for label in labels:
+        result.add(label, [mean(p[label] for p in points) for points in cells])
+    return result
 
 
 def sweep_costs(
@@ -143,7 +96,6 @@ def sweep_costs(
     base_spec: WorkloadSpec,
     param: str,
     values: Sequence,
-    algorithms: Optional[Mapping[str, Algorithm]] = None,
     trials: int = 5,
     seed: int = 0,
     x_label: Optional[str] = None,
@@ -154,13 +106,12 @@ def sweep_costs(
     For each value ``v`` of *param*, generates *trials* instances from
     ``base_spec.with_(param=v)`` with seeds ``derive_seed(seed, trial)``
     (identical across values and algorithms — a paired comparison) and
-    records the mean cost.  With the default algorithms, each
-    ``(value, trial)`` point is one cacheable task on *executor* (the
-    ambient one if ``None``).
+    records the mean cost.  Each ``(value, trial)`` point is one
+    ``point_costs`` task on *executor* (the ambient one if ``None``).
     """
     return _sweep(
         "point_costs", name, title, base_spec, param, values,
-        algorithms, trials, seed, x_label, executor,
+        trials, seed, x_label, executor,
     )
 
 
@@ -170,7 +121,6 @@ def sweep_runtime(
     base_spec: WorkloadSpec,
     param: str,
     values: Sequence,
-    algorithms: Optional[Mapping[str, Algorithm]] = None,
     trials: int = 3,
     seed: int = 0,
     x_label: Optional[str] = None,
@@ -184,5 +134,5 @@ def sweep_runtime(
     """
     return _sweep(
         "point_runtime", name, title, base_spec, param, values,
-        algorithms, trials, seed, x_label, executor,
+        trials, seed, x_label, executor,
     )

@@ -13,13 +13,13 @@ aggregate statistics exposed as floats for tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
-from ..core import ccsa, noncooperation
-from ..sim import FieldTrialConfig, compare_field_trial, improvement_pct
+from ..sim import improvement_pct
 from ..workloads import SMALL_SCALE_SPEC, parameter_table
-from .exec import Executor, Task, resolve_executor, spec_to_params
+from .exec import Executor, spec_to_params
 from .report import TableResult
+from .sweep import grid, mean
 
 __all__ = [
     "table1_parameters",
@@ -74,38 +74,29 @@ def table2_optimality(
         title="Table 2: small-scale optimality (averages over seeded instances)",
         header=["n", "OPT cost", "CCSA cost", "NCA cost", "gap vs OPT %", "saving vs NCA %"],
     )
-    tasks = [
-        Task(
-            kind="point_optimality",
-            params={"spec": spec_to_params(SMALL_SCALE_SPEC.with_(n_devices=int(n)))},
-            seed=seed,
-            trial=t,
-        )
-        for n in device_counts
-        for t in range(trials)
-    ]
-    cells = resolve_executor(executor).run(tasks)
+    cells = grid(
+        "point_optimality",
+        [{"spec": spec_to_params(SMALL_SCALE_SPEC.with_(n_devices=int(n)))} for n in device_counts],
+        trials,
+        seed,
+        executor,
+    )
     gap_all, saving_all = [], []
-    for k, n in enumerate(device_counts):
-        opt_sum = ccsa_sum = nca_sum = 0.0
-        gaps, savings = [], []
-        for t in range(trials):
-            cell = cells[k * trials + t]
-            c_opt, c_ccsa, c_nca = cell["opt"], cell["ccsa"], cell["nca"]
-            opt_sum += c_opt
-            ccsa_sum += c_ccsa
-            nca_sum += c_nca
-            gaps.append(100.0 * (c_ccsa - c_opt) / c_opt)
-            savings.append(100.0 * (c_nca - c_ccsa) / c_nca)
-        gap = sum(gaps) / trials
-        saving = sum(savings) / trials
+    for n, points in zip(device_counts, cells):
+        gap = mean(100.0 * (p["ccsa"] - p["opt"]) / p["opt"] for p in points)
+        saving = mean(100.0 * (p["nca"] - p["ccsa"]) / p["nca"] for p in points)
         gap_all.append(gap)
         saving_all.append(saving)
         result.add_row(
-            n, opt_sum / trials, ccsa_sum / trials, nca_sum / trials, gap, saving
+            n,
+            mean(p["opt"] for p in points),
+            mean(p["ccsa"] for p in points),
+            mean(p["nca"] for p in points),
+            gap,
+            saving,
         )
-    avg_gap = sum(gap_all) / len(gap_all)
-    avg_saving = sum(saving_all) / len(saving_all)
+    avg_gap = mean(gap_all)
+    avg_saving = mean(saving_all)
     result.add_row("avg", "", "", "", avg_gap, avg_saving)
     return OptimalityStats(result, avg_gap, avg_saving)
 
@@ -120,48 +111,19 @@ class FieldStats:
     nca_mean_cost: float
 
 
-def _field_trial_rows(config: FieldTrialConfig) -> Dict:
-    """Run a paired CCSA/NCA trial in-process, as serialized row dicts.
-
-    The fallback for custom configs (ad-hoc noise models / schemes are
-    not fingerprintable); emits exactly the ``field_trial`` task-kind
-    result format so :func:`table3_field` has one aggregation path.
-    """
-    results = compare_field_trial({"CCSA": ccsa, "NCA": noncooperation}, config)
-    ccsa_res, nca_res = results["CCSA"], results["NCA"]
-    return {
-        "rounds": [
-            {
-                "nca_cost": nca_round.total_cost,
-                "ccsa_cost": ccsa_round.total_cost,
-                "ccsa_sessions": ccsa_round.n_sessions,
-                "ccsa_makespan": ccsa_round.makespan,
-            }
-            for nca_round, ccsa_round in zip(nca_res.rounds, ccsa_res.rounds)
-        ],
-        "nca_mean_cost": nca_res.mean_cost,
-        "ccsa_mean_cost": ccsa_res.mean_cost,
-    }
-
-
 def table3_field(
     rounds: int = 10,
     seed: int = 3,
-    config: Optional[FieldTrialConfig] = None,
     executor: Optional[Executor] = None,
 ) -> FieldStats:
     """Table 3: the 5-charger / 8-node field experiment, CCSA vs NCA.
 
     Paired rounds on the simulated testbed (identical realized worlds);
-    the paper reports CCSA ~42.9% cheaper on average.  With the default
-    config the whole trial is one cacheable ``field_trial`` task (the
-    testbed keys its own per-round noise internally).
+    the paper reports CCSA ~42.9% cheaper on average.  The whole trial is
+    one cacheable ``field_trial`` task (the testbed keys its own per-round
+    noise internally).
     """
-    if config is not None:
-        trial = _field_trial_rows(config)
-    else:
-        task = Task(kind="field_trial", params={"rounds": int(rounds)}, seed=int(seed))
-        trial = resolve_executor(executor).run([task])[0]
+    ((trial,),) = grid("field_trial", [{"rounds": int(rounds)}], 1, int(seed), executor)
 
     improvements = [
         improvement_pct(row["nca_cost"], row["ccsa_cost"]) for row in trial["rounds"]
@@ -180,7 +142,7 @@ def table3_field(
             row["ccsa_sessions"],
             row["ccsa_makespan"],
         )
-    avg_imp = sum(improvements) / len(improvements)
+    avg_imp = mean(improvements)
     table.add_row("avg", trial["nca_mean_cost"], trial["ccsa_mean_cost"], avg_imp, "", "")
     return FieldStats(
         table=table,

@@ -1,15 +1,14 @@
-"""Regenerate ``experiments_golden.json`` — the pinned Table 2/3 outputs.
+"""Regenerate ``experiments_golden.json`` — the pinned evaluation outputs.
 
 Companion to ``capture_ccsga_golden.py``: where that file pins the game
-*dynamics*, this one pins the *evaluation headline* — the rendered
-Table 2 (small-scale optimality) and Table 3 (field experiment) at their
-canonical parameters, plus the aggregate statistics EXPERIMENTS.md quotes.
-``tests/test_experiments_golden.py`` replays both tables (serially and
-through the parallel executor) and compares byte-for-byte, so neither an
-executor change nor a seed-derivation change can silently drift the
-reported numbers.
+*dynamics*, this one pins the *evaluation*: the rendered Table 2
+(small-scale optimality) and Table 3 (field experiment) at their
+canonical parameters plus the aggregate statistics EXPERIMENTS.md quotes,
+and every experiment id's output and task fingerprints at the small
+sizes of ``tests/test_exec_equivalence.py``.  See
+``tests/test_experiments_golden.py`` for what is compared.
 
-Run only after an *intentional* behaviour change::
+Run from the repo root, only after an *intentional* behaviour change::
 
     PYTHONPATH=src python tests/fixtures/capture_experiments_golden.py
     # or: make golden-experiments
@@ -18,45 +17,21 @@ Run only after an *intentional* behaviour change::
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
-from repro.experiments import render_table, table2_optimality, table3_field
+REPO = Path(__file__).resolve().parents[2]
+sys.path.insert(0, str(REPO))
 
-OUT = Path(__file__).parent / "experiments_golden.json"
-
-#: Canonical parameters — what the golden pins.  Must match
-#: tests/test_experiments_golden.py.
-TABLE2_ARGS = {"device_counts": (6, 8, 10, 12), "trials": 5, "seed": 101}
-TABLE3_ARGS = {"rounds": 10, "seed": 3}
-
-
-def capture() -> dict:
-    t2 = table2_optimality(**TABLE2_ARGS)
-    t3 = table3_field(**TABLE3_ARGS)
-    return {
-        "_comment": "Pinned evaluation tables; regenerate via capture_experiments_golden.py",
-        "table2": {
-            "args": {k: list(v) if isinstance(v, tuple) else v for k, v in TABLE2_ARGS.items()},
-            "rendered": render_table(t2.table),
-            "avg_gap_vs_optimal_pct": t2.avg_gap_vs_optimal_pct,
-            "avg_saving_vs_nca_pct": t2.avg_saving_vs_nca_pct,
-        },
-        "table3": {
-            "args": dict(TABLE3_ARGS),
-            "rendered": render_table(t3.table),
-            "avg_improvement_pct": t3.avg_improvement_pct,
-            "ccsa_mean_cost": t3.ccsa_mean_cost,
-            "nca_mean_cost": t3.nca_mean_cost,
-        },
-    }
+from tests.test_experiments_golden import GOLDEN_FILE, collect  # noqa: E402
 
 
 if __name__ == "__main__":
-    golden = capture()
-    with open(OUT, "w") as fh:
+    golden = collect()
+    with open(GOLDEN_FILE, "w") as fh:
         json.dump(golden, fh, indent=2)
         fh.write("\n")
-    print(f"wrote {OUT}")
+    print(f"wrote {GOLDEN_FILE.relative_to(REPO)}")
     print(golden["table2"]["rendered"])
     print()
     print(golden["table3"]["rendered"])

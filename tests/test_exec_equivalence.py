@@ -143,25 +143,6 @@ def test_sweep_serial_parallel_and_replay_identical(sweep, tmp_path):
     assert replay_ex.computed == 0
 
 
-def test_custom_algorithms_match_registry_path():
-    """The in-process fallback uses the same derived seeds as the tasks."""
-    from repro.core import ccsa, ccsga, noncooperation
-
-    custom = {
-        "NCA": noncooperation,
-        "CCSA": ccsa,
-        "CCSGA": lambda inst: ccsga(inst, certify=False).schedule,
-    }
-    via_tasks = sweep_costs(
-        "s", "t", SMALL_SCALE_SPEC, "n_devices", [5], trials=2, seed=3
-    )
-    in_process = sweep_costs(
-        "s", "t", SMALL_SCALE_SPEC, "n_devices", [5], trials=2, seed=3,
-        algorithms=custom,
-    )
-    assert via_tasks.series == in_process.series
-
-
 # ---------------------------------------------------------------------------
 # Fingerprint properties
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments import (
-    FIGURE_BUILDERS,
+    EXPERIMENTS,
     fig6_cost_vs_chargers,
     fig8_cost_vs_field_side,
     fig12_ablation_capacity,
@@ -32,7 +32,8 @@ class TestFigureBuilders:
         assert res.series["CCSA saving %"][1] > 10.0
 
     def test_figure_builder_registry_complete(self):
-        assert set(FIGURE_BUILDERS) == {f"fig{i}" for i in range(5, 13)}
+        figures = {eid for eid in EXPERIMENTS if eid.startswith("fig")}
+        assert figures == {f"fig{i}" for i in range(5, 13)}
 
 
 class TestMarketEdgeCases:
