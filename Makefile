@@ -10,7 +10,7 @@ JOBS ?= 1
 # Task-result cache directory used by run-all (re-runs resume from it).
 CACHE_DIR ?= .ccs-bench-cache
 
-.PHONY: test engines lint typecheck bench bench-smoke bench-hotpath bench-large bench-exec bench-recovery golden golden-experiments fixture-journal-v1 run-all serve-smoke chaos-smoke chaos shard-smoke recovery-smoke e2e-smoke
+.PHONY: test engines examples lint typecheck bench bench-smoke bench-hotpath bench-large bench-exec bench-recovery golden golden-experiments fixture-journal-v1 run-all serve-smoke chaos-smoke chaos shard-smoke recovery-smoke e2e-smoke
 
 # Tier-1 gate: the full unit/property/golden suite.
 test:
@@ -29,6 +29,13 @@ engines:
 		tests/test_service_faults.py tests/test_service_kernel.py \
 		tests/test_regression_golden.py tests/test_game_incremental.py \
 		tests/test_pricing_rows.py
+
+# The request-stream examples (about 15 s): online policies over a
+# generated stream, and the daemon over one with its journal truncated
+# and recovered.  A crash or a broken import fails the target.
+examples:
+	$(PYTHON) examples/online_service.py
+	$(PYTHON) examples/charging_service.py
 
 # Domain-aware static analysis: determinism / numeric / state-discipline
 # invariants (see docs/LINTING.md).  Exit 0 means no unbaselined findings.

@@ -7,14 +7,8 @@ windows hurt (forced singletons), generous windows approach clairvoyance.
 """
 
 from repro.geometry import Field, grid_deployment
-from repro.online import (
-    BatchScheduler,
-    GreedyDispatch,
-    burst_arrivals,
-    compare_policies,
-    diurnal_arrivals,
-    poisson_arrivals,
-)
+from repro.online import BatchScheduler, GreedyDispatch, compare_policies
+from repro.service import burst_arrivals, diurnal_arrivals, generate_requests
 from repro.wpt import Charger, PowerLawTariff
 
 FIELD = Field.square(300.0)
@@ -32,7 +26,7 @@ def make_chargers():
 
 
 def run_online(n=40, seed=5):
-    arrivals = poisson_arrivals(n, rate=1 / 30.0, field=FIELD, rng=seed)
+    requests = generate_requests(n, rate=1 / 30.0, field=FIELD, rng=seed)
     chargers = make_chargers()
     return compare_policies(
         {
@@ -42,7 +36,7 @@ def run_online(n=40, seed=5):
             "batch  w=120s": BatchScheduler(window=120.0),
             "batch  w=600s": BatchScheduler(window=600.0),
         },
-        arrivals,
+        requests,
         chargers,
     )
 
@@ -64,7 +58,7 @@ def run_traces(seed=1):
     """Same policies over structured traces: diurnal sparsity vs bursts."""
     chargers = make_chargers()
     traces = {
-        "poisson": poisson_arrivals(40, rate=1 / 30.0, field=FIELD, rng=seed),
+        "poisson": generate_requests(40, rate=1 / 30.0, field=FIELD, rng=seed),
         "diurnal": diurnal_arrivals(40, FIELD, rng=seed),
         "bursty": burst_arrivals(4, 10, FIELD, rng=seed),
     }
@@ -73,8 +67,8 @@ def run_traces(seed=1):
         "batch": BatchScheduler(window=120.0),
     }
     return {
-        name: compare_policies(policies, arrivals, chargers)
-        for name, arrivals in traces.items()
+        name: compare_policies(policies, requests, chargers)
+        for name, requests in traces.items()
     }
 
 

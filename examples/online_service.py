@@ -1,7 +1,7 @@
 """Online charging service: requests arrive, the operator commits on the fly.
 
 The offline CCS problem knows every request in advance; a deployed
-charging service does not.  This example streams Poisson arrivals through
+charging service does not.  This example streams Poisson requests through
 two online policies — immediate greedy dispatch and windowed batching —
 at several commitment windows, and measures the empirical competitive
 ratio against the clairvoyant offline CCSA.
@@ -12,12 +12,8 @@ Run with::
 """
 
 from repro.geometry import Field, grid_deployment
-from repro.online import (
-    BatchScheduler,
-    GreedyDispatch,
-    compare_policies,
-    poisson_arrivals,
-)
+from repro.online import BatchScheduler, GreedyDispatch, compare_policies
+from repro.service import generate_requests
 from repro.wpt import Charger, PowerLawTariff
 
 
@@ -32,9 +28,9 @@ def main() -> None:
         for j, p in enumerate(grid_deployment(field, 5))
     ]
     # One request every ~30 s on average, 50 requests total.
-    arrivals = poisson_arrivals(50, rate=1 / 30.0, field=field, rng=2021)
-    span_min = arrivals[-1].time / 60.0
-    print(f"{len(arrivals)} requests over {span_min:.0f} simulated minutes, "
+    requests = generate_requests(50, rate=1 / 30.0, field=field, rng=2021)
+    span_min = requests[-1].submitted_at / 60.0
+    print(f"{len(requests)} requests over {span_min:.0f} simulated minutes, "
           f"{len(chargers)} charging pads\n")
 
     policies = {
@@ -44,7 +40,7 @@ def main() -> None:
         "batch, 2min window": BatchScheduler(window=120.0),
         "batch, 10min window": BatchScheduler(window=600.0),
     }
-    outcomes = compare_policies(policies, arrivals, chargers)
+    outcomes = compare_policies(policies, requests, chargers)
 
     print(f"{'policy':<22} {'cost':>9} {'vs clairvoyant':>15} {'sessions':>9}")
     for name, o in outcomes.items():

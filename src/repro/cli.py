@@ -505,6 +505,7 @@ def _serve(args, requests, chargers, config) -> int:
 
 def serve_main(argv: Optional[List[str]] = None) -> int:
     """``ccs-serve`` entry point; returns a process exit code."""
+    from .errors import ConfigurationError
     from .geometry import Field
     from .service import ServiceConfig
     from .service.loadgen import generate_requests, read_trace
@@ -545,15 +546,19 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
     if args.trace:
         requests = read_trace(args.trace)
     else:
-        requests = generate_requests(
-            args.n,
-            rate=args.rate,
-            field=Field(args.field, args.field),
-            profile=args.loadgen,
-            deadline_slack=args.deadline_slack,
-            max_price_factor=args.max_price_factor,
-            rng=args.seed,
-        )
+        try:
+            requests = generate_requests(
+                args.n,
+                rate=args.rate,
+                field=Field(args.field, args.field),
+                profile=args.loadgen,
+                deadline_slack=args.deadline_slack,
+                max_price_factor=args.max_price_factor,
+                rng=args.seed,
+            )
+        except ConfigurationError as exc:
+            print(f"--loadgen: {exc}", file=sys.stderr)
+            return 2
     return _serve(args, requests, chargers, config)
 
 

@@ -1,15 +1,17 @@
-"""Online cooperative charging (extension): requests arrive over time."""
+"""Online cooperative charging (extension): requests arrive over time.
 
-from .arrivals import Arrival, poisson_arrivals
+Policies here consume a stream of
+:class:`~repro.service.request.ChargingRequest` sorted by
+``submitted_at``, as every generator in :mod:`repro.service.loadgen`
+makes (Poisson, timed bursts, 1 h and 24 h diurnal profiles, spatial
+bursts, keyed and clustered streams), and are judged against the
+clairvoyant offline solver on the same devices.
+"""
+
 from .harness import OnlineOutcome, compare_policies, evaluate_policy
-from .traces import burst_arrivals, diurnal_arrivals
 from .scheduler import BatchScheduler, GreedyDispatch, OnlineRun, OpenSession
 
 __all__ = [
-    "Arrival",
-    "poisson_arrivals",
-    "diurnal_arrivals",
-    "burst_arrivals",
     "OpenSession",
     "OnlineRun",
     "GreedyDispatch",

@@ -1,6 +1,6 @@
 """Evaluation harness for online scheduling policies.
 
-Runs a policy over an arrival stream, costs its final schedule, and
+Runs a policy over a request stream, costs its final schedule, and
 compares it with the **clairvoyant offline** solution — CCSA run on the
 full instance as if every request had been known in advance.  The ratio
 ``online / offline`` is the empirical competitive ratio the online
@@ -10,20 +10,22 @@ experiment reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, Mapping, Optional, Sequence
 
 from ..core import CCSInstance, Schedule, ccsa, comprehensive_cost, validate_schedule
 from ..mobility import MobilityModel
 from ..numeric import is_exact_zero
 from ..wpt import Charger
-from .arrivals import Arrival
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..service.request import ChargingRequest
 
 __all__ = ["OnlineOutcome", "evaluate_policy", "compare_policies"]
 
 
 @dataclass(frozen=True)
 class OnlineOutcome:
-    """One policy's performance on one arrival stream."""
+    """One policy's performance on one request stream."""
 
     policy: str
     online_cost: float
@@ -47,7 +49,7 @@ class OnlineOutcome:
 
 def evaluate_policy(
     policy,
-    arrivals: Sequence[Arrival],
+    requests: Sequence[ChargingRequest],
     chargers: Sequence[Charger],
     mobility: Optional[MobilityModel] = None,
     offline_solver: Callable[[CCSInstance], Schedule] = ccsa,
@@ -57,7 +59,7 @@ def evaluate_policy(
     The online schedule is validated for feasibility before costing, so a
     buggy policy fails loudly instead of reporting a bogus ratio.
     """
-    schedule, instance = policy.run(arrivals, chargers, mobility)
+    schedule, instance = policy.run(requests, chargers, mobility)
     validate_schedule(schedule, instance)
     online_cost = comprehensive_cost(schedule, instance)
     offline_cost = comprehensive_cost(offline_solver(instance), instance)
@@ -71,12 +73,12 @@ def evaluate_policy(
 
 def compare_policies(
     policies: Mapping[str, object],
-    arrivals: Sequence[Arrival],
+    requests: Sequence[ChargingRequest],
     chargers: Sequence[Charger],
     mobility: Optional[MobilityModel] = None,
 ) -> Dict[str, OnlineOutcome]:
-    """Evaluate several policies on the *same* arrival stream."""
+    """Evaluate several policies on the *same* request stream."""
     return {
-        name: evaluate_policy(policy, arrivals, chargers, mobility)
+        name: evaluate_policy(policy, requests, chargers, mobility)
         for name, policy in policies.items()
     }

@@ -20,13 +20,15 @@ harness in :mod:`.harness`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
 from ..core import CCSInstance, Device, Schedule, Session, ccsa
 from ..errors import ConfigurationError
 from ..mobility import LinearMobility, MobilityModel
 from ..wpt import Charger
-from .arrivals import Arrival
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..service.request import ChargingRequest
 
 __all__ = ["OpenSession", "OnlineRun", "GreedyDispatch", "BatchScheduler"]
 
@@ -105,17 +107,17 @@ class GreedyDispatch:
 
     def run(
         self,
-        arrivals: Sequence[Arrival],
+        requests: Sequence[ChargingRequest],
         chargers: Sequence[Charger],
         mobility: Optional[MobilityModel] = None,
     ) -> Tuple[Schedule, CCSInstance]:
-        """Process *arrivals* in order; return the final schedule + instance."""
+        """Process *requests* in order; return the final schedule + instance."""
         mobility = mobility if mobility is not None else LinearMobility()
         state = OnlineRun(chargers=chargers, mobility=mobility)
 
-        for arrival in arrivals:
-            state.close_expired(arrival.time, self.window)
-            device = arrival.device
+        for request in requests:
+            state.close_expired(request.submitted_at, self.window)
+            device = request.device
             state.devices.append(device)
 
             best_delta, best_action = None, None
@@ -142,7 +144,7 @@ class GreedyDispatch:
                 target.members.append(device)
             else:
                 state.open_sessions.append(
-                    OpenSession(charger=target, opened_at=arrival.time, members=[device])
+                    OpenSession(charger=target, opened_at=request.submitted_at, members=[device])
                 )
         return state.finish(self.name)
 
@@ -164,22 +166,22 @@ class BatchScheduler:
 
     def run(
         self,
-        arrivals: Sequence[Arrival],
+        requests: Sequence[ChargingRequest],
         chargers: Sequence[Charger],
         mobility: Optional[MobilityModel] = None,
     ) -> Tuple[Schedule, CCSInstance]:
-        """Process *arrivals* in windowed batches; return schedule + instance."""
+        """Process *requests* in windowed batches; return schedule + instance."""
         mobility = mobility if mobility is not None else LinearMobility()
         state = OnlineRun(chargers=chargers, mobility=mobility)
 
-        batch: List[Arrival] = []
+        batch: List[ChargingRequest] = []
         batch_deadline: Optional[float] = None
 
         def flush() -> None:
             if not batch:
                 return
             sub_instance = CCSInstance(
-                devices=[a.device for a in batch],
+                devices=[r.device for r in batch],
                 chargers=list(chargers),
                 mobility=mobility,
             )
@@ -188,19 +190,19 @@ class BatchScheduler:
                 state.closed_sessions.append(
                     OpenSession(
                         charger=session.charger,
-                        opened_at=batch[0].time,
+                        opened_at=batch[0].submitted_at,
                         members=[batch[i].device for i in sorted(session.members)],
                     )
                 )
             batch.clear()
 
-        for arrival in arrivals:
-            if batch_deadline is not None and arrival.time >= batch_deadline:
+        for request in requests:
+            if batch_deadline is not None and request.submitted_at >= batch_deadline:
                 flush()
                 batch_deadline = None
             if batch_deadline is None:
-                batch_deadline = arrival.time + self.window
-            batch.append(arrival)
-            state.devices.append(arrival.device)
+                batch_deadline = request.submitted_at + self.window
+            batch.append(request)
+            state.devices.append(request.device)
         flush()
         return state.finish(self.name)

@@ -20,7 +20,8 @@ Layout:
   keyed to a journal seq, bounding recovery to the suffix replay (see
   ``docs/RECOVERY.md``);
 - :mod:`.metrics` — deterministic counters / gauges / histograms;
-- :mod:`.loadgen` — seeded Poisson / burst / diurnal request streams;
+- :mod:`.loadgen` — every seeded request stream: Poisson, timed bursts,
+  1 h and 24 h diurnal profiles, spatial bursts, keyed and clustered;
 - :mod:`.policy` — adapter running the daemon under the online harness.
 
 See ``docs/SERVICE.md`` for the lifecycle, journal format, and recovery
@@ -41,6 +42,8 @@ from .snapshot import (
 )
 from .loadgen import (
     PROFILES,
+    burst_arrivals,
+    diurnal_arrivals,
     generate_clustered_requests,
     generate_keyed_requests,
     generate_requests,
@@ -70,6 +73,8 @@ __all__ = [
     "prune_snapshots",
     "PROFILES",
     "generate_requests",
+    "diurnal_arrivals",
+    "burst_arrivals",
     "generate_keyed_requests",
     "generate_clustered_requests",
     "read_trace",

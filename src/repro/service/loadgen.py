@@ -1,30 +1,33 @@
-"""Synthetic request streams for driving (and benchmarking) the daemon.
+"""Seeded request streams: the one home of every request generator.
 
-Three arrival profiles, all seeded and fully deterministic:
+Each stream is a list of :class:`~repro.service.request.ChargingRequest`
+sorted by ``submitted_at``, ids ``r000000, ...`` (devices ``d000000,
+...``) in that order, with an optional deadline (``deadline_slack``) and
+price cap (``max_price_factor``) set by one request builder.
+:func:`write_trace` / :func:`read_trace` round-trip streams through JSONL
+files (one ``ChargingRequest.to_dict`` per line) so the CLI can replay a
+recorded trace instead of generating.
 
-- ``poisson`` — memoryless arrivals at a constant rate, the standard
-  open-loop service workload;
-- ``burst`` — a low background rate punctuated by periodic bursts in
-  which a clump of requests lands within a few seconds (a convoy of
-  devices returning from a mission leg together);
-- ``diurnal`` — a sinusoidally modulated rate (thinned from a Poisson
-  majorant), modelling a day/night duty cycle.
+Two families, each with its own draw-order contract:
 
-A generated stream is a list of :class:`~repro.service.request.ChargingRequest`
-with strictly ordered ids; :func:`write_trace` / :func:`read_trace`
-round-trip streams through JSONL files (one ``ChargingRequest.to_dict``
-per line) so the CLI can replay a recorded trace instead of generating.
-
-Two further generators exist for the sharded service (docs/SHARDING.md):
-
-- :func:`generate_keyed_requests` draws every attribute of request *k*
-  from its own :func:`~repro.rng.derive_seed`-keyed stream, so the
-  request is a pure function of ``(seed, k)`` — any subset of the stream
-  (e.g. the requests a spatial shard sees) is independent of how the rest
-  of the stream is consumed;
-- :func:`generate_clustered_requests` places keyed requests in tight
-  clusters around given centers — the spatially partitionable workload
-  the shard-stability regression tests drive.
+- **Shared stream** — one generator seeded by ``rng`` feeds every draw.
+  :func:`generate_requests` (profiles ``poisson``, ``burst``: a low
+  background rate plus periodic clumps, and ``diurnal``: a 1 h sinusoid)
+  and :func:`diurnal_arrivals` (a 24 h day/night profile) draw all
+  arrival times first, then every x, every y, every demand, then one
+  deadline jitter per request in id order.  :func:`burst_arrivals`
+  (spatial bursts) draws the burst centres, then per burst its demands
+  and per device a time jitter, x and y.  Consuming the stream
+  differently changes everything downstream.
+- **Keyed** — :func:`generate_keyed_requests` and
+  :func:`generate_clustered_requests` draw request *k*'s gap from
+  ``derive_seed(seed, "arrival", k)``, its position from
+  ``derive_seed(seed, "position", k)`` and its demand, then deadline
+  jitter, from ``derive_seed(seed, "request", k)``.  Request *k* is a
+  pure function of ``(seed, k)``, so any subset of the stream (the
+  requests one spatial shard sees) is independent of how the rest is
+  generated or consumed, and prefixes are stable under extension
+  (docs/SHARDING.md).
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from ..core import Device
 from ..energy import uniform_demands
@@ -44,6 +47,8 @@ from .request import ChargingRequest
 __all__ = [
     "PROFILES",
     "generate_requests",
+    "diurnal_arrivals",
+    "burst_arrivals",
     "generate_keyed_requests",
     "generate_clustered_requests",
     "write_trace",
@@ -52,6 +57,62 @@ __all__ = [
 
 #: Supported arrival profiles, in CLI/help order.
 PROFILES = ("poisson", "burst", "diurnal")
+
+_DAY = 86_400.0
+
+
+def _check_stream(n: int, rate: float, what: str = "arrival rate") -> None:
+    if n < 0:
+        raise ConfigurationError(f"n must be nonnegative, got {n}")
+    if rate <= 0:
+        raise ConfigurationError(f"{what} must be positive, got {rate}")
+
+
+def _thinned_times(
+    n: int, majorant: float, accept: Callable[[float, float], bool], rng
+) -> List[float]:
+    """Lewis–Shedler thinning: exponential gaps at the *majorant* rate,
+    each candidate ``t`` kept when ``accept(t, u)`` for a fresh uniform
+    ``u``, until *n* are kept."""
+    times: List[float] = []
+    t = 0.0
+    while len(times) < n:
+        t += float(rng.exponential(1.0 / majorant))
+        if accept(t, rng.uniform()):
+            times.append(t)
+    return times
+
+
+def _request(
+    k: int, t: float, position: Point, demand: float, moving_rate: float,
+    deadline_slack: Optional[float], max_price_factor: Optional[float], rng,
+) -> ChargingRequest:
+    """Request *k*; a deadline draws its ``±25%`` jitter from *rng*."""
+    deadline = None
+    if deadline_slack is not None:
+        deadline = float(t) + deadline_slack * float(rng.uniform(0.75, 1.25))
+    max_price = None if max_price_factor is None else max_price_factor * demand ** 0.8
+    return ChargingRequest(
+        request_id=f"r{k:06d}",
+        device=Device(f"d{k:06d}", position, demand, moving_rate=moving_rate),
+        submitted_at=float(t),
+        deadline=deadline,
+        max_price=max_price,
+    )
+
+
+def _uniform_requests(
+    times: Sequence[float], field: Field, demand_low: float, demand_high: float,
+    moving_rate: float, deadline_slack: Optional[float],
+    max_price_factor: Optional[float], rng,
+) -> List[ChargingRequest]:
+    """Requests at *times*, uniform over *field* (shared-stream order)."""
+    positions = uniform_deployment(field, len(times), rng)
+    demands = uniform_demands(len(times), demand_low, demand_high, rng)
+    return [
+        _request(k, t, p, d, moving_rate, deadline_slack, max_price_factor, rng)
+        for k, (t, p, d) in enumerate(zip(times, positions, demands))
+    ]
 
 
 def _arrival_times(
@@ -68,7 +129,7 @@ def _arrival_times(
         while len(times) < n:
             t += float(rng.exponential(2.0 / rate))
             times.append(t)
-        horizon = times[-1]
+        horizon = times[-1] if times else 0.0
         k = 1
         while (k * burst_every) <= horizon and len(times) < 4 * n:
             base = k * burst_every
@@ -78,14 +139,11 @@ def _arrival_times(
     if profile == "diurnal":
         # Thin a Poisson majorant at ``rate`` down to a sinusoid with a
         # 1-hour period: lambda(t) = rate * (0.55 + 0.45 sin(2 pi t / 3600)).
-        times = []
-        t = 0.0
-        while len(times) < n:
-            t += float(rng.exponential(1.0 / rate))
-            accept = 0.55 + 0.45 * math.sin(2.0 * math.pi * t / 3600.0)
-            if rng.uniform() < accept:
-                times.append(t)
-        return times
+        return _thinned_times(
+            n, rate,
+            lambda t, u: u < 0.55 + 0.45 * math.sin(2.0 * math.pi * t / 3600.0),
+            rng,
+        )
     raise ConfigurationError(
         f"unknown load profile {profile!r}; expected one of {PROFILES}"
     )
@@ -116,87 +174,126 @@ def generate_requests(
     curvature, so factors near 1.2 leave a deliberate unaffordable tail
     that exercises ``price`` rejections.
     """
-    if n < 0:
-        raise ConfigurationError(f"n must be nonnegative, got {n}")
-    if rate <= 0:
-        raise ConfigurationError(f"arrival rate must be positive, got {rate}")
+    _check_stream(n, rate)
     gen = ensure_rng(rng)
     field = field if field is not None else Field(100.0, 100.0)
     times = _arrival_times(profile, n, rate, gen, burst_every, burst_size)
-    positions = uniform_deployment(field, n, gen)
-    demands = uniform_demands(n, demand_low, demand_high, gen)
-    requests: List[ChargingRequest] = []
-    for k, (t, p, d) in enumerate(zip(times, positions, demands)):
-        deadline = None
-        if deadline_slack is not None:
-            deadline = float(t) + deadline_slack * float(gen.uniform(0.75, 1.25))
-        max_price = None
-        if max_price_factor is not None:
-            max_price = max_price_factor * d ** 0.8
-        requests.append(
-            ChargingRequest(
-                request_id=f"r{k:06d}",
-                device=Device(
-                    device_id=f"d{k:06d}",
-                    position=p,
-                    demand=d,
-                    moving_rate=moving_rate,
-                ),
-                submitted_at=float(t),
-                deadline=deadline,
-                max_price=max_price,
-            )
-        )
-    return requests
-
-
-def _keyed_request(
-    k: int,
-    seed: int,
-    t: float,
-    position: Point,
-    demand_low: float,
-    demand_high: float,
-    moving_rate: float,
-    deadline_slack: Optional[float],
-    max_price_factor: Optional[float],
-) -> ChargingRequest:
-    """Build request *k* from its own ``derive_seed(seed, "request", k)`` stream."""
-    gen = ensure_rng(derive_seed(seed, "request", k))
-    demand = float(gen.uniform(demand_low, demand_high))
-    deadline = None
-    if deadline_slack is not None:
-        deadline = float(t) + deadline_slack * float(gen.uniform(0.75, 1.25))
-    max_price = None
-    if max_price_factor is not None:
-        max_price = max_price_factor * demand ** 0.8
-    return ChargingRequest(
-        request_id=f"r{k:06d}",
-        device=Device(
-            device_id=f"d{k:06d}",
-            position=position,
-            demand=demand,
-            moving_rate=moving_rate,
-        ),
-        submitted_at=float(t),
-        deadline=deadline,
-        max_price=max_price,
+    return _uniform_requests(
+        times, field, demand_low, demand_high, moving_rate,
+        deadline_slack, max_price_factor, gen,
     )
 
 
-def _keyed_arrival_times(n: int, rate: float, seed: int) -> List[float]:
-    """Poisson arrivals whose *k*-th gap comes from its own keyed stream.
+def diurnal_arrivals(
+    n: int,
+    field: Field,
+    peak_rate: float = 1 / 60.0,
+    trough_ratio: float = 0.15,
+    peak_hour: float = 14.0,
+    demand_low: float = 10e3,
+    demand_high: float = 40e3,
+    moving_rate: float = 0.05,
+    rng: RandomState = None,
+) -> List[ChargingRequest]:
+    """*n* requests over one day with a sinusoidal day/night rate profile.
 
-    ``t_k`` is a pure function of ``(seed, k)`` — a deterministic sum of
-    per-index gaps — so extending the stream never moves earlier arrivals.
+    The intensity is ``λ(t) = peak_rate · (r + (1-r)·(1+cos(2π(t-t_peak)/day))/2)``
+    with ``r = trough_ratio``; samples are drawn by Lewis–Shedler thinning
+    against the constant majorant ``peak_rate`` and truncated to *n*
+    requests (wrapping into following days if the first day is too quiet).
+    Night-time sparsity is the hard case for any finite commitment window.
     """
-    times: List[float] = []
+    _check_stream(n, peak_rate, "peak_rate")
+    if not 0.0 < trough_ratio <= 1.0:
+        raise ConfigurationError(
+            f"trough_ratio must be in (0, 1], got {trough_ratio}"
+        )
+    gen = ensure_rng(rng)
+    t_peak = peak_hour * 3600.0
+
+    def intensity(t: float) -> float:
+        phase = math.cos(2.0 * math.pi * (t - t_peak) / _DAY)
+        return peak_rate * (trough_ratio + (1.0 - trough_ratio) * (1.0 + phase) / 2.0)
+
+    times = _thinned_times(
+        n, peak_rate, lambda t, u: u <= intensity(t) / peak_rate, gen
+    )
+    return _uniform_requests(
+        times, field, demand_low, demand_high, moving_rate, None, None, gen
+    )
+
+
+def burst_arrivals(
+    n_bursts: int,
+    burst_size: int,
+    field: Field,
+    burst_spacing: float = 1800.0,
+    burst_spread: float = 30.0,
+    cluster_spread: float = 0.05,
+    demand_low: float = 10e3,
+    demand_high: float = 40e3,
+    moving_rate: float = 0.05,
+    rng: RandomState = None,
+) -> List[ChargingRequest]:
+    """Synchronized bursts: *n_bursts* events, each waking *burst_size* devices.
+
+    Each burst happens at a random point of the field; its devices appear
+    within ``burst_spread`` seconds around the burst time and within a
+    Gaussian cluster of relative width ``cluster_spread`` around the burst
+    location — the co-located, co-timed demand (e.g. a detection event
+    waking a whole cluster) that makes cooperation, and batching, shine.
+    """
+    if n_bursts < 0 or burst_size < 1:
+        raise ConfigurationError("need n_bursts >= 0 and burst_size >= 1")
+    if burst_spacing <= 0 or burst_spread < 0:
+        raise ConfigurationError("invalid burst timing parameters")
+    gen = ensure_rng(rng)
+    sigma = cluster_spread * min(field.width, field.height)
+
+    draws: List[Tuple[float, Point, float]] = []
+    centers = uniform_deployment(field, n_bursts, gen)
+    for b in range(n_bursts):
+        burst_time = (b + 1) * burst_spacing
+        center = centers[b]
+        for d in uniform_demands(burst_size, demand_low, demand_high, gen):
+            jitter_t = abs(float(gen.normal(0.0, burst_spread)))
+            pos = field.clamp(
+                center.translated(
+                    float(gen.normal(0.0, sigma)), float(gen.normal(0.0, sigma))
+                )
+            )
+            draws.append((burst_time + jitter_t, pos, d))
+    draws.sort(key=lambda draw: draw[0])
+    return [
+        _request(k, t, p, d, moving_rate, None, None, gen)
+        for k, (t, p, d) in enumerate(draws)
+    ]
+
+
+def _keyed_requests(
+    n: int, rate: float, seed: int, place: Callable[[int, RandomState], Point],
+    demand_low: float, demand_high: float, moving_rate: float,
+    deadline_slack: Optional[float], max_price_factor: Optional[float],
+) -> List[ChargingRequest]:
+    """The keyed loop: request *k* at ``place(k, position_rng)``.
+
+    ``t_k`` is a deterministic sum of per-index gaps, so extending the
+    stream never moves earlier arrivals.
+    """
+    requests: List[ChargingRequest] = []
     t = 0.0
     for k in range(n):
-        gap_rng = ensure_rng(derive_seed(seed, "arrival", k))
-        t += float(gap_rng.exponential(1.0 / rate))
-        times.append(t)
-    return times
+        t += float(ensure_rng(derive_seed(seed, "arrival", k)).exponential(1.0 / rate))
+        position = place(k, ensure_rng(derive_seed(seed, "position", k)))
+        gen = ensure_rng(derive_seed(seed, "request", k))
+        demand = float(gen.uniform(demand_low, demand_high))
+        requests.append(
+            _request(
+                k, t, position, demand, moving_rate,
+                deadline_slack, max_price_factor, gen,
+            )
+        )
+    return requests
 
 
 def generate_keyed_requests(
@@ -212,35 +309,23 @@ def generate_keyed_requests(
 ) -> List[ChargingRequest]:
     """Generate *n* Poisson requests with per-request keyed randomness.
 
-    Unlike :func:`generate_requests`, which draws every attribute from one
-    shared stream (so consuming the stream differently changes everything
-    downstream), request *k* here is a pure function of ``(seed, k)``:
-    its gap comes from ``derive_seed(seed, "arrival", k)`` and its
-    position/demand/deadline from ``derive_seed(seed, "request", k)``.
-    Any subset of the stream — e.g. the requests one spatial shard sees —
-    is therefore independent of how the rest is generated or consumed,
-    which is what the shard-count stability tests rely on.
+    Positions are uniform over *field* (default 100 m x 100 m); see the
+    module docstring for the keyed draw order the shard-count stability
+    tests rely on.
     """
-    if n < 0:
-        raise ConfigurationError(f"n must be nonnegative, got {n}")
-    if rate <= 0:
-        raise ConfigurationError(f"arrival rate must be positive, got {rate}")
+    _check_stream(n, rate)
     field = field if field is not None else Field(100.0, 100.0)
-    times = _keyed_arrival_times(n, rate, seed)
-    requests: List[ChargingRequest] = []
-    for k, t in enumerate(times):
-        pos_rng = ensure_rng(derive_seed(seed, "position", k))
-        position = Point(
-            float(pos_rng.uniform(0.0, field.width)),
-            float(pos_rng.uniform(0.0, field.height)),
+
+    def place(k: int, rng) -> Point:
+        return Point(
+            float(rng.uniform(0.0, field.width)),
+            float(rng.uniform(0.0, field.height)),
         )
-        requests.append(
-            _keyed_request(
-                k, seed, t, position, demand_low, demand_high,
-                moving_rate, deadline_slack, max_price_factor,
-            )
-        )
-    return requests
+
+    return _keyed_requests(
+        n, rate, seed, place, demand_low, demand_high,
+        moving_rate, deadline_slack, max_price_factor,
+    )
 
 
 def generate_clustered_requests(
@@ -266,35 +351,28 @@ def generate_clustered_requests(
     cleanly under any spatial partition whose cells contain whole clusters
     — the shape the 2→4 shard-stability regression test needs.
     """
-    if n < 0:
-        raise ConfigurationError(f"n must be nonnegative, got {n}")
-    if rate <= 0:
-        raise ConfigurationError(f"arrival rate must be positive, got {rate}")
+    _check_stream(n, rate)
     if not centers:
         raise ConfigurationError("clustered workload needs at least one center")
     if radius <= 0:
         raise ConfigurationError(f"cluster radius must be positive, got {radius}")
     field = field if field is not None else Field(100.0, 100.0)
     points = [c if isinstance(c, Point) else Point(float(c[0]), float(c[1])) for c in centers]
-    times = _keyed_arrival_times(n, rate, seed)
-    requests: List[ChargingRequest] = []
-    for k, t in enumerate(times):
+
+    def place(k: int, rng) -> Point:
         center = points[k % len(points)]
-        pos_rng = ensure_rng(derive_seed(seed, "position", k))
         # Uniform over the disc: radius ~ sqrt(u), angle ~ uniform.
-        r = radius * math.sqrt(float(pos_rng.uniform()))
-        theta = float(pos_rng.uniform(0.0, 2.0 * math.pi))
-        position = Point(
+        r = radius * math.sqrt(float(rng.uniform()))
+        theta = float(rng.uniform(0.0, 2.0 * math.pi))
+        return Point(
             min(max(center.x + r * math.cos(theta), 0.0), field.width),
             min(max(center.y + r * math.sin(theta), 0.0), field.height),
         )
-        requests.append(
-            _keyed_request(
-                k, seed, t, position, demand_low, demand_high,
-                moving_rate, deadline_slack, max_price_factor,
-            )
-        )
-    return requests
+
+    return _keyed_requests(
+        n, rate, seed, place, demand_low, demand_high,
+        moving_rate, deadline_slack, max_price_factor,
+    )
 
 
 def write_trace(path: Union[str, Path], requests: List[ChargingRequest]) -> None:

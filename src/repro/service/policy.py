@@ -1,18 +1,18 @@
 """Adapter exposing the service daemon as an online scheduling policy.
 
 The online harness (:mod:`repro.online.harness`) benchmarks anything with
-a ``name`` and a ``run(arrivals, chargers, mobility) -> (Schedule,
+a ``name`` and a ``run(requests, chargers, mobility) -> (Schedule,
 CCSInstance)``.  :class:`ServicePolicy` drives a fresh
-:class:`~repro.service.kernel.ChargingService` over the arrival stream
-(submit each arrival at its timestamp, then drain) and freezes the
-departed sessions into a standard :class:`~repro.core.schedule.Schedule`
-— so the daemon's epoch fold/improve/repair loop can be measured with the
-same competitive-ratio machinery as :class:`~repro.online.scheduler.GreedyDispatch`
+:class:`~repro.service.kernel.ChargingService` over the request stream
+(submit each request as given, then drain) and freezes the departed
+sessions into a standard :class:`~repro.core.schedule.Schedule` — so the
+daemon's epoch fold/improve/repair loop can be measured with the same
+competitive-ratio machinery as :class:`~repro.online.scheduler.GreedyDispatch`
 and :class:`~repro.online.scheduler.BatchScheduler`.
 
-Requests carry no deadline or price cap here: the harness contract is
-that every arrived device ends up in the schedule, so the adapter runs
-the daemon in its always-admit regime.
+The harness contract is that every submitted device ends up in the
+schedule, so feed it requests without a deadline or price cap (the
+generators' default): the daemon then runs in its always-admit regime.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from ..core import CCSInstance, Schedule, Session
 from ..core.costsharing import CostSharingScheme
 from ..errors import ConfigurationError
 from ..mobility import MobilityModel
-from ..online.arrivals import Arrival
 from ..wpt import Charger
 from .kernel import ChargingService, ServiceConfig
 from .request import ChargingRequest
@@ -46,27 +45,21 @@ class ServicePolicy:
 
     def run(
         self,
-        arrivals: Sequence[Arrival],
+        requests: Sequence[ChargingRequest],
         chargers: Sequence[Charger],
         mobility: Optional[MobilityModel] = None,
     ) -> Tuple[Schedule, CCSInstance]:
-        """Feed *arrivals* through a fresh daemon; return its schedule."""
-        if not arrivals:
+        """Feed *requests* through a fresh daemon; return its schedule."""
+        if not requests:
             raise ConfigurationError("no arrivals were scheduled")
         service = ChargingService(
             chargers, mobility=mobility, scheme=self.scheme, config=self.config
         )
-        for k, arrival in enumerate(arrivals):
-            service.submit(
-                ChargingRequest(
-                    request_id=f"p{k:06d}",
-                    device=arrival.device,
-                    submitted_at=arrival.time,
-                )
-            )
+        for request in requests:
+            service.submit(request)
         service.drain()
         instance = CCSInstance(
-            devices=[a.device for a in arrivals],
+            devices=[r.device for r in requests],
             chargers=list(chargers),
             mobility=service.planner.instance.mobility,
         )

@@ -132,13 +132,14 @@ class TestSimSnippet:
 class TestOnlineMarketPlanningSnippets:
     def test_online_api(self):
         from repro.geometry import Field
-        from repro.online import GreedyDispatch, compare_policies, poisson_arrivals
+        from repro.online import GreedyDispatch, compare_policies
+        from repro.service import generate_requests
 
         field = Field.square(300.0)
         inst = quick_instance(5, 3, seed=1)
-        arrivals = poisson_arrivals(12, rate=1 / 30, field=field, rng=0)
+        requests = generate_requests(12, rate=1 / 30, field=field, rng=0)
         out = compare_policies(
-            {"greedy": GreedyDispatch(window=120.0)}, arrivals, inst.chargers
+            {"greedy": GreedyDispatch(window=120.0)}, requests, inst.chargers
         )
         assert out["greedy"].competitive_ratio > 0
 

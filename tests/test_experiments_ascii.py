@@ -61,8 +61,11 @@ class TestAsciiPlot:
 
 
 class TestCliPlotFlag:
-    def test_plot_flag_renders_chart(self, capsys):
-        assert main(["fig12", "--trials", "1", "--plot"]) == 0
+    def test_plot_flag_renders_chart(self, capsys, tmp_path):
+        # Its own cache directory: the default one is under the working
+        # directory, where a later run would replay these results.
+        argv = ["fig12", "--trials", "1", "--plot", "--cache-dir", str(tmp_path)]
+        assert main(argv) == 0
         out = capsys.readouterr().out
         assert "|" in out  # chart canvas
         assert "CCSA saving %" in out

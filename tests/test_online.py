@@ -8,13 +8,12 @@ from repro.core import validate_schedule
 from repro.errors import ConfigurationError
 from repro.geometry import Field, grid_deployment
 from repro.online import (
-    Arrival,
     BatchScheduler,
     GreedyDispatch,
     compare_policies,
     evaluate_policy,
-    poisson_arrivals,
 )
+from repro.service import generate_requests
 from repro.wpt import Charger, PowerLawTariff
 
 FIELD = Field.square(300.0)
@@ -31,39 +30,39 @@ def make_chargers(m=4, capacity=6):
     ]
 
 
-def make_arrivals(n=30, rate=1 / 30.0, seed=3):
-    return poisson_arrivals(n, rate=rate, field=FIELD, rng=seed)
+def make_requests(n=30, rate=1 / 30.0, seed=3):
+    return generate_requests(n, rate=rate, field=FIELD, rng=seed)
 
 
 class TestArrivals:
     def test_count_and_ordering(self):
-        arrivals = make_arrivals(25)
-        assert len(arrivals) == 25
-        times = [a.time for a in arrivals]
+        requests = make_requests(25)
+        assert len(requests) == 25
+        times = [r.submitted_at for r in requests]
         assert times == sorted(times)
         assert all(t > 0 for t in times)
 
     def test_positions_in_field_and_ids_unique(self):
-        arrivals = make_arrivals(25)
-        assert all(FIELD.contains(a.device.position) for a in arrivals)
-        ids = [a.device.device_id for a in arrivals]
+        requests = make_requests(25)
+        assert all(FIELD.contains(r.device.position) for r in requests)
+        ids = [r.device.device_id for r in requests]
         assert len(set(ids)) == len(ids)
 
     def test_seeded(self):
-        a = make_arrivals(10, seed=9)
-        b = make_arrivals(10, seed=9)
-        assert [x.time for x in a] == [x.time for x in b]
+        a = make_requests(10, seed=9)
+        b = make_requests(10, seed=9)
+        assert [x.submitted_at for x in a] == [x.submitted_at for x in b]
 
     def test_mean_interarrival_matches_rate(self):
-        arrivals = poisson_arrivals(4000, rate=0.5, field=FIELD, rng=0)
-        mean_gap = arrivals[-1].time / len(arrivals)
+        requests = generate_requests(4000, rate=0.5, field=FIELD, rng=0)
+        mean_gap = requests[-1].submitted_at / len(requests)
         assert mean_gap == pytest.approx(2.0, rel=0.1)
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            poisson_arrivals(-1, rate=1.0, field=FIELD)
+            generate_requests(-1, rate=1.0, field=FIELD)
         with pytest.raises(ConfigurationError):
-            poisson_arrivals(5, rate=0.0, field=FIELD)
+            generate_requests(5, rate=0.0, field=FIELD)
 
 
 class TestPolicies:
@@ -72,7 +71,7 @@ class TestPolicies:
         ids=["greedy", "batch"],
     )
     def test_produces_feasible_schedule(self, policy):
-        schedule, instance = policy.run(make_arrivals(30), make_chargers())
+        schedule, instance = policy.run(make_requests(30), make_chargers())
         validate_schedule(schedule, instance)
         assert instance.n_devices == 30
 
@@ -80,32 +79,32 @@ class TestPolicies:
         "policy_cls", [GreedyDispatch, BatchScheduler], ids=["greedy", "batch"]
     )
     def test_deterministic(self, policy_cls):
-        a, _ = policy_cls(window=100.0).run(make_arrivals(20), make_chargers())
-        b, _ = policy_cls(window=100.0).run(make_arrivals(20), make_chargers())
+        a, _ = policy_cls(window=100.0).run(make_requests(20), make_chargers())
+        b, _ = policy_cls(window=100.0).run(make_requests(20), make_chargers())
         assert a.canonical() == b.canonical()
 
     def test_greedy_respects_capacity(self):
         schedule, instance = GreedyDispatch(window=1e9).run(
-            make_arrivals(30), make_chargers(capacity=2)
+            make_requests(30), make_chargers(capacity=2)
         )
         assert max(s.size for s in schedule.sessions) <= 2
 
     def test_tiny_window_forces_singletons(self):
         # Sessions depart immediately: nobody can ever join.
         schedule, _ = GreedyDispatch(window=1e-9).run(
-            make_arrivals(15), make_chargers()
+            make_requests(15), make_chargers()
         )
         assert all(s.size == 1 for s in schedule.sessions)
 
     def test_infinite_window_allows_grouping(self):
         schedule, _ = GreedyDispatch(window=1e12).run(
-            make_arrivals(15), make_chargers()
+            make_requests(15), make_chargers()
         )
         assert any(s.size > 1 for s in schedule.sessions)
 
     def test_batch_groups_within_windows(self):
         schedule, _ = BatchScheduler(window=600.0).run(
-            make_arrivals(20, rate=1.0), make_chargers()
+            make_requests(20, rate=1.0), make_chargers()
         )
         assert any(s.size > 1 for s in schedule.sessions)
 
@@ -125,7 +124,7 @@ class TestHarness:
         # The clairvoyant solver sees everything, so online can't beat it
         # by more than CCSA's own suboptimality.
         out = evaluate_policy(
-            GreedyDispatch(window=120.0), make_arrivals(30), make_chargers()
+            GreedyDispatch(window=120.0), make_requests(30), make_chargers()
         )
         assert out.competitive_ratio >= 0.95
         assert out.competitive_ratio <= 2.5
@@ -136,7 +135,7 @@ class TestHarness:
                 "greedy": GreedyDispatch(window=120.0),
                 "batch": BatchScheduler(window=120.0),
             },
-            make_arrivals(25),
+            make_requests(25),
             make_chargers(),
         )
         assert set(out) == {"greedy", "batch"}
@@ -146,7 +145,7 @@ class TestHarness:
     def test_batch_with_huge_window_matches_offline(self):
         # One batch containing everything *is* the offline solver.
         out = evaluate_policy(
-            BatchScheduler(window=1e12), make_arrivals(20), make_chargers()
+            BatchScheduler(window=1e12), make_requests(20), make_chargers()
         )
         assert out.competitive_ratio == pytest.approx(1.0)
 
@@ -155,7 +154,7 @@ class TestHarness:
         # feasible and competitive on the same footing as the schedulers.
         from repro.service import ServicePolicy
 
-        out = evaluate_policy(ServicePolicy(), make_arrivals(25), make_chargers())
+        out = evaluate_policy(ServicePolicy(), make_requests(25), make_chargers())
         assert out.policy == "online-service"
         assert 0.95 <= out.competitive_ratio <= 2.5
 

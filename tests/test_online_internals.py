@@ -9,14 +9,13 @@ from repro.errors import ConfigurationError
 from repro.geometry import Field, Point, grid_deployment
 from repro.mobility import ManhattanMobility
 from repro.online import (
-    Arrival,
     BatchScheduler,
     GreedyDispatch,
     OnlineRun,
     OpenSession,
     evaluate_policy,
-    poisson_arrivals,
 )
+from repro.service import ChargingRequest, generate_requests
 from repro.wpt import Charger, PowerLawTariff
 
 FIELD = Field.square(200.0)
@@ -33,9 +32,11 @@ def make_chargers(capacity=4):
     ]
 
 
-def arrival(k, t, x=50.0, y=50.0, demand=15e3):
-    return Arrival(
-        time=t, device=Device(f"m{k}", Point(x, y), demand=demand, moving_rate=0.05)
+def request(k, t, x=50.0, y=50.0, demand=15e3):
+    return ChargingRequest(
+        request_id=f"q{k}",
+        device=Device(f"m{k}", Point(x, y), demand=demand, moving_rate=0.05),
+        submitted_at=t,
     )
 
 
@@ -77,28 +78,28 @@ class TestOnlineRun:
 class TestPolicyEdgeCases:
     def test_single_arrival(self):
         schedule, instance = GreedyDispatch().run(
-            [arrival(0, 1.0)], make_chargers()
+            [request(0, 1.0)], make_chargers()
         )
         assert schedule.n_sessions == 1
         assert instance.n_devices == 1
 
     def test_simultaneous_arrivals_group(self):
-        arrivals = [arrival(k, 10.0, x=50.0 + k, y=50.0) for k in range(3)]
-        schedule, _ = GreedyDispatch(window=60.0).run(arrivals, make_chargers())
+        requests = [request(k, 10.0, x=50.0 + k, y=50.0) for k in range(3)]
+        schedule, _ = GreedyDispatch(window=60.0).run(requests, make_chargers())
         assert any(s.size > 1 for s in schedule.sessions)
 
     def test_capacity_forces_session_rollover(self):
-        arrivals = [arrival(k, 10.0 + k, x=50.0, y=50.0) for k in range(6)]
+        requests = [request(k, 10.0 + k, x=50.0, y=50.0) for k in range(6)]
         schedule, _ = GreedyDispatch(window=1e9).run(
-            arrivals, make_chargers(capacity=2)
+            requests, make_chargers(capacity=2)
         )
         assert all(s.size <= 2 for s in schedule.sessions)
         assert schedule.n_sessions >= 3
 
     def test_custom_mobility_respected(self):
-        arrivals = [arrival(0, 1.0, x=0.0, y=0.0)]
+        requests = [request(0, 1.0, x=0.0, y=0.0)]
         _, instance = GreedyDispatch().run(
-            arrivals, make_chargers(), mobility=ManhattanMobility()
+            requests, make_chargers(), mobility=ManhattanMobility()
         )
         p = instance.devices[0].position
         q = instance.chargers[0].position
@@ -106,17 +107,17 @@ class TestPolicyEdgeCases:
         assert instance.moving_cost(0, 0) == pytest.approx(expected)
 
     def test_batch_flushes_trailing_partial_window(self):
-        arrivals = [arrival(k, 10.0 * k) for k in range(5)]
+        requests = [request(k, 10.0 * k) for k in range(5)]
         schedule, instance = BatchScheduler(window=25.0).run(
-            arrivals, make_chargers()
+            requests, make_chargers()
         )
         assert schedule.covered_devices() == frozenset(range(instance.n_devices))
 
     def test_custom_offline_solver_in_harness(self):
-        arrivals = poisson_arrivals(10, rate=0.05, field=FIELD, rng=4)
+        requests = generate_requests(10, rate=0.05, field=FIELD, rng=4)
         out = evaluate_policy(
             GreedyDispatch(window=60.0),
-            arrivals,
+            requests,
             make_chargers(),
             offline_solver=lambda inst: ccsga(inst, certify=False).schedule,
         )

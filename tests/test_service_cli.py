@@ -54,6 +54,20 @@ class TestServeCli:
             ) == 0
         assert "requests: 10" in capsys.readouterr().out
 
+    def test_empty_burst_stream(self, capsys):
+        assert serve_main(["--loadgen", "burst", "--n", "0"]) == 0
+        assert "requests: 0" in capsys.readouterr().out
+
+    def test_bad_stream_arguments_exit_2(self, capsys):
+        # The generator's own checks, reported as one line, not a traceback.
+        for argv, message in (
+            (["--n", "-1"], "n must be nonnegative, got -1"),
+            (["--rate", "0"], "arrival rate must be positive, got 0.0"),
+        ):
+            assert serve_main(argv) == 2
+            err = capsys.readouterr().err
+            assert err == f"--loadgen: {message}\n"
+
     def test_check_recovery_requires_journal(self, capsys):
         assert serve_main(["--check-recovery"]) == 2
         assert "--check-recovery requires --journal" in capsys.readouterr().err
