@@ -320,27 +320,26 @@ def _load_fault_plan(spec: str, requests, chargers, n_shards: int = 1):
 
     A generated plan crashes a one-shard daemon with a journal write
     fault.  With ``n_shards > 1`` (journal faults key on one kernel's
-    record seqs) it draws the self-healing chaos mix per shard instead,
-    by :meth:`~repro.faults.plan.FaultPlan.generate_supervised`: shard
-    kills, snapshot corruption, crashes mid-snapshot, and crash-looping
-    recoveries.
+    record seqs) :meth:`~repro.faults.plan.FaultPlan.generate` draws its
+    shard chaos mix instead: shard kills, snapshot corruption, crashes
+    mid-snapshot, and crash-looping recoveries.
     """
+    from .errors import ConfigurationError
     from .faults import FaultPlan
 
     if not spec.startswith("seed:"):
         return FaultPlan.load(spec)
-    seed = int(spec[len("seed:"):])
-    plan = FaultPlan.generate(
+    try:
+        seed = int(spec[len("seed:"):])
+    except ValueError:
+        raise ConfigurationError(f"fault plan seed must be an integer, got {spec!r}") from None
+    return FaultPlan.generate(
         seed,
         charger_ids=[c.charger_id for c in chargers],
         requests=requests,
         journal_faults=1 if n_shards == 1 else 0,
+        n_shards=0 if n_shards == 1 else n_shards,
     )
-    if n_shards == 1:
-        return plan
-    horizon = max((float(r.submitted_at) for r in requests), default=0.0) + 600.0
-    chaos = FaultPlan.generate_supervised(seed, n_shards, horizon)
-    return FaultPlan(list(plan.events) + list(chaos.events))
 
 
 def _recover(args, chargers, config, **kwargs):
@@ -533,20 +532,21 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
         print("--recover-only requires --journal", file=sys.stderr)
         return 2
 
-    chargers = _grid_chargers(args.chargers, args.field)
-    config = ServiceConfig(
-        epoch=args.epoch,
-        window=args.window,
-        queue_limit=args.queue_limit,
-        max_active=args.max_active,
-    )
-    if args.recover_only:
-        return _recover_only(args, chargers, config)
-
-    if args.trace:
-        requests = read_trace(args.trace)
-    else:
-        try:
+    # The config, the stream, the fault plan and the service check their
+    # own arguments; a bad one ends the run here with one line, exit 2.
+    try:
+        chargers = _grid_chargers(args.chargers, args.field)
+        config = ServiceConfig(
+            epoch=args.epoch,
+            window=args.window,
+            queue_limit=args.queue_limit,
+            max_active=args.max_active,
+        )
+        if args.recover_only:
+            return _recover_only(args, chargers, config)
+        if args.trace:
+            requests = read_trace(args.trace)
+        else:
             requests = generate_requests(
                 args.n,
                 rate=args.rate,
@@ -556,10 +556,10 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
                 max_price_factor=args.max_price_factor,
                 rng=args.seed,
             )
-        except ConfigurationError as exc:
-            print(f"--loadgen: {exc}", file=sys.stderr)
-            return 2
-    return _serve(args, requests, chargers, config)
+        return _serve(args, requests, chargers, config)
+    except ConfigurationError as exc:
+        print(f"ccs-serve: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

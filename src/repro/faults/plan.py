@@ -47,14 +47,15 @@ events (:data:`SUPERVISOR_KINDS`) key on the shard id and are consumed,
 with ``recovery_crash``, by :class:`repro.shard.supervisor.ShardSupervisor`
 under ``repro.faults.drive(..., supervisor=...)``.
 
-:meth:`FaultPlan.generate` draws from *shared* per-kind streams, so the
-set of entities present changes every draw — fine for single-kernel
-chaos, wrong for shard-stability tests.  :meth:`FaultPlan.generate_keyed`
-instead keys each draw by entity id (``derive_seed(seed, "outage", cid)``,
-``derive_seed(seed, "cancel", rid)``), making each entity's fate a pure
-function of ``(seed, entity)`` — stable under any subsetting, including
-spatial sharding.  :meth:`FaultPlan.generate_supervised` does the same
-per shard via ``derive_seed(seed, "supervised", shard_id)``.
+:meth:`FaultPlan.generate`, the generator the daemon's drivers use, draws
+outages, cancellations, journal faults and worker crashes from *shared*
+per-kind streams (the set of entities present changes every draw, fine
+for one kernel's chaos) and, with ``n_shards`` > 0, shard *s*'s chaos mix
+from ``derive_seed(seed, "supervised", s)``, the same at any shard count.
+:meth:`FaultPlan.generate_keyed` keys every draw by entity id
+(``derive_seed(seed, "outage", cid)``, ``derive_seed(seed, "cancel",
+rid)``), so each entity's fate is a pure function of ``(seed, entity)``,
+stable under any subsetting, including spatial sharding.
 """
 
 from __future__ import annotations
@@ -92,22 +93,50 @@ SUPERVISOR_KINDS = frozenset(
 #: Kinds the service kernel consumes as input events.
 KERNEL_KINDS = frozenset({"charger_down", "charger_up", "cancel", "no_show"})
 
+#: The modes each kind admits (kinds not listed take any mode).
+_MODES: Dict[str, Tuple[Optional[str], ...]] = {
+    "journal_write": ("enospc", "torn"),
+    "shard_kill": (None, "torn"),
+    "recovery_crash": (None, "enospc", "torn"),
+    "snapshot_corrupt": (None,),
+    "crash_in_snapshot": (None,),
+}
+
+#: Kinds whose target is an index written in decimal: a journal record
+#: seq, an executor task index, or a shard id.
+_INDEX_KINDS = frozenset({"journal_write", "worker_crash", "recovery_crash"} | SUPERVISOR_KINDS)
+
 #: Namespace constants for seed derivation (arbitrary, fixed forever).
 _NS_OUTAGE = 101
 _NS_CANCEL = 102
 _NS_JOURNAL = 103
 _NS_WORKER = 104
 
+#: Generator constants: a cancellation lands up to ``_CANCEL_WINDOW`` s
+#: into its request's wait; an executor task crashes with
+#: ``_WORKER_CRASH_PROB``, 1 to ``_MAX_WORKER_CRASHES`` times; the rest
+#: are the shard chaos mix's coins (:func:`_draw_shard_chaos`).
+_CANCEL_WINDOW = 240.0
+_WORKER_CRASH_PROB = 0.3
+_MAX_WORKER_CRASHES = 2
+_KILL_PROB = 0.5
+_TORN_PROB = 0.5
+_SNAPSHOT_CORRUPT_PROB = 0.3
+_SNAPSHOT_CRASH_PROB = 0.2
+_RECOVERY_CRASH_PROB = 0.3
+_MAX_RECOVERY_CRASHES = 2
+
 
 @dataclass(frozen=True)
 class FaultEvent:
     """One scheduled fault (see module docstring for the kinds).
 
-    ``target`` is a charger id, request id, journal record seq (as str),
-    or task index (as str) depending on ``kind``.  ``mode`` is only
-    meaningful for ``journal_write`` (``"enospc"`` / ``"torn"``);
-    ``count`` only for ``worker_crash`` (crashes before succeeding) and
-    ``cancel``/``no_show`` carry an optional human ``reason``.
+    ``target`` is a charger id, request id, or, written in decimal, a
+    journal record seq, task index or shard id, depending on ``kind``.
+    ``mode`` picks how a journal write, shard kill or recovery crash
+    fails; ``count`` is how many times a worker or a recovery crashes
+    before succeeding, and ``cancel``/``no_show`` carry an optional
+    human ``reason``.
     """
 
     t: float
@@ -126,22 +155,16 @@ class FaultEvent:
             raise ConfigurationError(
                 f"fault time must be finite and nonnegative, got {self.t}"
             )
-        if self.kind == "journal_write" and self.mode not in ("enospc", "torn"):
+        modes = _MODES.get(self.kind, (self.mode,))
+        if self.mode not in modes:
             raise ConfigurationError(
-                f"journal_write mode must be 'enospc' or 'torn', got {self.mode!r}"
+                f"{self.kind} mode must be one of {modes}, got {self.mode!r}"
             )
-        if self.kind == "shard_kill" and self.mode not in (None, "torn"):
+        if self.kind in _INDEX_KINDS and not (
+            isinstance(self.target, str) and self.target.isascii() and self.target.isdigit()
+        ):
             raise ConfigurationError(
-                f"shard_kill mode must be None (clean) or 'torn', got {self.mode!r}"
-            )
-        if self.kind == "recovery_crash" and self.mode not in (None, "enospc", "torn"):
-            raise ConfigurationError(
-                f"recovery_crash mode must be None, 'enospc', or 'torn', "
-                f"got {self.mode!r}"
-            )
-        if self.kind in ("snapshot_corrupt", "crash_in_snapshot") and self.mode is not None:
-            raise ConfigurationError(
-                f"{self.kind} takes no mode, got {self.mode!r}"
+                f"{self.kind} target must be a nonnegative decimal integer, got {self.target!r}"
             )
         if self.count < 1:
             raise ConfigurationError(f"fault count must be >= 1, got {self.count}")
@@ -255,7 +278,14 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, doc: Dict[str, Any]) -> "FaultPlan":
-        return cls([FaultEvent.from_dict(e) for e in doc.get("events", [])])
+        """The plan *doc* describes; a malformed document is a
+        :class:`~repro.errors.ConfigurationError`."""
+        try:
+            return cls([FaultEvent.from_dict(e) for e in doc.get("events", [])])
+        except ConfigurationError:
+            raise
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ConfigurationError(f"malformed fault plan: {type(exc).__name__}: {exc}") from exc
 
     def save(self, path: Union[str, Path]) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -264,8 +294,14 @@ class FaultPlan:
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "FaultPlan":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        """Read a saved plan; an unreadable file or a malformed document
+        is a :class:`~repro.errors.ConfigurationError`."""
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ConfigurationError(f"cannot read fault plan {path}: {exc}") from exc
+        return cls.from_dict(doc)
 
     # ------------------------------------------------------------------ #
     # seeded generation
@@ -282,12 +318,9 @@ class FaultPlan:
         mean_outage: float = 300.0,
         cancel_prob: float = 0.1,
         no_show_prob: float = 0.05,
-        cancel_window: float = 240.0,
         journal_faults: int = 1,
-        journal_records: Optional[int] = None,
         n_tasks: int = 0,
-        worker_crash_prob: float = 0.3,
-        max_worker_crashes: int = 2,
+        n_shards: int = 0,
     ) -> "FaultPlan":
         """Draw a random plan, reproducibly, from *seed*.
 
@@ -297,16 +330,21 @@ class FaultPlan:
         exponential ``mean_outage`` seconds; each request cancels with
         ``cancel_prob`` (some time into its wait) or never shows with
         ``no_show_prob``.  ``journal_faults`` append failures land on
-        record seqs in ``[1, journal_records)`` (estimated from the
-        stream when not given), alternating clean/torn modes.  With
-        ``n_tasks`` > 0, executor task indices crash with
-        ``worker_crash_prob``, up to ``max_worker_crashes`` times each.
+        record seqs estimated from the stream's length, alternating
+        clean/torn modes.  With ``n_tasks`` > 0, executor task indices
+        crash.  With ``n_shards`` > 0, each shard draws the self-healing
+        chaos mix (:func:`_draw_shard_chaos`) from its own keyed stream,
+        so shard *s*'s chaos is the same at any shard count.
 
         At least one charger is always left standing: a plan that takes
         the whole field down only tests the trivial all-rejected path.
         """
+        if n_shards < 0:
+            raise ConfigurationError(f"n_shards must be >= 0, got {n_shards}")
         events: List[FaultEvent] = []
         horizon = _horizon(requests, horizon)
+        if n_shards > 0 and not (math.isfinite(horizon) and horizon > 0.0):
+            raise ConfigurationError(f"horizon must be finite and positive, got {horizon}")
 
         rng = ensure_rng(derive_seed(int(seed), _NS_OUTAGE))
         downed = 0
@@ -319,42 +357,25 @@ class FaultPlan:
 
         rng = ensure_rng(derive_seed(int(seed), _NS_CANCEL))
         for req in requests:
-            events.extend(
-                _draw_cancel(rng, req, cancel_prob, no_show_prob, cancel_window)
-            )
+            events.extend(_draw_cancel(rng, req, cancel_prob, no_show_prob))
 
         if journal_faults > 0:
-            if journal_records is None:
-                journal_records = 6 * max(1, len(requests)) + 2
             rng = ensure_rng(derive_seed(int(seed), _NS_JOURNAL))
-            hi = max(2, int(journal_records))
-            seqs = sorted(
-                int(s) for s in rng.choice(
-                    range(1, hi), size=min(journal_faults, hi - 1), replace=False
-                )
-            )
-            for i, s in enumerate(seqs):
-                events.append(
-                    FaultEvent(
-                        t=0.0,
-                        kind="journal_write",
-                        target=str(s),
-                        mode="enospc" if i % 2 == 0 else "torn",
-                    )
-                )
+            hi = 6 * max(1, len(requests)) + 2  # about the stream's record count
+            picks = rng.choice(range(1, hi), size=min(journal_faults, hi - 1), replace=False)
+            for i, s in enumerate(sorted(int(s) for s in picks)):
+                mode = "enospc" if i % 2 == 0 else "torn"
+                events.append(FaultEvent(t=0.0, kind="journal_write", target=str(s), mode=mode))
 
-        if n_tasks > 0:
-            rng = ensure_rng(derive_seed(int(seed), _NS_WORKER))
-            for k in range(n_tasks):
-                if rng.random() < worker_crash_prob:
-                    events.append(
-                        FaultEvent(
-                            t=0.0,
-                            kind="worker_crash",
-                            target=str(k),
-                            count=int(rng.integers(1, max_worker_crashes + 1)),
-                        )
-                    )
+        rng = ensure_rng(derive_seed(int(seed), _NS_WORKER))
+        for k in range(n_tasks):
+            if rng.random() < _WORKER_CRASH_PROB:
+                count = int(rng.integers(1, _MAX_WORKER_CRASHES + 1))
+                events.append(FaultEvent(t=0.0, kind="worker_crash", target=str(k), count=count))
+
+        for sid in range(n_shards):
+            rng = ensure_rng(derive_seed(int(seed), "supervised", sid))
+            events.extend(_draw_shard_chaos(rng, str(sid), horizon))
 
         return cls(events)
 
@@ -370,7 +391,6 @@ class FaultPlan:
         mean_outage: float = 300.0,
         cancel_prob: float = 0.1,
         no_show_prob: float = 0.05,
-        cancel_window: float = 240.0,
     ) -> "FaultPlan":
         """Draw a plan whose every coin is keyed by the entity it affects.
 
@@ -388,8 +408,8 @@ class FaultPlan:
         guarantee is possible: unlike :meth:`generate`, nothing stops
         every charger from drawing an outage, so callers pick
         ``outage_prob`` (or the charger layout) to keep the field alive.
-        Journal and worker faults are positional, not entity-keyed, and
-        deliberately absent here.
+        Journal, worker and shard faults are positional, not keyed by a
+        charger or a request, and deliberately absent here.
         """
         events: List[FaultEvent] = []
         horizon = _horizon(requests, horizon)
@@ -398,86 +418,13 @@ class FaultPlan:
             events.extend(_draw_outage(rng, cid, horizon, outage_prob, mean_outage))
         for req in requests:
             rng = ensure_rng(derive_seed(int(seed), "cancel", req.request_id))
-            events.extend(
-                _draw_cancel(rng, req, cancel_prob, no_show_prob, cancel_window)
-            )
-        return cls(events)
-
-    @classmethod
-    def generate_supervised(
-        cls,
-        seed: int,
-        n_shards: int,
-        horizon: float,
-        *,
-        kill_prob: float = 0.5,
-        torn_prob: float = 0.5,
-        snapshot_corrupt_prob: float = 0.3,
-        snapshot_crash_prob: float = 0.2,
-        recovery_crash_prob: float = 0.3,
-        max_recovery_crashes: int = 2,
-    ) -> "FaultPlan":
-        """Draw the self-healing chaos mix, one keyed stream per shard.
-
-        Each shard independently draws a kill (torn or clean), a
-        snapshot corruption shortly before it, a
-        crash-during-snapshot-write, and up to ``max_recovery_crashes``
-        crashes of its recovery replay.  Every coin comes from
-        ``derive_seed(seed, "supervised", shard)``, so the plan for shard
-        *s* is a pure function of ``(seed, s)`` — stable under any shard
-        count.
-        """
-        if n_shards < 1:
-            raise ConfigurationError(f"n_shards must be >= 1, got {n_shards}")
-        if not (math.isfinite(horizon) and horizon > 0.0):
-            raise ConfigurationError(
-                f"horizon must be finite and positive, got {horizon}"
-            )
-        events: List[FaultEvent] = []
-        for sid in range(n_shards):
-            rng = ensure_rng(derive_seed(int(seed), "supervised", sid))
-            if rng.random() < kill_prob:
-                t_kill = float(rng.uniform(horizon * 0.25, horizon))
-                events.append(
-                    FaultEvent(
-                        t=t_kill,
-                        kind="shard_kill",
-                        target=str(sid),
-                        mode="torn" if rng.random() < torn_prob else None,
-                    )
-                )
-                if rng.random() < snapshot_corrupt_prob:
-                    events.append(
-                        FaultEvent(
-                            t=float(rng.uniform(0.0, t_kill)),
-                            kind="snapshot_corrupt",
-                            target=str(sid),
-                        )
-                    )
-                if rng.random() < recovery_crash_prob:
-                    events.append(
-                        FaultEvent(
-                            t=0.0,
-                            kind="recovery_crash",
-                            target=str(sid),
-                            count=int(rng.integers(1, max_recovery_crashes + 1)),
-                            mode="enospc" if rng.random() < 0.5 else "torn",
-                        )
-                    )
-            if rng.random() < snapshot_crash_prob:
-                events.append(
-                    FaultEvent(
-                        t=float(rng.uniform(0.0, horizon)),
-                        kind="crash_in_snapshot",
-                        target=str(sid),
-                    )
-                )
+            events.extend(_draw_cancel(rng, req, cancel_prob, no_show_prob))
         return cls(events)
 
 
 # ---------------------------------------------------------------------- #
-# per-entity draws shared by generate (one stream per kind) and
-# generate_keyed (one stream per entity)
+# per-entity draws shared by generate (one stream per kind, one per
+# shard) and generate_keyed (one stream per entity)
 
 
 def _horizon(requests: Sequence[Any], horizon: Optional[float]) -> float:
@@ -502,15 +449,40 @@ def _draw_outage(
 
 
 def _draw_cancel(
-    rng: Any, req: Any, cancel_prob: float, no_show_prob: float, cancel_window: float
+    rng: Any, req: Any, cancel_prob: float, no_show_prob: float
 ) -> List[FaultEvent]:
     """Request *req*'s coin: a cancellation some time into its wait, a
     no-show at submission, or neither (both numbers are always drawn)."""
     u = rng.random()
-    delay = float(rng.uniform(0.0, cancel_window))
+    delay = float(rng.uniform(0.0, _CANCEL_WINDOW))
     rid, t = req.request_id, float(req.submitted_at)
     if u < cancel_prob:
         return [FaultEvent(t=t + delay, kind="cancel", target=rid, reason="cancelled")]
     if u < cancel_prob + no_show_prob:
         return [FaultEvent(t=t, kind="no_show", target=rid, reason="no-show")]
     return []
+
+
+def _draw_shard_chaos(rng: Any, sid: str, horizon: float) -> List[FaultEvent]:
+    """Shard *sid*'s chaos coins: a kill (torn or clean) in the last
+    three quarters of the horizon, with a snapshot corruption before it
+    and a crash-looping recovery after it, and, independently, a crash
+    mid-snapshot-write."""
+    events: List[FaultEvent] = []
+    if rng.random() < _KILL_PROB:
+        t_kill = float(rng.uniform(horizon * 0.25, horizon))
+        mode = "torn" if rng.random() < _TORN_PROB else None
+        events.append(FaultEvent(t=t_kill, kind="shard_kill", target=sid, mode=mode))
+        if rng.random() < _SNAPSHOT_CORRUPT_PROB:
+            t = float(rng.uniform(0.0, t_kill))
+            events.append(FaultEvent(t=t, kind="snapshot_corrupt", target=sid))
+        if rng.random() < _RECOVERY_CRASH_PROB:
+            count = int(rng.integers(1, _MAX_RECOVERY_CRASHES + 1))
+            mode = "enospc" if rng.random() < 0.5 else "torn"
+            events.append(
+                FaultEvent(t=0.0, kind="recovery_crash", target=sid, count=count, mode=mode)
+            )
+    if rng.random() < _SNAPSHOT_CRASH_PROB:
+        t = float(rng.uniform(0.0, horizon))
+        events.append(FaultEvent(t=t, kind="crash_in_snapshot", target=sid))
+    return events

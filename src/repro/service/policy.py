@@ -13,10 +13,14 @@ and :class:`~repro.online.scheduler.BatchScheduler`.
 The harness contract is that every submitted device ends up in the
 schedule, so feed it requests without a deadline or price cap (the
 generators' default): the daemon then runs in its always-admit regime.
+A request the daemon rejects, expires or cancels is a
+:class:`~repro.errors.ConfigurationError` naming each reason's count,
+never a schedule the harness would mistake for a policy bug.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Optional, Sequence, Tuple
 
 from ..core import CCSInstance, Schedule, Session
@@ -25,7 +29,7 @@ from ..errors import ConfigurationError
 from ..mobility import MobilityModel
 from ..wpt import Charger
 from .kernel import ChargingService, ServiceConfig
-from .request import ChargingRequest
+from .request import ChargingRequest, RequestState
 
 __all__ = ["ServicePolicy"]
 
@@ -49,7 +53,11 @@ class ServicePolicy:
         chargers: Sequence[Charger],
         mobility: Optional[MobilityModel] = None,
     ) -> Tuple[Schedule, CCSInstance]:
-        """Feed *requests* through a fresh daemon; return its schedule."""
+        """Feed *requests* through a fresh daemon; return its schedule.
+
+        Raises :class:`~repro.errors.ConfigurationError` unless every
+        request ends ``done``.
+        """
         if not requests:
             raise ConfigurationError("no arrivals were scheduled")
         service = ChargingService(
@@ -58,6 +66,18 @@ class ServicePolicy:
         for request in requests:
             service.submit(request)
         service.drain()
+        unserved = Counter(
+            f"{r.state}.{r.reason}"
+            for r in service.requests.values()
+            if r.state != RequestState.DONE
+        )
+        if unserved:
+            reasons = ", ".join(f"{k}: {n}" for k, n in sorted(unserved.items()))
+            raise ConfigurationError(
+                f"the daemon did not serve {sum(unserved.values())} of "
+                f"{len(requests)} requests ({reasons}); {self.name} is scored "
+                f"only on a stream it serves in full"
+            )
         instance = CCSInstance(
             devices=[r.device for r in requests],
             chargers=list(chargers),

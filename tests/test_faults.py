@@ -59,6 +59,17 @@ class TestFaultEvent:
         with pytest.raises(ConfigurationError):
             FaultEvent(t=0.0, kind="worker_crash", target="0", count=0)
 
+    def test_index_targets_must_be_decimal_integers(self):
+        # Journal seqs, task indices and shard ids are read back with
+        # int(); a target that cannot be one fails here, not mid-run.
+        for kind, mode in (("journal_write", "torn"), ("worker_crash", None),
+                           ("shard_kill", None), ("snapshot_corrupt", None),
+                           ("crash_in_snapshot", None), ("recovery_crash", None)):
+            for target in ("x", "one", "-1", "1.5", " 2", "", "\u0663"):
+                with pytest.raises(ConfigurationError, match="target"):
+                    FaultEvent(t=0.0, kind=kind, target=target, mode=mode)
+            FaultEvent(t=0.0, kind=kind, target="07", mode=mode)
+
 
 class TestFaultPlan:
     def test_events_are_time_sorted(self):
@@ -83,6 +94,30 @@ class TestFaultPlan:
         path = tmp_path / "plan.json"
         plan.save(path)
         assert FaultPlan.load(path) == plan
+
+    @pytest.mark.parametrize("doc", [
+        {"events": [{"t": 0.0, "kind": "cancel"}]},
+        {"events": [{"t": "soon", "kind": "cancel", "target": "r1"}]},
+        {"events": [{"t": 0.0, "kind": "worker_crash", "target": "1", "count": "x"}]},
+        {"events": [{"t": 0.0, "kind": "shard_kill", "target": "one"}]},
+        {"events": [7]},
+        {"events": 7},
+        [],
+    ])
+    def test_malformed_documents_are_configuration_errors(self, doc):
+        with pytest.raises(ConfigurationError):
+            FaultPlan.from_dict(doc)
+
+    def test_unreadable_files_are_configuration_errors(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="cannot read"):
+            FaultPlan.load(tmp_path / "missing.json")
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        with pytest.raises(ConfigurationError, match="cannot read"):
+            FaultPlan.load(bad)
+        bad.write_bytes(b"\xff\xfe")
+        with pytest.raises(ConfigurationError, match="cannot read"):
+            FaultPlan.load(bad)
 
     def test_views_partition_by_consumer(self):
         plan = FaultPlan([
@@ -136,7 +171,33 @@ class TestPlanDigests:
         assert _plan_digest(FaultPlan.generate_keyed(
             seed, charger_ids=self.CHARGERS, requests=self.REQUESTS,
         )) == keyed
-        assert _plan_digest(FaultPlan.generate_supervised(seed, 4, 900.0)) == supervised
+        assert _plan_digest(FaultPlan.generate(
+            seed, n_shards=4, horizon=900.0, journal_faults=0,
+        )) == supervised
+
+
+class TestCliPlanPins:
+    """``ccs-serve --fault-plan seed:K`` assembles its plan in
+    ``cli._load_fault_plan``: one journal fault at one shard, the shard
+    chaos mix at more.  Each plan is pinned byte for byte."""
+
+    @pytest.mark.parametrize("seed,n_shards,digest", [
+        (3, 1, "825ca1d4fde3edcb53ca50fde7ad2f6818e4540aa76843b332a260c22e7d5ab9"),
+        (3, 4, "6a09a85eced50858227ae862bb59b7babb15c437fa1faf7945c833e227d253ff"),
+        (13, 1, "4061efc3a3375cd44476ce3b2b8a4b6f7551bee527241ef3281749ef8310f5c5"),
+        (13, 4, "1465482aadb1ad49c6e302d1f9f3e2cc3a480434cdfff92cba8bd0c88159338f"),
+    ])
+    def test_seeded_cli_plans_are_pinned(self, seed, n_shards, digest):
+        from repro.cli import _grid_chargers, _load_fault_plan
+
+        plan = _load_fault_plan(
+            f"seed:{seed}", generate_requests(150, rate=0.5, rng=7),
+            _grid_chargers(8, 100.0), n_shards,
+        )
+        assert _plan_digest(plan) == digest
+        kinds = {e.kind for e in plan}
+        assert ("journal_write" in kinds) == (n_shards == 1)
+        assert bool(kinds & {"shard_kill", "crash_in_snapshot"}) == (n_shards > 1)
 
 
 class TestJournalSync:

@@ -158,6 +158,20 @@ class TestHarness:
         assert out.policy == "online-service"
         assert 0.95 <= out.competitive_ratio <= 2.5
 
+    def test_service_daemon_refuses_a_stream_it_does_not_serve(self):
+        # Deadlines and price caps make the daemon reject or expire some
+        # requests: a typed error that counts each reason, not a
+        # ScheduleValidationError the harness reads as a policy bug.
+        from repro.service import ServicePolicy
+
+        requests = generate_requests(
+            40, rate=1 / 30.0, field=FIELD, rng=1,
+            deadline_slack=20.0, max_price_factor=0.5,
+        )
+        with pytest.raises(ConfigurationError) as info:
+            evaluate_policy(ServicePolicy(), requests, make_chargers(m=5))
+        assert "did not serve 40 of 40 requests (rejected.deadline: 40)" in str(info.value)
+
     def test_zero_offline_cost_does_not_divide_by_zero(self):
         # Regression: a degenerate free instance used to raise
         # ZeroDivisionError; now 0/0 reads as "matched the optimum" and

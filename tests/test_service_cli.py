@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.cli import serve_main
 from repro.faults import FaultEvent, FaultPlan
 from repro.service import read_trace, write_trace
@@ -66,7 +68,38 @@ class TestServeCli:
         ):
             assert serve_main(argv) == 2
             err = capsys.readouterr().err
-            assert err == f"--loadgen: {message}\n"
+            assert err == f"ccs-serve: {message}\n"
+
+    @pytest.mark.parametrize("argv,plan", [
+        (["--fault-plan", "{plan}"], {"events": [
+            {"t": 0.0, "kind": "journal_write", "target": "x", "mode": "torn"}]}),
+        (["--shards", "2", "--fault-plan", "{plan}"], {"events": [
+            {"t": 5.0, "kind": "shard_kill", "target": "one"}]}),
+        (["--fault-plan", "{plan}"], "{not json"),
+        (["--fault-plan", "{plan}"], {"events": [{"t": 1.0, "kind": "cancel"}]}),
+        (["--fault-plan", "{missing}"], None),
+        (["--fault-plan", "seed:x"], None),
+        (["--epoch", "0"], None),
+        (["--window", "-1"], None),
+        (["--queue-limit", "0"], None),
+        (["--max-active", "0"], None),
+        (["--halo", "-5", "--shards", "2"], None),
+    ], ids=[
+        "journal-seq-x", "shard-one", "not-json", "no-target", "missing-file",
+        "seed-x", "epoch", "window", "queue-limit", "max-active", "halo",
+    ])
+    def test_bad_arguments_are_one_line_and_exit_2(self, tmp_path, capsys, argv, plan):
+        # Each check lives where the value is used (the config, the plan,
+        # the partition); the CLI reports whichever one fails.
+        path = tmp_path / "plan.json"
+        if plan is not None:
+            path.write_text(plan if isinstance(plan, str) else json.dumps(plan))
+        argv = [a.format(plan=path, missing=tmp_path / "missing.json") for a in argv]
+        rc = serve_main(["--n", "10", "--journal", str(tmp_path / "svc"), *argv])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "Traceback" not in err
+        assert err.startswith("ccs-serve: ") and err.count("\n") == 1
 
     def test_check_recovery_requires_journal(self, capsys):
         assert serve_main(["--check-recovery"]) == 2

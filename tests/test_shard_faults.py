@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.faults import FaultPlan, drive
-from repro.faults.plan import FaultEvent
+from repro.faults.plan import SUPERVISOR_KINDS, FaultEvent
 from repro.geometry import Field, Point
 from repro.service import ServiceConfig, generate_requests
 from repro.shard import ShardedService, ShardSupervisor, shard_journal_name
@@ -189,8 +189,8 @@ class TestShardKillConvergence:
 
 class TestShardKillPlans:
     def test_generate_is_deterministic(self):
-        a = FaultPlan.generate_supervised(7, 8, horizon=1000.0)
-        b = FaultPlan.generate_supervised(7, 8, horizon=1000.0)
+        a = FaultPlan.generate(7, n_shards=8, horizon=1000.0, journal_faults=0)
+        b = FaultPlan.generate(7, n_shards=8, horizon=1000.0, journal_faults=0)
         assert a == b
         for e in kill_events(a):
             assert e.kind == "shard_kill"
@@ -201,23 +201,37 @@ class TestShardKillPlans:
         # Shard s's fate is a pure function of (seed, s): growing the
         # count never reshuffles the shards both counts share.
         small = {(e.kind, e.target): e for e in
-                 FaultPlan.generate_supervised(3, 4, horizon=500.0)}
+                 FaultPlan.generate(3, n_shards=4, horizon=500.0, journal_faults=0)}
         large = {(e.kind, e.target): e for e in
-                 FaultPlan.generate_supervised(3, 16, horizon=500.0)}
+                 FaultPlan.generate(3, n_shards=16, horizon=500.0, journal_faults=0)}
         for target, event in small.items():
             assert target in large
             assert large[target].t == event.t
             assert large[target].mode == event.mode
 
+    def test_shard_chaos_does_not_move_the_other_categories(self):
+        # Each category draws from its own stream: adding shards appends
+        # their chaos and leaves every other event where it was.
+        requests = generate_requests(30, rate=0.5, rng=4)
+        kwargs = dict(charger_ids=["c0", "c1", "c2"], requests=requests, n_tasks=3)
+        plain = FaultPlan.generate(5, **kwargs)
+        chaos = FaultPlan.generate(5, n_shards=4, **kwargs)
+        shard_kinds = SUPERVISOR_KINDS | {"recovery_crash"}
+        assert [e for e in chaos if e.kind not in shard_kinds] == list(plain)
+        assert any(e.kind in shard_kinds for e in chaos)
+
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            FaultPlan.generate_supervised(0, 0, horizon=10.0)
-        with pytest.raises(ConfigurationError):
-            FaultPlan.generate_supervised(0, 2, horizon=-1.0)
+            FaultPlan.generate(0, n_shards=-1, horizon=10.0)
+        for horizon in (-1.0, 0.0, float("inf"), float("nan")):
+            with pytest.raises(ConfigurationError):
+                FaultPlan.generate(0, n_shards=2, horizon=horizon)
+        # Only shard chaos checks the horizon.
+        assert FaultPlan.generate(0, horizon=-1.0, journal_faults=0) == FaultPlan()
         with pytest.raises(ConfigurationError):
             FaultEvent(t=0.0, kind="shard_kill", target="1", mode="sideways")
 
     def test_shard_kills_are_not_kernel_events(self):
-        plan = FaultPlan.generate_supervised(1, 8, horizon=100.0)
+        plan = FaultPlan.generate(1, n_shards=8, horizon=100.0, journal_faults=0)
         assert kill_events(plan)
         assert plan.kernel_events() == []

@@ -275,7 +275,7 @@ class TestFailover:
     def test_supervision_journal_is_byte_stable(self, tmp_path):
         requests = make_stream(20)
         horizon = requests[-1].submitted_at + 600.0
-        plan = FaultPlan.generate_supervised(9, 4, horizon)
+        plan = FaultPlan.generate(9, n_shards=4, horizon=horizon, journal_faults=0)
         raws = []
         for tag in ("one", "two"):
             svc = make_service(tmp_path / tag, snapshot_every=15)
@@ -465,7 +465,7 @@ def run_supervised_case(tmp_path, stream_seed, chaos_seed, n=25, tag="chaos",
     join the generated plan."""
     requests = make_stream(n, seed=stream_seed)
     horizon = requests[-1].submitted_at + 600.0
-    plan = FaultPlan.generate_supervised(chaos_seed, 4, horizon)
+    plan = FaultPlan.generate(chaos_seed, n_shards=4, horizon=horizon, journal_faults=0)
     plan = FaultPlan(list(plan.events) + list(extra))
     svc = make_service(tmp_path / f"{tag}-{stream_seed}-{chaos_seed}",
                        snapshot_every=15)
@@ -486,7 +486,7 @@ def run_supervised_case(tmp_path, stream_seed, chaos_seed, n=25, tag="chaos",
 class TestSupervisedChaosSmoke:
     def test_converges_byte_identical_with_zero_operator_calls(self, tmp_path):
         # Seed 3 mixes torn + clean kills, snapshot corruption and a
-        # crash mid-snapshot-write (see FaultPlan.generate_supervised);
+        # crash mid-snapshot-write (see FaultPlan.generate's shard chaos);
         # the recovery of killed shard 1 crash-loops twice on top.
         crash_loop = FaultEvent(
             t=0.0, kind="recovery_crash", target="1", count=2, mode="torn"
