@@ -24,9 +24,8 @@ Failure semantics (see docs/FAULTS.md):
 - Each task has a retry budget (``retries``) and an optional per-task
   deadline (``task_timeout``, seconds of no pool progress) after which
   stuck workers are terminated and the attempts charged like crashes.
-  Waiting between retry waves uses bounded exponential backoff with
-  seed-derived jitter — deterministic, never wall-clock-dependent
-  (``backoff_base=0`` by default: no sleeping in tests or benchmarks).
+  A retry wave starts as soon as the previous one ends, with no backoff
+  sleep between waves.
 
 The serial executor is deliberately still fail-fast: in-process, the
 "worker" *is* the run, so the first exception is the crash — resumability
@@ -40,14 +39,12 @@ that wants explicit control passes ``executor=`` instead.
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set
+from typing import Any, Dict, List, Optional, Sequence, Set
 
 from ...errors import TaskFailedError
-from ...rng import derive_seed
 from .cache import ResultCache
 from .task import Task, execute_task
 
@@ -125,16 +122,6 @@ class ParallelExecutor(Executor):
         the in-flight attempts are presumed stuck, their workers are
         terminated, and each charged one attempt.  ``None`` (default)
         waits forever — the historical behavior.
-    backoff_base:
-        Base delay for exponential backoff between retry waves; wave *a*
-        sleeps ``backoff_base · 2^(a-1) · (1 + jitter)`` seconds, capped
-        at ``backoff_cap``, with jitter in ``[0, 1)`` derived from
-        ``derive_seed(seed, wave)`` — fully deterministic.  The default
-        ``0.0`` disables sleeping entirely.
-    seed:
-        Root of the jitter derivation (unrelated to task seeds).
-    sleep:
-        Injection point for the backoff sleep (tests pass a recorder).
     """
 
     def __init__(
@@ -143,10 +130,6 @@ class ParallelExecutor(Executor):
         cache: Optional[ResultCache] = None,
         retries: int = 2,
         task_timeout: Optional[float] = None,
-        backoff_base: float = 0.0,
-        backoff_cap: float = 30.0,
-        seed: int = 0,
-        sleep: Callable[[float], None] = time.sleep,
     ):
         super().__init__(cache)
         if jobs < 1:
@@ -158,19 +141,8 @@ class ParallelExecutor(Executor):
         self.jobs = int(jobs)
         self.retries = int(retries)
         self.task_timeout = task_timeout
-        self.backoff_base = float(backoff_base)
-        self.backoff_cap = float(backoff_cap)
-        self.seed = int(seed)
-        self._sleep = sleep
 
     # -- retry machinery ------------------------------------------------ #
-
-    def backoff_delay(self, wave: int) -> float:
-        """Deterministic backoff before retry wave *wave* (1-based)."""
-        if self.backoff_base <= 0.0 or wave < 1:
-            return 0.0
-        jitter = (derive_seed(self.seed, wave) % 1024) / 1024.0
-        return min(self.backoff_cap, self.backoff_base * (2 ** (wave - 1)) * (1.0 + jitter))
 
     def _submit(self, pool: ProcessPoolExecutor, task: Task, index: int) -> Future:
         """Submission hook; fault injectors override to wrap the call."""
@@ -222,16 +194,10 @@ class ParallelExecutor(Executor):
         failures: Dict[int, BaseException] = {}
         queue: List[int] = list(misses)
         isolated: Set[int] = set()
-        wave = 0
         shared: Optional[ProcessPoolExecutor] = None
         pools: Dict[int, ProcessPoolExecutor] = {}
         try:
             while queue:
-                if wave > 0:
-                    delay = self.backoff_delay(wave)
-                    if delay > 0.0:
-                        self._sleep(delay)
-                wave += 1
                 batch = [k for k in queue if k in isolated][: self.jobs]
                 solo = bool(batch)
                 if solo:

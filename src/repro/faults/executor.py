@@ -10,9 +10,8 @@ experiment tasks, so the retry/rebuild machinery is exercised against the
 actual workloads.
 
 Attempt counting must survive the dead worker, so it lives in counter
-files under ``marker_dir`` keyed by task fingerprint.  Attempts of one
-task are serialized (never in flight twice), so plain read-modify-write
-is race-free per key.
+files under ``marker_dir`` keyed by task fingerprint (the chaos task
+kinds' counters, :func:`repro.faults.tasks.crash_counter_path`).
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ from typing import Any, Dict, Optional
 
 from ..experiments.exec.executors import ParallelExecutor
 from ..experiments.exec.task import Task, execute_task
+from .tasks import _bump_attempts
 
 __all__ = ["FaultyExecutor"]
 
@@ -35,16 +35,7 @@ def _execute_with_crashes(task: Task, marker_dir: str, crashes: int) -> Any:
     what a segfault or OOM-kill produces: a dead worker and a broken
     pool.
     """
-    path = os.path.join(marker_dir, f"attempts-{task.fingerprint}")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            n = int(fh.read().strip() or 0)
-    except FileNotFoundError:
-        n = 0
-    n += 1
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(str(n))
-    if n <= crashes:
+    if _bump_attempts(marker_dir, task.fingerprint) <= crashes:
         os._exit(23)
     return execute_task(task)
 

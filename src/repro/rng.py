@@ -13,6 +13,8 @@ from typing import List, Union, cast
 
 import numpy as np
 
+from .errors import ConfigurationError
+
 __all__ = ["RandomState", "derive_seed", "ensure_rng", "spawn"]
 
 #: Anything accepted where a random source is expected.
@@ -23,11 +25,14 @@ def ensure_rng(seed: RandomState = None) -> np.random.Generator:
     """Return a :class:`numpy.random.Generator` for *seed*.
 
     - ``None`` → a fresh, OS-entropy-seeded generator;
-    - ``int`` → a deterministic generator seeded with that value;
+    - ``int`` → a deterministic generator seeded with that value (a
+      negative one is a :class:`~repro.errors.ConfigurationError`);
     - an existing ``Generator`` → returned unchanged.
     """
     if isinstance(seed, np.random.Generator):
         return seed
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise ConfigurationError(f"seed must be nonnegative, got {seed}")
     return np.random.default_rng(seed)
 
 

@@ -91,7 +91,7 @@ from .admission import REASON_CHARGER_FAILED, AdmissionController
 from .clock import ServiceClock
 from .journal import INPUT_EVENTS, JOURNAL_SCHEMA, Journal
 from .metrics import Metrics
-from .plan import IncrementalPlanner
+from .plan import IMPROVEMENT_SWEEPS, REPAIR_ROUNDS, IncrementalPlanner
 from .request import ChargingRequest, RequestRecord, RequestState
 from .snapshot import list_snapshots, load_snapshot, prune_snapshots, remove_snapshots, write_snapshot
 
@@ -144,17 +144,19 @@ class ServiceConfig:
     max_active:
         Optional cap on devices concurrently queued or in the live plan
         (``capacity`` rejections); ``None`` = unbounded.
-    improvement_sweeps / repair_rounds / tol:
-        Replanner bounds, passed to
-        :class:`~repro.service.plan.IncrementalPlanner`.
+    tol:
+        Cost tolerance of the replanner's moves and ceiling checks, passed
+        to :class:`~repro.service.plan.IncrementalPlanner`.  Its sweep and
+        repair bounds are the constants
+        :data:`~repro.service.plan.IMPROVEMENT_SWEEPS` and
+        :data:`~repro.service.plan.REPAIR_ROUNDS`; :meth:`to_dict` still
+        writes them into the journal header.
     """
 
     epoch: float = 60.0
     window: float = 120.0
     queue_limit: int = 256
     max_active: Optional[int] = None
-    improvement_sweeps: int = 2
-    repair_rounds: int = 3
     tol: float = 1e-9
 
     def __post_init__(self) -> None:
@@ -178,8 +180,8 @@ class ServiceConfig:
             "window": float(self.window),
             "queue_limit": int(self.queue_limit),
             "max_active": None if self.max_active is None else int(self.max_active),
-            "improvement_sweeps": int(self.improvement_sweeps),
-            "repair_rounds": int(self.repair_rounds),
+            "improvement_sweeps": IMPROVEMENT_SWEEPS,
+            "repair_rounds": REPAIR_ROUNDS,
             "tol": float(self.tol),
         }
 
@@ -198,7 +200,6 @@ class ChargingService:
         journal_sync: bool = True,
         snapshot_every: Optional[int] = None,
         snapshot_keep: int = 2,
-        compact: bool = True,
     ):
         """``journal_path`` opens a fresh journal there, first deleting
         any snapshots an older history left beside it; ``storage`` holds
@@ -211,9 +212,9 @@ class ChargingService:
         same reason) turns on automatic state snapshots roughly every that
         many journal records — taken only at quiescent points, i.e. at the
         end of a public input method; ``snapshot_keep`` bounds how many
-        snapshot files survive pruning, and ``compact`` lets a successful
-        snapshot truncate the journal prefix the oldest retained snapshot
-        covers.
+        snapshot files survive pruning, and a successful snapshot
+        truncates the journal prefix the oldest retained snapshot covers
+        (see :meth:`write_snapshot`).
         """
         if snapshot_every is not None and snapshot_every < 1:
             raise ConfigurationError(
@@ -232,8 +233,6 @@ class ChargingService:
             mobility=mobility,
             scheme=self.scheme,
             tol=self.config.tol,
-            improvement_sweeps=self.config.improvement_sweeps,
-            repair_rounds=self.config.repair_rounds,
         )
         self.chargers = self.planner.instance.chargers
         self._charger_index = {
@@ -283,7 +282,6 @@ class ChargingService:
         #: Automatic snapshot cadence (None = off); see :meth:`write_snapshot`.
         self.snapshot_every = snapshot_every
         self.snapshot_keep = int(snapshot_keep)
-        self.compact = bool(compact)
         self._last_snapshot_seq = 0
         #: Set during recovery replay: a snapshot taken mid-replay would
         #: compact the very file the replay is being checked against, so
@@ -1092,9 +1090,9 @@ class ChargingService:
 
         Pins the snapshot to the journal's next append seq (``state ==
         replay of records < seq``), keeps the newest :attr:`snapshot_keep`
-        snapshot files, and — when :attr:`compact` — truncates the journal
-        prefix the *oldest surviving* snapshot covers, so every retained
-        snapshot still has its replay suffix on disk.  Compaction needs at
+        snapshot files, and truncates the journal prefix the *oldest
+        surviving* snapshot covers, so every retained snapshot still has
+        its replay suffix on disk.  Compaction needs at
         least *two* surviving snapshots: the truncated journal's base is
         only replayable from a snapshot, so there must be a second one to
         fall back to when the newest turns out corrupt — one bad snapshot
@@ -1114,15 +1112,14 @@ class ChargingService:
         self._last_snapshot_seq = seq
         self.metrics.counter("snapshots_written", operational=True).inc()
         prune_snapshots(self.journal.path, self.snapshot_keep, storage)
-        if self.compact:
-            remaining = list_snapshots(self.journal.path, storage)
-            if len(remaining) >= 2:
-                oldest = min(s for s, _p in remaining)
-                dropped = self.journal.truncate_prefix(oldest)
-                if dropped:
-                    self.metrics.counter(
-                        "journal.compacted_records", operational=True
-                    ).inc(dropped)
+        remaining = list_snapshots(self.journal.path, storage)
+        if len(remaining) >= 2:
+            oldest = min(s for s, _p in remaining)
+            dropped = self.journal.truncate_prefix(oldest)
+            if dropped:
+                self.metrics.counter(
+                    "journal.compacted_records", operational=True
+                ).inc(dropped)
         return path
 
     def _maybe_snapshot(self) -> None:
@@ -1174,7 +1171,6 @@ class ChargingService:
         storage: Storage = POSIX,
         snapshot_every: Optional[int] = None,
         snapshot_keep: int = 2,
-        compact: bool = True,
     ) -> "ChargingService":
         """Rebuild a killed daemon from its journal, exactly.
 
@@ -1255,7 +1251,6 @@ class ChargingService:
             config=config,
             snapshot_every=snapshot_every,
             snapshot_keep=snapshot_keep,
-            compact=compact,
         )
         ours = service._open_payload()
         if chosen is not None:

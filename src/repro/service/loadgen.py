@@ -387,11 +387,24 @@ def write_trace(path: Union[str, Path], requests: List[ChargingRequest]) -> None
 
 
 def read_trace(path: Union[str, Path]) -> List[ChargingRequest]:
-    """Read a JSONL request trace written by :func:`write_trace`."""
+    """Read a JSONL request trace written by :func:`write_trace`.
+
+    An unreadable file or a line that is not a request is a
+    :class:`~repro.errors.ConfigurationError` naming the file.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = list(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigurationError(f"cannot read request trace {path}: {exc}") from exc
     requests: List[ChargingRequest] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
+    for number, line in enumerate(lines, 1):
+        line = line.strip()
+        if line:
+            try:
                 requests.append(ChargingRequest.from_dict(json.loads(line)))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ConfigurationError(
+                    f"request trace {path} line {number} is not a request: {exc!r}"
+                ) from exc
     return requests

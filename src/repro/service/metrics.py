@@ -74,25 +74,6 @@ class Histogram:
         self.total += 1
         self.sum += v
 
-    def quantile(self, q: float) -> float:
-        """Bucket-resolution quantile: the smallest bound covering *q* mass.
-
-        Returns ``inf`` when the quantile falls in the overflow bucket and
-        ``0.0`` on an empty histogram.  Coarse by design — for reporting,
-        not statistics.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if self.total == 0:
-            return 0.0
-        need = q * self.total
-        seen = 0
-        for bound, count in zip(self.bounds, self.counts):
-            seen += count
-            if seen >= need:
-                return bound
-        return float("inf")
-
     def snapshot(self) -> Dict[str, Any]:
         """Plain-dict form: per-bucket counts keyed by upper bound."""
         buckets = {f"le_{bound:g}": count for bound, count in zip(self.bounds, self.counts)}
@@ -251,15 +232,6 @@ class Metrics:
             self.gauge(name).value = float(value)
         for name, hstate in state.get("histograms", {}).items():
             self.histogram(name, hstate["bounds"]).restore(hstate)
-
-    @staticmethod
-    def merge(labeled: Mapping[str, "Metrics"]) -> Dict[str, Any]:
-        """Merge several registries into one aggregate snapshot.
-
-        ``labeled`` maps a source label (e.g. ``"shard-0000"``) to its
-        registry; see :func:`merge_snapshots` for the merge rules.
-        """
-        return merge_snapshots({label: m.snapshot() for label, m in labeled.items()})
 
 
 def merge_snapshots(labeled: Mapping[str, Dict[str, Any]]) -> Dict[str, Any]:

@@ -48,7 +48,7 @@ from ..core import Device
 from ..core.ccsga import resolve_engine
 from ..core.costsharing import CostSharingScheme, EgalitarianSharing
 from ..core.instance import InstanceSurface
-from ..errors import ConfigurationError, ServiceError
+from ..errors import ServiceError
 from ..game.arraycore import StructureArrayView
 from ..game.coalition import CoalitionStructure, _device_token
 from ..game.switching import SelfishSwitch, SociallyAwareSwitch, best_response_sweep
@@ -57,6 +57,12 @@ from ..numeric import DEFAULT_REL_TOL
 from ..wpt import Charger
 
 __all__ = ["PlanInstance", "GrowableCoalitionStructure", "IncrementalPlanner"]
+
+#: Socially-aware best-response sweeps per fold, over the touched devices.
+IMPROVEMENT_SWEEPS = 2
+#: Selfish repair rounds per fold before the leftover violators are forced
+#: into their best available singleton (or evicted).
+REPAIR_ROUNDS = 3
 
 
 class PlanInstance(InstanceSurface):
@@ -370,26 +376,14 @@ class IncrementalPlanner:
         mobility: Optional[MobilityModel] = None,
         scheme: Optional[CostSharingScheme] = None,
         tol: float = DEFAULT_REL_TOL,
-        improvement_sweeps: int = 2,
-        repair_rounds: int = 3,
         engine: Optional[str] = None,
     ):
-        if improvement_sweeps < 0:
-            raise ConfigurationError(
-                f"improvement_sweeps must be nonnegative, got {improvement_sweeps}"
-            )
-        if repair_rounds < 0:
-            raise ConfigurationError(
-                f"repair_rounds must be nonnegative, got {repair_rounds}"
-            )
         self.instance = PlanInstance(chargers, mobility)
         self.scheme: CostSharingScheme = (
             scheme if scheme is not None else EgalitarianSharing()
         )
         self.structure = GrowableCoalitionStructure(self.instance, self.scheme)
         self.tol = float(tol)
-        self.improvement_sweeps = improvement_sweeps
-        self.repair_rounds = repair_rounds
         self._social = SociallyAwareSwitch(tol=self.tol)
         self._selfish = SelfishSwitch(tol=self.tol)
         #: Scan engine (see :func:`repro.core.ccsga.resolve_engine`): the
@@ -579,11 +573,11 @@ class IncrementalPlanner:
 
         Each permitted switch strictly lowers the total comprehensive cost
         (the game's potential), so sweeps cannot cycle; we additionally
-        cap them at :attr:`improvement_sweeps`.  Grows *touched* in place
+        cap them at :data:`IMPROVEMENT_SWEEPS`.  Grows *touched* in place
         (destination coalitions join the neighborhood).
         """
         st, per_scan = self.structure, self.instance.n_chargers
-        for _ in range(self.improvement_sweeps):
+        for _ in range(IMPROVEMENT_SWEEPS):
             order = [d for d in sorted(touched) if st.is_placed(d)]
             # Each call scores the rest of the list: most devices stay.
             # ``scan_candidates`` counts a candidate per coalition and per
@@ -632,7 +626,7 @@ class IncrementalPlanner:
         Membership churn can push a bystander above its quote (e.g. a
         base-fee-dominated session losing a member raises everyone's
         per-head share).  Violators take their best selfish move, and
-        after :attr:`repair_rounds` rounds any stragglers are *forced*
+        after :data:`REPAIR_ROUNDS` rounds any stragglers are *forced*
         into their best available singleton.  With every charger up that
         singleton costs exactly the quote and can never be disturbed by
         other devices leaving, so repair always converges to zero
@@ -651,7 +645,7 @@ class IncrementalPlanner:
         st, inst = self.structure, self.instance
         per_scan = inst.n_chargers
         evicted: List[int] = []
-        for _ in range(self.repair_rounds):
+        for _ in range(REPAIR_ROUNDS):
             violators = self._violators()
             if not violators:
                 return evicted

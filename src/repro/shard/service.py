@@ -133,14 +133,13 @@ class ShardedService:
         journal_sync: bool = True,
         snapshot_every: Optional[int] = None,
         snapshot_keep: int = 2,
-        compact: bool = True,
         _recovered: Optional[Dict[int, ChargingService]] = None,
     ):
         """Partition *field* (default: a square covering the chargers)
         into *n_shards* cells and start one kernel per charger-owning
         cell.  ``journal_dir``, when given, holds one journal per shard
         plus a partition manifest; ``None`` runs journal-less (benchmarks).
-        ``snapshot_every`` / ``snapshot_keep`` / ``compact`` are handed to
+        ``snapshot_every`` / ``snapshot_keep`` are handed to
         every kernel (see :class:`~repro.service.kernel.ChargingService`):
         each shard snapshots and compacts its own journal independently.
         """
@@ -155,7 +154,6 @@ class ShardedService:
         self.journal_sync = bool(journal_sync)
         self.snapshot_every = snapshot_every
         self.snapshot_keep = int(snapshot_keep)
-        self.compact = bool(compact)
         self.journal_dir = Path(journal_dir) if journal_dir is not None else None
         self.shard_chargers: Dict[int, List[Charger]] = (
             self.partition.assign_chargers(chargers)
@@ -187,7 +185,6 @@ class ShardedService:
                     journal_sync=journal_sync,
                     snapshot_every=snapshot_every,
                     snapshot_keep=snapshot_keep,
-                    compact=compact,
                 )
             # Published last: under a manifest a missing journal is loss.
             if self.journal_dir is not None and self.kernels:
@@ -516,7 +513,6 @@ class ShardedService:
             storage=kernel.journal.storage,
             snapshot_every=self.snapshot_every,
             snapshot_keep=self.snapshot_keep,
-            compact=self.compact,
         )
         self.kernels[shard] = recovered
         self.router.planners[shard] = recovered.planner
@@ -533,7 +529,6 @@ class ShardedService:
         journal_sync: bool = True,
         snapshot_every: Optional[int] = None,
         snapshot_keep: int = 2,
-        compact: bool = True,
     ) -> "ShardedService":
         """Rebuild a killed sharded service from its journal directory.
 
@@ -615,7 +610,6 @@ class ShardedService:
                 storage=cls.storage,
                 snapshot_every=snapshot_every,
                 snapshot_keep=snapshot_keep,
-                compact=compact,
             )
         service = cls(
             chargers,
@@ -629,7 +623,6 @@ class ShardedService:
             journal_dir=journal_dir,
             snapshot_every=snapshot_every,
             snapshot_keep=snapshot_keep,
-            compact=compact,
             _recovered=kernels,
         )
         for sid in sorted(service.kernels):

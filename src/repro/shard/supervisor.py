@@ -72,6 +72,11 @@ SUPERVISOR_JOURNAL_NAME = "supervisor.jsonl"
 #: operator, because retrying cannot fix it.
 _RETRYABLE = (JournalWriteError, InjectedFaultError)
 
+#: Logical backoff before restart attempt *a*, in seconds:
+#: ``BACKOFF_FACTOR**(a-1)`` capped at ``BACKOFF_CAP``, then jittered.
+BACKOFF_FACTOR = 2.0
+BACKOFF_CAP = 60.0
+
 
 class ShardSupervisor:
     """Automatic failover for one :class:`ShardedService` (module docstring)."""
@@ -81,27 +86,18 @@ class ShardSupervisor:
         service: ShardedService,
         seed: int = 0,
         max_restarts: int = 3,
-        backoff_base: float = 1.0,
-        backoff_factor: float = 2.0,
-        backoff_cap: float = 60.0,
-        journal_sync: bool = False,
     ) -> None:
-        """``journal_sync`` is the supervision journal's fsync knob."""
+        """The supervision journal is written without fsync: it records
+        decisions that a rerun of the same timeline reproduces."""
         if max_restarts < 1:
             raise ConfigurationError(
                 f"max_restarts must be >= 1, got {max_restarts}"
             )
-        if backoff_base <= 0.0 or backoff_factor < 1.0 or backoff_cap <= 0.0:
-            raise ConfigurationError(
-                "backoff needs base > 0, factor >= 1, cap > 0; got "
-                f"base={backoff_base}, factor={backoff_factor}, cap={backoff_cap}"
-            )
+        if seed < 0:
+            raise ConfigurationError(f"seed must be nonnegative, got {seed}")
         self.service = service
         self.seed = int(seed)
         self.max_restarts = int(max_restarts)
-        self.backoff_base = float(backoff_base)
-        self.backoff_factor = float(backoff_factor)
-        self.backoff_cap = float(backoff_cap)
         #: ``recovery_crash`` modes :meth:`arm` put on each shard's
         #: storage, consumed in place (one per recovery attempt).
         self.recovery_crashes: Dict[int, List[str]] = {}
@@ -126,7 +122,7 @@ class ShardSupervisor:
         if service.journal_dir is not None:
             self.journal = Journal(
                 service.journal_dir / SUPERVISOR_JOURNAL_NAME,
-                sync=journal_sync,
+                sync=False,
                 storage=service.storage,
             )
 
@@ -136,18 +132,15 @@ class ShardSupervisor:
     def backoff(self, shard: int, attempt: int) -> float:
         """Logical backoff before restart *attempt* (1-based) of *shard*.
 
-        Exponential ``base * factor**(attempt-1)`` capped at ``cap``,
-        jittered into ``[0.5, 1.5)`` of itself by a generator keyed
-        ``derive_seed(seed, "backoff", shard, attempt)`` — a pure
-        function of its arguments, so two runs (or a run and its replay)
-        charge identical backoffs.
+        Exponential ``BACKOFF_FACTOR**(attempt-1)`` seconds capped at
+        ``BACKOFF_CAP``, jittered into ``[0.5, 1.5)`` of itself by a
+        generator keyed ``derive_seed(seed, "backoff", shard, attempt)``
+        — a pure function of its arguments, so two runs (or a run and its
+        replay) charge identical backoffs.
         """
         if attempt < 1:
             raise ConfigurationError(f"attempt is 1-based, got {attempt}")
-        base = min(
-            self.backoff_cap,
-            self.backoff_base * self.backoff_factor ** (attempt - 1),
-        )
+        base = min(BACKOFF_CAP, BACKOFF_FACTOR ** (attempt - 1))
         rng = ensure_rng(derive_seed(self.seed, "backoff", int(shard), int(attempt)))
         return float(base * (0.5 + rng.random()))
 

@@ -318,6 +318,14 @@ class TestExecutorFailureIsolation:
         assert "2 task(s) failed terminally" in message
         assert "task 0" in message and "task 1" in message
 
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            ParallelExecutor(jobs=0)
+        with pytest.raises(ValueError):
+            ParallelExecutor(jobs=1, retries=-1)
+        with pytest.raises(ValueError):
+            ParallelExecutor(jobs=1, task_timeout=0.0)
+
 
 class TestWorkerCrashes:
     def test_crashed_worker_does_not_take_down_the_run(self, tmp_path):
@@ -382,51 +390,3 @@ class TestWorkerCrashes:
         )]
         results = ParallelExecutor(jobs=1, retries=1, task_timeout=0.5).run(tasks)
         assert results[0]["attempts"] == 2
-
-
-class TestBackoff:
-    def test_delays_are_deterministic_and_bounded(self):
-        a = ParallelExecutor(jobs=1, backoff_base=0.1, backoff_cap=1.0, seed=9)
-        b = ParallelExecutor(jobs=1, backoff_base=0.1, backoff_cap=1.0, seed=9)
-        delays = [a.backoff_delay(w) for w in range(1, 8)]
-        assert delays == [b.backoff_delay(w) for w in range(1, 8)]
-        assert all(0.0 < d <= 1.0 for d in delays)
-        # Exponential until the cap bites.
-        assert delays[1] > delays[0]
-        assert delays[-1] == 1.0
-
-    def test_different_seeds_jitter_differently(self):
-        a = ParallelExecutor(jobs=1, backoff_base=0.1, seed=1)
-        b = ParallelExecutor(jobs=1, backoff_base=0.1, seed=2)
-        assert [a.backoff_delay(w) for w in range(1, 5)] != [
-            b.backoff_delay(w) for w in range(1, 5)
-        ]
-
-    def test_zero_base_never_sleeps(self, tmp_path):
-        marker = tmp_path / "markers"
-        marker.mkdir()
-        slept = []
-        params = {"marker_dir": str(marker), "fail_attempts": 1}
-        tasks = _tasks("repro.faults.tasks:raise", 1, params)
-        ParallelExecutor(jobs=1, retries=1, sleep=slept.append).run(tasks)
-        assert slept == []
-
-    def test_retry_waves_sleep_the_scheduled_backoff(self, tmp_path):
-        marker = tmp_path / "markers"
-        marker.mkdir()
-        slept = []
-        params = {"marker_dir": str(marker), "fail_attempts": 2}
-        tasks = _tasks("repro.faults.tasks:raise", 1, params)
-        pool = ParallelExecutor(
-            jobs=1, retries=2, backoff_base=0.001, seed=3, sleep=slept.append
-        )
-        pool.run(tasks)
-        assert slept == [pool.backoff_delay(1), pool.backoff_delay(2)]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ParallelExecutor(jobs=0)
-        with pytest.raises(ValueError):
-            ParallelExecutor(jobs=1, retries=-1)
-        with pytest.raises(ValueError):
-            ParallelExecutor(jobs=1, task_timeout=0.0)

@@ -37,7 +37,7 @@ class TestMergeSnapshots:
         a.counter("only_a").inc(4)
         b = Metrics()
         b.counter("only_b").inc(6)
-        merged = Metrics.merge({"a": a, "b": b})
+        merged = merge_snapshots({"a": a.snapshot(), "b": b.snapshot()})
         assert merged["counters"] == {"only_a": 4, "only_b": 6}
 
     def test_gauges_rekeyed_per_source(self):
@@ -66,7 +66,7 @@ class TestMergeSnapshots:
         b = Metrics()
         b.histogram("h", bounds=(1.0, 3.0)).observe(1.5)
         with pytest.raises(ValueError, match="bucket"):
-            Metrics.merge({"a": a, "b": b})
+            merge_snapshots({"a": a.snapshot(), "b": b.snapshot()})
 
     def test_single_source_is_identity_up_to_gauge_rekeying(self):
         snap = make_registry(2).snapshot()
@@ -96,5 +96,5 @@ class TestMergeSnapshots:
         b = Metrics()
         b.counter("zz").inc()
         b.counter("aa").inc()
-        merged = Metrics.merge({"b": b})
+        merged = merge_snapshots({"b": b.snapshot()})
         assert list(merged["counters"]) == sorted(merged["counters"])

@@ -84,9 +84,13 @@ class TestServeCli:
         (["--queue-limit", "0"], None),
         (["--max-active", "0"], None),
         (["--halo", "-5", "--shards", "2"], None),
+        (["--trace", "{missing}"], None),
+        (["--trace", "{plan}"], "{garbled\n"),
+        (["--seed", "-1"], None),
     ], ids=[
         "journal-seq-x", "shard-one", "not-json", "no-target", "missing-file",
         "seed-x", "epoch", "window", "queue-limit", "max-active", "halo",
+        "trace-missing", "trace-garbled", "seed-negative",
     ])
     def test_bad_arguments_are_one_line_and_exit_2(self, tmp_path, capsys, argv, plan):
         # Each check lives where the value is used (the config, the plan,

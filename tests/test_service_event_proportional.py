@@ -305,9 +305,7 @@ class TestOneFsyncPerInput:
 
     def test_snapshot_waits_for_the_records_it_covers(self, tmp_path, monkeypatch):
         path = tmp_path / "j.jsonl"
-        service = ChargingService(
-            make_chargers(), journal_path=path, snapshot_every=4, compact=False
-        )
+        service = ChargingService(make_chargers(), journal_path=path, snapshot_every=4)
         inodes = []
         real = os.fsync
 

@@ -152,11 +152,9 @@ class TestSnapshotFormat:
 class TestSnapshotRecovery:
     def test_fast_path_replays_only_the_suffix(self, tmp_path, stream):
         ref, ref_path = run(tmp_path, stream, "ref")
-        _snap, snap_path = run(
-            tmp_path, stream, "snap", snapshot_every=10, compact=False
-        )
+        _snap, snap_path = run(tmp_path, stream, "snap", snapshot_every=10)
         assert list_snapshots(snap_path)
-        rec = recover(snap_path, snapshot_every=10, compact=False)
+        rec = recover(snap_path, snapshot_every=10)
         rec.journal.close()
         counters = rec.observability_snapshot()["counters"]
         assert counters["recovery.snapshot_used"] == 1
@@ -166,20 +164,20 @@ class TestSnapshotRecovery:
         assert rec.metrics_snapshot() == ref.metrics_snapshot()
 
     def test_half_written_tmp_is_never_selected(self, tmp_path, stream):
-        _svc, path = run(tmp_path, stream, "t", snapshot_every=10, compact=False)
+        _svc, path = run(tmp_path, stream, "t", snapshot_every=10)
         newest_seq = list_snapshots(path)[0][0]
         tmp = snapshot_path(path, newest_seq + 10)
         tmp.with_name(tmp.name + ".tmp").write_text('{"schema":1,"seq":')
-        rec = recover(path, snapshot_every=10, compact=False)
+        rec = recover(path, snapshot_every=10)
         rec.journal.close()
         assert rec.final_schedule() == _svc.final_schedule()
 
     def test_corrupt_newest_falls_back_to_older(self, tmp_path, stream):
-        svc, path = run(tmp_path, stream, "fb", snapshot_every=8, compact=False)
+        svc, path = run(tmp_path, stream, "fb", snapshot_every=8)
         snaps = list_snapshots(path)
         assert len(snaps) >= 2
         corrupt_half(snaps[0][1])
-        rec = recover(path, snapshot_every=8, compact=False)
+        rec = recover(path, snapshot_every=8)
         rec.journal.close()
         counters = rec.observability_snapshot()["counters"]
         assert counters["recovery.snapshot_fallbacks"] >= 1
@@ -188,10 +186,11 @@ class TestSnapshotRecovery:
         assert rec.metrics_snapshot() == svc.metrics_snapshot()
 
     def test_all_corrupt_falls_back_to_full_replay(self, tmp_path, stream):
-        svc, path = run(tmp_path, stream, "all", snapshot_every=8, compact=False)
+        # One retained snapshot never compacts, so the journal keeps seq 0.
+        svc, path = run(tmp_path, stream, "all", snapshot_every=8, snapshot_keep=1)
         for _seq, spath in list_snapshots(path):
             corrupt_half(spath)
-        rec = recover(path, snapshot_every=8, compact=False)
+        rec = recover(path, snapshot_every=8, snapshot_keep=1)
         rec.journal.close()
         counters = rec.observability_snapshot()["counters"]
         assert counters["recovery.snapshot_used"] == 0

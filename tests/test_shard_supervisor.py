@@ -110,12 +110,11 @@ class TestBackoff:
 
     def test_exponential_and_capped(self, tmp_path):
         svc = make_service(tmp_path / "b")
-        sup = ShardSupervisor(
-            svc, seed=3, backoff_base=1.0, backoff_factor=2.0, backoff_cap=8.0
-        )
+        sup = ShardSupervisor(svc, seed=3)
+        # 1, 2, 4, ... seconds: the cap of 60 bites from attempt 7.
         for attempt in range(1, 10):
             pause = sup.backoff(0, attempt)
-            base = min(8.0, 2.0 ** (attempt - 1))
+            base = min(60.0, 2.0 ** (attempt - 1))
             assert 0.5 * base <= pause < 1.5 * base
         sup.close()
         svc.close()
@@ -125,7 +124,7 @@ class TestBackoff:
         with pytest.raises(ConfigurationError):
             ShardSupervisor(svc, max_restarts=0)
         with pytest.raises(ConfigurationError):
-            ShardSupervisor(svc, backoff_factor=0.5)
+            ShardSupervisor(svc, seed=-1)
         sup = ShardSupervisor(svc)
         with pytest.raises(ConfigurationError):
             sup.backoff(0, 0)
