@@ -464,10 +464,11 @@ def _serve(args, requests, chargers, config) -> int:
                 service, requests, fault_plan, supervisor=supervisor,
                 advance_to=args.duration,
             )
-        except ConfigurationError as exc:
-            print(f"--fault-plan: {exc}", file=sys.stderr)
+        except ConfigurationError:
+            # A plan the service cannot run, or a non-finite --duration:
+            # reported by serve_main as one line, exit 2.
             service.close()
-            return 2
+            raise
     stats = supervisor.stats
     print(
         f"supervisor: {stats['failures']} failures, "
@@ -535,6 +536,7 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
     # The config, the stream, the fault plan and the service check their
     # own arguments; a bad one ends the run here with one line, exit 2.
     try:
+        field = Field.square(args.field)
         chargers = _grid_chargers(args.chargers, args.field)
         config = ServiceConfig(
             epoch=args.epoch,
@@ -550,7 +552,7 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
             requests = generate_requests(
                 args.n,
                 rate=args.rate,
-                field=Field(args.field, args.field),
+                field=field,
                 profile=args.loadgen,
                 deadline_slack=args.deadline_slack,
                 max_price_factor=args.max_price_factor,

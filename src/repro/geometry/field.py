@@ -7,6 +7,7 @@ and the testbed simulator uses it to bound node movement.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..errors import ConfigurationError
@@ -23,9 +24,9 @@ class Field:
     height: float
 
     def __post_init__(self) -> None:
-        if self.width <= 0 or self.height <= 0:
+        if not all(math.isfinite(d) and d > 0 for d in (self.width, self.height)):
             raise ConfigurationError(
-                f"field dimensions must be positive, got {self.width} x {self.height}"
+                f"field dimensions must be finite and positive, got {self.width} x {self.height}"
             )
 
     @classmethod

@@ -25,10 +25,12 @@ Every file operation goes through the journal's :class:`~repro.io.Storage`;
 fault injection arms a live journal by swapping it.
 
 Recovery discipline (see :meth:`repro.service.kernel.ChargingService.recover`):
-``submit`` and ``drain`` records are the *inputs*; every other event is a
-deterministic consequence the kernel re-derives by replaying them.  The
-journal still records all transitions, because an auditor (or an operator
-tailing the file) should see the full lifecycle without running a replay.
+the :data:`INPUT_EVENTS` records (``submit``, ``advance``, ``drain``,
+``charger_down``, ``charger_up``, ``cancel``) are the *inputs*; every
+other event is a deterministic consequence the kernel re-derives by
+replaying them.  The journal still records all transitions, because an
+auditor (or an operator tailing the file) should see the full lifecycle
+without running a replay.
 """
 
 from __future__ import annotations

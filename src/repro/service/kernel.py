@@ -110,17 +110,26 @@ _Input = TypeVar("_Input", bound=Callable[..., Any])
 
 
 def _durable_input(method: _Input) -> _Input:
-    """Make one public input one journal fsync barrier.
+    """The one frame of a public input: one journal fsync barrier, then
+    the gauges and the snapshot cadence.
 
     Every record the input writes is flushed on its own, and the batch
     fsyncs them together before the call returns — on every return path,
-    no-ops included (those wrote nothing and take no fsync).
+    no-ops included (those wrote nothing and take no fsync).  After the
+    body the gauges are refreshed once, and an input that journaled a
+    record checks the snapshot cadence (a quiescent point).
     """
 
     @functools.wraps(method)
     def wrapper(self: "ChargingService", *args: Any, **kwargs: Any) -> Any:
-        with self.journal.batch() if self.journal is not None else nullcontext():
-            return method(self, *args, **kwargs)
+        journal = self.journal
+        seq = journal.seq if journal is not None else 0
+        with journal.batch() if journal is not None else nullcontext():
+            result = method(self, *args, **kwargs)
+            self._update_gauges()
+            if journal is not None and journal.seq != seq:
+                self._maybe_snapshot()
+        return result
 
     return wrapper  # type: ignore[return-value]
 
@@ -160,10 +169,10 @@ class ServiceConfig:
     tol: float = 1e-9
 
     def __post_init__(self) -> None:
-        if self.epoch <= 0:
-            raise ConfigurationError(f"epoch must be positive, got {self.epoch}")
-        if self.window <= 0:
-            raise ConfigurationError(f"window must be positive, got {self.window}")
+        for name in ("epoch", "window"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigurationError(f"{name} must be finite and positive, got {value}")
         if self.queue_limit < 1:
             raise ConfigurationError(
                 f"queue_limit must be >= 1, got {self.queue_limit}"
@@ -386,8 +395,6 @@ class ChargingService:
                 },
             )
             self.metrics.counter("admitted").inc()
-        self._update_gauges()
-        self._maybe_snapshot()
         return record.state
 
     @_durable_input
@@ -400,12 +407,11 @@ class ChargingService:
         no-ops — not even journaled — which keeps re-feeding a stream
         after recovery idempotent.
         """
-        t = float(to)
+        t = self._input_time(to)
         if t <= self.clock.now + _TIME_EPS:
             return
         self._journal("advance", t, {})
         self._advance_to(t)
-        self._maybe_snapshot()
 
     # ------------------------------------------------------------------ #
     # fault inputs (see docs/FAULTS.md)
@@ -441,7 +447,7 @@ class ChargingService:
         """The body of :meth:`fail_charger` (``up=False``) and
         :meth:`restore_charger` (``up=True``)."""
         j = self._charger_of(charger_id)
-        raw = self.clock.now if at is None else float(at)
+        raw = self._input_time(at)
         t = max(raw, self.clock.now)
         event = "charger_up" if up else "charger_down"
         key = (event, charger_id, raw)
@@ -459,8 +465,6 @@ class ChargingService:
             self._avail_dirty = True
             for index in self.planner.evacuate_charger(j):
                 self._evacuate(index, t, cause=charger_id)
-        self._update_gauges()
-        self._maybe_snapshot()
         return True
 
     @_durable_input
@@ -483,10 +487,10 @@ class ChargingService:
         Returns the request's resulting state, or ``None`` for an
         unknown id.
         """
+        raw = self._input_time(at)
         record = self.requests.get(request_id)
         if record is None:
             return None
-        raw = self.clock.now if at is None else float(at)
         t = max(raw, self.clock.now)
         key = ("cancel", request_id, raw)
         if key in self._fault_keys or record.state not in RequestState.LIVE:
@@ -507,9 +511,16 @@ class ChargingService:
         elif record.state == RequestState.EVACUATING:
             self._evacuating.remove(request_id)
         self._finish(record, RequestState.CANCELLED, reason, t)
-        self._update_gauges()
-        self._maybe_snapshot()
         return record.state
+
+    def _input_time(self, at: Optional[float]) -> float:
+        """An input's requested time: *at*, or now when ``None``.  A
+        non-finite time raises :class:`~repro.errors.ConfigurationError`
+        before anything is journaled."""
+        raw = self.clock.now if at is None else float(at)
+        if not math.isfinite(raw):
+            raise ConfigurationError(f"input time must be finite, got {raw}")
+        return raw
 
     def _charger_of(self, charger_id: str) -> int:
         try:
@@ -598,7 +609,6 @@ class ChargingService:
         self._epoch_index = last
         self._process_completions(t)
         self.clock.advance(t)
-        self._update_gauges()
 
     @_durable_input
     def drain(self) -> None:
@@ -644,8 +654,6 @@ class ChargingService:
         while self._completions:
             self._process_completions(self._completions[0][0])
         self.clock.advance(max(self.clock.now, t0, boundary))
-        self._update_gauges()
-        self._maybe_snapshot()
 
     # ------------------------------------------------------------------ #
     # the epoch machine

@@ -69,11 +69,11 @@ MANIFEST_NAME = "manifest.json"
 
 #: Resolved journal directories owned by live :class:`ShardedService`
 #: objects in this process.  Registered at construction, released by
-#: :meth:`ShardedService.close`; :meth:`ShardedService.recover` refuses a
-#: registered directory (:class:`~repro.errors.LiveJournalError`) —
-#: recovering files another in-process writer still appends to would
-#: interleave two journals.  A crashed *process* never deregisters, but
-#: its registry died with it, so post-crash recovery is unaffected.
+#: :meth:`ShardedService.close`; construction, fresh or recovered,
+#: refuses a registered directory (:class:`~repro.errors.LiveJournalError`)
+#: before touching a file — another in-process writer still appends
+#: there.  A crashed *process* never deregisters, but its registry died
+#: with it, so post-crash recovery is unaffected.
 _LIVE_DIRS: Set[str] = set()
 
 
@@ -100,6 +100,26 @@ def merge_final_schedules(
             merged.append(doc)
     merged.sort(key=lambda s: (s["departed"], s["shard"], s["seq"]))
     return merged
+
+
+def _manifest_payload(
+    partition: GridPartition, owned: Mapping[int, List[Charger]]
+) -> Dict[str, Any]:
+    """The manifest a service over *partition* with shard chargers *owned*
+    publishes, and the one :meth:`ShardedService.recover` requires."""
+    return {
+        "schema": MANIFEST_SCHEMA,
+        "n_shards": partition.n_shards,
+        "halo": float(partition.halo),
+        "field": {
+            "width": float(partition.field.width),
+            "height": float(partition.field.height),
+        },
+        "shards": {
+            str(sid): [c.charger_id for c in chargers]
+            for sid, chargers in owned.items()
+        },
+    }
 
 
 def _field_for(chargers: Sequence[Charger], field: Optional[Field]) -> Field:
@@ -133,18 +153,24 @@ class ShardedService:
         journal_sync: bool = True,
         snapshot_every: Optional[int] = None,
         snapshot_keep: int = 2,
-        _recovered: Optional[Dict[int, ChargingService]] = None,
+        _recover: bool = False,
     ):
         """Partition *field* (default: a square covering the chargers)
         into *n_shards* cells and start one kernel per charger-owning
         cell.  ``journal_dir``, when given, holds one journal per shard
-        plus a partition manifest; ``None`` runs journal-less (benchmarks).
-        ``snapshot_every`` / ``snapshot_keep`` are handed to
-        every kernel (see :class:`~repro.service.kernel.ChargingService`):
+        plus a partition manifest; ``None`` runs journal-less (``ccs-serve``
+        without ``--journal``).  ``snapshot_every`` / ``snapshot_keep`` are
+        handed to every kernel (see :class:`~repro.service.kernel.ChargingService`):
         each shard snapshots and compacts its own journal independently.
         """
         if not chargers:
             raise ConfigurationError("a sharded service needs at least one charger")
+        self.journal_dir = Path(journal_dir) if journal_dir is not None else None
+        if self.journal_dir is not None and str(self.journal_dir.resolve()) in _LIVE_DIRS:
+            raise LiveJournalError(
+                f"journal directory {self.journal_dir} is owned by a live "
+                "service in this process; close() it first"
+            )
         self.n_shards = int(n_shards)
         self.field = _field_for(chargers, field)
         self.partition = GridPartition(self.field, self.n_shards, halo=halo)
@@ -154,49 +180,27 @@ class ShardedService:
         self.journal_sync = bool(journal_sync)
         self.snapshot_every = snapshot_every
         self.snapshot_keep = int(snapshot_keep)
-        self.journal_dir = Path(journal_dir) if journal_dir is not None else None
         self.shard_chargers: Dict[int, List[Charger]] = (
             self.partition.assign_chargers(chargers)
         )
-        self._owner: Dict[str, int] = {}
-        for sid, owned in self.shard_chargers.items():
-            for c in owned:
-                self._owner[c.charger_id] = sid
-        if _recovered is not None:
-            self.kernels: Dict[int, ChargingService] = dict(_recovered)
-        else:
-            self.kernels = {}
-            for sid in sorted(self.shard_chargers):
-                owned = self.shard_chargers[sid]
-                if not owned:
-                    continue
-                path = (
-                    self.journal_dir / shard_journal_name(sid)
-                    if self.journal_dir is not None
-                    else None
-                )
-                self.kernels[sid] = ChargingService(
-                    owned,
-                    mobility=mobility,
-                    scheme=scheme,
-                    config=config,
-                    journal_path=path,
-                    storage=self.storage,
-                    journal_sync=journal_sync,
-                    snapshot_every=snapshot_every,
-                    snapshot_keep=snapshot_keep,
-                )
-            # Published last: under a manifest a missing journal is loss.
-            if self.journal_dir is not None and self.kernels:
-                self._write_manifest()
-        if not self.kernels:
-            raise ConfigurationError(
-                "no shard owns a charger — empty partition cannot serve"
-            )
+        self._owner: Dict[str, int] = {
+            c.charger_id: sid for sid, owned in self.shard_chargers.items() for c in owned
+        }
+        self.kernels: Dict[int, ChargingService] = {
+            sid: self._open_kernel(sid, _recover, self.storage)
+            for sid in sorted(self.shard_chargers)
+            if self.shard_chargers[sid]
+        }
+        # Published last: under a manifest a missing journal is loss.
+        if self.journal_dir is not None and not _recover:
+            self._write_manifest()
         self.router = SpatialRouter(
             self.partition,
             {sid: kernel.planner for sid, kernel in self.kernels.items()},
         )
+        for sid in sorted(self.kernels):
+            for rid in self.kernels[sid].requests:
+                self.router.assignment[rid] = sid
         #: Request ids rejected while no live shard could take them,
         #: mapped to why (``"sticky"`` / ``"unrouted"``).  Their terminal
         #: answer stays ``rejected`` even after the shard returns —
@@ -220,29 +224,38 @@ class ShardedService:
         if self.journal_dir is not None:
             _LIVE_DIRS.add(str(self.journal_dir.resolve()))
 
+    def _open_kernel(self, sid: int, recover: bool, storage: Storage) -> ChargingService:
+        """Start shard *sid*'s kernel over its chargers, journaling on
+        *storage*: fresh, or rebuilt from its journal when *recover*."""
+        path = (
+            self.journal_dir / shard_journal_name(sid)
+            if self.journal_dir is not None
+            else None
+        )
+        kwargs: Dict[str, Any] = dict(
+            chargers=self.shard_chargers[sid],
+            journal_path=path,
+            mobility=self.mobility,
+            scheme=self.scheme,
+            config=self.config,
+            storage=storage,
+            journal_sync=self.journal_sync,
+            snapshot_every=self.snapshot_every,
+            snapshot_keep=self.snapshot_keep,
+        )
+        if recover:
+            return ChargingService.recover(**kwargs)
+        return ChargingService(**kwargs)
+
     # ------------------------------------------------------------------ #
     # manifest
-
-    def _manifest_payload(self) -> Dict[str, Any]:
-        return {
-            "schema": MANIFEST_SCHEMA,
-            "n_shards": self.n_shards,
-            "halo": float(self.partition.halo),
-            "field": {
-                "width": float(self.field.width),
-                "height": float(self.field.height),
-            },
-            "shards": {
-                str(sid): [c.charger_id for c in owned]
-                for sid, owned in self.shard_chargers.items()
-            },
-        }
 
     def _write_manifest(self) -> None:
         """Publish the manifest durably (:meth:`~repro.io.Storage.publish`);
         its directory fsync also makes the shard journals' entries durable."""
         assert self.journal_dir is not None
-        text = json.dumps(self._manifest_payload(), indent=2, sort_keys=True)
+        payload = _manifest_payload(self.partition, self.shard_chargers)
+        text = json.dumps(payload, indent=2, sort_keys=True)
         self.storage.publish(self.journal_dir / MANIFEST_NAME, [text.encode() + b"\n"])
 
     # ------------------------------------------------------------------ #
@@ -319,22 +332,13 @@ class ShardedService:
     def fail_charger(self, charger_id: str, at: Optional[float] = None) -> bool:
         """Charger outage, delivered to the owning shard's kernel.
 
-        Returns ``False`` without delivering when that shard is down —
-        there is no kernel to journal the input (counted under
-        ``inputs.dropped_shard_down``)."""
-        sid = self._owner_of(charger_id)
-        if sid in self.router.down:
-            self.ops.counter("inputs.dropped_shard_down", operational=True).inc()
-            return False
-        return self._call_shard(sid, "fail_charger", charger_id, at=at)
+        Returns ``False`` without delivering when that shard is down
+        (see :meth:`_deliver`)."""
+        return bool(self._deliver(self._owner_of(charger_id), "fail_charger", charger_id, at=at))
 
     def restore_charger(self, charger_id: str, at: Optional[float] = None) -> bool:
         """Charger recovery, delivered to the owning shard's kernel."""
-        sid = self._owner_of(charger_id)
-        if sid in self.router.down:
-            self.ops.counter("inputs.dropped_shard_down", operational=True).inc()
-            return False
-        return self._call_shard(sid, "restore_charger", charger_id, at=at)
+        return bool(self._deliver(self._owner_of(charger_id), "restore_charger", charger_id, at=at))
 
     def cancel(
         self,
@@ -346,10 +350,18 @@ class ShardedService:
         sid = self.router.shard_of(request_id)
         if sid is None:
             return None
+        return self._deliver(sid, "cancel", request_id, at=at, reason=reason)
+
+    def _deliver(self, sid: int, method: str, *args: Any, **kwargs: Any) -> Any:
+        """Deliver one fault input to shard *sid*'s kernel.
+
+        While the shard is down there is no kernel to journal the input:
+        it is dropped (counted under ``inputs.dropped_shard_down``) and
+        the answer is ``None``."""
         if sid in self.router.down:
             self.ops.counter("inputs.dropped_shard_down", operational=True).inc()
             return None
-        return self._call_shard(sid, "cancel", request_id, at=at, reason=reason)
+        return self._call_shard(sid, method, *args, **kwargs)
 
     def _owner_of(self, charger_id: str) -> int:
         try:
@@ -501,19 +513,8 @@ class ShardedService:
         except KeyError:
             raise ServiceError(f"no kernel for shard {shard}") from None
         assert kernel.journal is not None
-        path = Path(kernel.journal.path)
         kernel.journal.close()
-        recovered = ChargingService.recover(
-            path,
-            self.shard_chargers[shard],
-            mobility=self.mobility,
-            scheme=self.scheme,
-            config=self.config,
-            journal_sync=self.journal_sync,
-            storage=kernel.journal.storage,
-            snapshot_every=self.snapshot_every,
-            snapshot_keep=self.snapshot_keep,
-        )
+        recovered = self._open_kernel(shard, True, kernel.journal.storage)
         self.kernels[shard] = recovered
         self.router.planners[shard] = recovered.planner
         return recovered
@@ -532,38 +533,34 @@ class ShardedService:
     ) -> "ShardedService":
         """Rebuild a killed sharded service from its journal directory.
 
-        Reads the manifest for the partition shape, recovers every shard
-        kernel from its own journal (each replay is the single-kernel
-        :meth:`ChargingService.recover` — snapshot fast path included),
-        and rebuilds the router's sticky assignment from the ``submit``
-        records in each journal.  Construction arguments are code, not
-        data — pass the same chargers/config the dead service ran with;
-        the manifest and each journal's ``open`` header are checked
-        against them.
+        Builds the partition from the manifest's shape (``n_shards``,
+        ``field``, ``halo``) and *chargers*, and requires the manifest to
+        equal the one construction would publish; then recovers every
+        shard kernel from its own journal (the single-kernel
+        :meth:`ChargingService.recover`, snapshot fast path included) and
+        the router's sticky assignment from their ``submit`` records.
+        Construction arguments are code, not data — pass the chargers and
+        config the dead service ran with; the manifest and each journal's
+        ``open`` header are checked against them.
 
         A directory still owned by a live service object in this process
         raises :class:`~repro.errors.LiveJournalError` (``close()`` it
-        first).  A missing, unparsable, or version-skewed manifest — or a
-        file where the directory belongs, such as a single-file journal —
-        raises :class:`~repro.errors.RecoveryError`: the partition shape
-        cannot be trusted, so no per-shard replay may start.  So does a
-        missing journal of a shard that owns chargers: the manifest is
-        published only after every shard journal exists, so the shard's
-        history is lost, and nothing is replayed or created.
+        first).  A missing, unparsable, malformed or version-skewed
+        manifest, one that does not match *chargers* (a charger added,
+        dropped or moved to another cell), a file where the directory
+        belongs (a single-file journal), or a missing journal of a shard
+        that owns chargers (the manifest is published after every shard
+        journal, so that history is lost) raises
+        :class:`~repro.errors.RecoveryError` before any replay, touching
+        no file.
         """
         journal_dir = Path(journal_dir)
-        if str(journal_dir.resolve()) in _LIVE_DIRS:
-            raise LiveJournalError(
-                f"journal directory {journal_dir} is owned by a live service "
-                "in this process; close() it before recovering"
-            )
+        path = journal_dir / MANIFEST_NAME
         try:
-            with cls.storage.read(journal_dir / MANIFEST_NAME) as fh:
+            with cls.storage.read(path) as fh:
                 manifest = json.load(fh)
         except FileNotFoundError as exc:
-            raise RecoveryError(
-                f"no shard manifest at {journal_dir / MANIFEST_NAME}"
-            ) from exc
+            raise RecoveryError(f"no shard manifest at {path}") from exc
         except NotADirectoryError as exc:
             raise RecoveryError(
                 f"{journal_dir} is a file, not a journal directory (one "
@@ -571,61 +568,40 @@ class ShardedService:
                 "per shard)"
             ) from exc
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise RecoveryError(
-                f"shard manifest {journal_dir / MANIFEST_NAME} is corrupt: {exc}"
-            ) from exc
+            raise RecoveryError(f"shard manifest {path} is corrupt: {exc}") from exc
         if not isinstance(manifest, dict) or manifest.get("schema") != MANIFEST_SCHEMA:
             got = manifest.get("schema") if isinstance(manifest, dict) else manifest
             raise RecoveryError(
                 f"unsupported shard manifest schema {got!r} "
                 f"(supported: {MANIFEST_SCHEMA})"
             )
-        by_id = {c.charger_id: c for c in chargers}
-        owned: Dict[int, List[Charger]] = {}
-        for sid_str in sorted(manifest["shards"], key=int):
-            ids = manifest["shards"][sid_str]
-            if not ids:
-                continue
-            missing = [cid for cid in ids if cid not in by_id]
-            if missing:
-                raise ServiceError(
-                    f"manifest shard {sid_str} names unknown chargers {missing}"
-                )
-            path = journal_dir / shard_journal_name(int(sid_str))
-            if not path.exists():
-                raise RecoveryError(
-                    f"shard {sid_str} owns chargers {ids} but its journal "
-                    f"{path} is missing; its history is lost"
-                )
-            owned[int(sid_str)] = [by_id[cid] for cid in ids]
-        kernels: Dict[int, ChargingService] = {}
-        for sid, shard_chargers in owned.items():
-            kernels[sid] = ChargingService.recover(
-                journal_dir / shard_journal_name(sid),
-                shard_chargers,
-                mobility=mobility,
-                scheme=scheme,
-                config=config,
-                journal_sync=journal_sync,
-                storage=cls.storage,
-                snapshot_every=snapshot_every,
-                snapshot_keep=snapshot_keep,
+        try:
+            n_shards = int(manifest["n_shards"])
+            field = Field(float(manifest["field"]["width"]), float(manifest["field"]["height"]))
+            halo = float(manifest["halo"])
+            partition = GridPartition(field, n_shards, halo=halo)
+            owned = partition.assign_chargers(chargers)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise RecoveryError(
+                f"shard manifest {path} is malformed: {type(exc).__name__}: {exc}"
+            ) from exc
+        expected = _manifest_payload(partition, owned)
+        if manifest != expected:
+            raise RecoveryError(
+                f"shard manifest {path} does not match the given chargers "
+                "partitioned over its field; recover with the chargers the "
+                "service was created with"
             )
-        service = cls(
-            chargers,
-            n_shards=int(manifest["n_shards"]),
-            field=Field(manifest["field"]["width"], manifest["field"]["height"]),
-            halo=float(manifest["halo"]),
-            mobility=mobility,
-            scheme=scheme,
-            config=config,
-            journal_sync=journal_sync,
-            journal_dir=journal_dir,
-            snapshot_every=snapshot_every,
-            snapshot_keep=snapshot_keep,
-            _recovered=kernels,
+        for sid, ids in expected["shards"].items():
+            journal = journal_dir / shard_journal_name(int(sid))
+            if ids and not journal.exists():
+                raise RecoveryError(
+                    f"shard {sid} owns chargers {ids} but its journal "
+                    f"{journal} is missing; its history is lost"
+                )
+        return cls(
+            chargers, n_shards, field, halo, mobility=mobility, scheme=scheme,
+            config=config, journal_dir=journal_dir, journal_sync=journal_sync,
+            snapshot_every=snapshot_every, snapshot_keep=snapshot_keep,
+            _recover=True,
         )
-        for sid in sorted(service.kernels):
-            for rid in service.kernels[sid].requests:
-                service.router.assignment[rid] = sid
-        return service

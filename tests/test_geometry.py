@@ -93,7 +93,9 @@ class TestField:
         assert f.clamp(Point(-3, 12)) == Point(0.0, 10.0)
         assert f.clamp(Point(4, 5)) == Point(4, 5)
 
-    @pytest.mark.parametrize("w,h", [(0, 1), (1, 0), (-1, 5)])
+    @pytest.mark.parametrize(
+        "w,h", [(0, 1), (1, 0), (-1, 5), (float("nan"), 1), (1, float("inf"))]
+    )
     def test_invalid_dimensions_rejected(self, w, h):
         with pytest.raises(ConfigurationError):
             Field(w, h)

@@ -87,10 +87,17 @@ class TestServeCli:
         (["--trace", "{missing}"], None),
         (["--trace", "{plan}"], "{garbled\n"),
         (["--seed", "-1"], None),
+        (["--epoch", "nan"], None),
+        (["--epoch", "inf"], None),
+        (["--window", "nan"], None),
+        (["--duration", "nan"], None),
+        (["--duration", "inf"], None),
+        (["--field", "nan"], None),
     ], ids=[
         "journal-seq-x", "shard-one", "not-json", "no-target", "missing-file",
         "seed-x", "epoch", "window", "queue-limit", "max-active", "halo",
-        "trace-missing", "trace-garbled", "seed-negative",
+        "trace-missing", "trace-garbled", "seed-negative", "epoch-nan",
+        "epoch-inf", "window-nan", "duration-nan", "duration-inf", "field-nan",
     ])
     def test_bad_arguments_are_one_line_and_exit_2(self, tmp_path, capsys, argv, plan):
         # Each check lives where the value is used (the config, the plan,
@@ -183,6 +190,36 @@ class TestServeRecoveryCli:
         err = capsys.readouterr().err.strip()
         assert rc == 3
         doc = json.loads(err.splitlines()[-1])
+        assert doc["error"] == "RecoveryError"
+        assert "manifest" in doc["message"]
+
+    @pytest.mark.parametrize("defect", [
+        lambda doc: doc.pop("shards"),
+        lambda doc: doc.pop("n_shards"),
+        lambda doc: doc.pop("field"),
+        lambda doc: doc["shards"].update({"0": "c0"}),
+        lambda doc: doc.update(halo="wide"),
+        lambda doc: doc["shards"].update({"x": doc["shards"].pop("0")}),
+        lambda doc: doc.update(n_shards=0),
+        lambda doc: doc.update(n_shards=-4),
+    ], ids=[
+        "no-shards", "no-n-shards", "no-field", "shard-not-a-list",
+        "halo-not-a-number", "shard-key-not-an-int", "zero-shards",
+        "negative-shards",
+    ])
+    def test_malformed_manifest_is_a_structured_error(self, tmp_path, capsys, defect):
+        journal = tmp_path / "svc"
+        argv = ["--shards", "4", "--journal", str(journal)]
+        assert serve_main(["--n", "10", *argv]) == 0
+        manifest = journal / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        defect(doc)
+        manifest.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert serve_main([*argv, "--recover-only"]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.count("\n") == 1
+        doc = json.loads(err)
         assert doc["error"] == "RecoveryError"
         assert "manifest" in doc["message"]
 

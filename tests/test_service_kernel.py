@@ -86,6 +86,29 @@ class TestConfig:
             ServiceConfig(queue_limit=0)
         with pytest.raises(ConfigurationError):
             ServiceConfig(max_active=0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError):
+                ServiceConfig(epoch=bad)
+            with pytest.raises(ConfigurationError):
+                ServiceConfig(window=bad)
+
+    @pytest.mark.parametrize("method,args,kwargs", [
+        ("advance", (float("nan"),), {}),
+        ("advance", (float("inf"),), {}),
+        ("fail_charger", ("c0",), {"at": float("nan")}),
+        ("restore_charger", ("c0",), {"at": float("-inf")}),
+        ("cancel", ("r1",), {"at": float("inf")}),
+    ], ids=["advance-nan", "advance-inf", "fail-nan", "restore-inf", "cancel-inf"])
+    def test_nonfinite_input_time_journals_nothing(self, tmp_path, method, args, kwargs):
+        svc = ChargingService(make_chargers(), journal_path=tmp_path / "j.jsonl")
+        svc.submit(request("r1"))
+        seq = svc.journal.seq
+        try:
+            with pytest.raises(ConfigurationError, match="finite"):
+                getattr(svc, method)(*args, **kwargs)
+            assert svc.journal.seq == seq
+        finally:
+            svc.journal.close()
 
     def test_to_dict_round_trips_through_json(self):
         import json

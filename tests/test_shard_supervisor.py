@@ -402,6 +402,38 @@ class TestFacadeLifecycle:
         assert rec.final_schedule() == svc.final_schedule()
         rec.close()
 
+    def test_a_fresh_service_refuses_a_live_journal_dir(self, tmp_path):
+        svc = make_service(tmp_path / "svc")
+        for r in make_stream(10):
+            svc.submit(r)
+        before = {p.name: p.read_bytes() for p in (tmp_path / "svc").iterdir()}
+        with pytest.raises(LiveJournalError):
+            make_service(tmp_path / "svc")
+        after = {p.name: p.read_bytes() for p in (tmp_path / "svc").iterdir()}
+        assert after == before
+        svc.close()
+        make_service(tmp_path / "svc").close()
+
+    @pytest.mark.parametrize("change", ["extra", "moved"])
+    def test_recover_checks_the_manifest_against_the_chargers(self, tmp_path, change):
+        # An added charger, or one moved into another cell, no longer
+        # partitions as the manifest says: a typed error before any
+        # replay, with every file as it was.
+        svc = make_service(tmp_path / "svc")
+        for r in make_stream(20):
+            svc.submit(r)
+        svc.close()
+        chargers = make_chargers()
+        if change == "extra":
+            chargers.append(Charger(charger_id="c4", position=Point(10.0, 10.0)))
+        else:
+            chargers[0] = Charger(charger_id="c0", position=Point(75.0, 30.0))
+        before = {p.name: p.read_bytes() for p in (tmp_path / "svc").iterdir()}
+        with pytest.raises(RecoveryError, match="does not match"):
+            ShardedService.recover(tmp_path / "svc", chargers, config=CONFIG)
+        after = {p.name: p.read_bytes() for p in (tmp_path / "svc").iterdir()}
+        assert after == before
+
     @pytest.mark.parametrize("defect", ["missing", "corrupt", "schema"])
     def test_bad_manifest_is_a_typed_recovery_error(self, tmp_path, defect):
         svc = make_service(tmp_path / "svc")
